@@ -1,46 +1,42 @@
 """The projection stage, step by step.
 
-Every measurement pins the vectorized state to one hyperplane. After
-orthonormalizing the system (which preserves its solution set), a single
-sequential pass of hyperplane projections lands exactly on the intersection
-of all of them, i.e. the orthogonal projection onto the full solution
-subspace, and Hermitian iterates stay Hermitian along the way.
+Every measurement pins the state to one hyperplane Tr[Â_i ρ] = p_i. Because
+each Â_i = |w_i⟩⟨w_i| is rank 1, the solver needs only the joint vectors w_i:
+their Gram matrix G_ij = |⟨w_i|w_j⟩|² gives the orthogonal projection onto the
+intersection of all hyperplanes in one step, ρ + Σ_i c_i Â_i with G c equal to
+the constraint residual. The result meets every constraint, stays Hermitian,
+and equals the sequential reference: Gram-Schmidt orthonormalization of the
+vectorized rows followed by one Kaczmarz sweep over their hyperplanes.
 """
 
 import numpy as np
 
-from cstomo import (
-    kaczmarz_sweep,
-    make_max_entangled,
-    mat,
-    measurement_rows,
-    orthogonalize,
-    project_hyperplane,
-    simulate_measurements,
-    vec,
-)
+from cstomo import MeasurementOperator, make_max_entangled, mat, simulate_measurements, vec
 from cstomo.linalg import hermiticity_error
+from cstomo.solver import kaczmarz_sweep, measurement_rows, orthogonalize
 
 d = 3
 ms = simulate_measurements(d, 12, state=make_max_entangled(d), seed=2)
-rows = measurement_rows(ms)
-print(f"{len(ms)} measurements over a {rows.shape[1]}-dimensional vector space")
+op = MeasurementOperator(ms)
+dim = d * d
+print(f"{len(ms)} measurements on {dim}×{dim} density matrices "
+      f"({dim**2} real unknowns); the operator keeps {op.w.shape[0]} joint "
+      f"vectors of length {dim}")
+print(f"condition number of the Gram matrix: {np.linalg.cond(op.gram_inv):.2f}")
 
-system = orthogonalize(rows, ms.probs)
-gram = system.rows.conj() @ system.rows.T
-print(f"orthonormality after Gram-Schmidt: max |G - I| = "
-      f"{np.abs(gram - np.eye(system.n_rows)).max():.2e}")
+# start from the maximally mixed state and a random Hermitian matrix
+rng = np.random.default_rng(0)
+a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+starts = {"maximally mixed": np.eye(dim, dtype=complex) / dim,
+          "random Hermitian": (a + a.conj().T) / 2}
 
-# start from the maximally mixed state and project constraint by constraint
-x = vec(np.eye(d * d, dtype=complex) / (d * d))
-for i in range(system.n_rows):
-    x = project_hyperplane(x, system.rows[i].conj(), system.probs_prime[i])
-    satisfied = np.abs(system.rows[: i + 1] @ x - system.probs_prime[: i + 1]).max()
-    print(f"after projection {i + 1:2d}: worst violation of the first "
-          f"{i + 1:2d} constraints = {satisfied:.2e}")
-
-print(f"\nHermiticity drift of the final iterate: {hermiticity_error(mat(x)):.2e}")
-
-# the one-call sweep is the same sequential pass
-sweep_out = kaczmarz_sweep(vec(np.eye(d * d, dtype=complex) / (d * d)), system)
-print(f"sweep equals the manual pass: {np.abs(sweep_out - x).max():.2e}")
+reference = orthogonalize(measurement_rows(ms), ms.probs)
+for name, start in starts.items():
+    out = op.project(start)
+    print(f"\nfrom the {name} matrix:")
+    print(f"  worst constraint violation before: {np.abs(op.residual(start)).max():.2e}, "
+          f"after: {np.abs(op.residual(out)).max():.2e}")
+    print(f"  Hermiticity drift of the projection: {hermiticity_error(out):.2e}")
+    print(f"  projecting again moves it by {np.abs(op.project(out) - out).max():.2e}")
+    sweep_out = mat(kaczmarz_sweep(vec(start), reference))
+    print(f"  Gram-Schmidt + Kaczmarz reference agrees to {np.abs(sweep_out - out).max():.2e}")

@@ -34,8 +34,9 @@ from .simulate import (
     Projector,
     TwoPhotonState,
     counts_to_probs,
-    ideal_probability,
+    expectations,
     joint_state_vector,
+    joint_vectors,
     make_downconversion_state,
     make_max_entangled,
     random_mode,
@@ -46,20 +47,15 @@ from .simulate import (
 )
 from .solver import (
     CorrectionDiagnostics,
-    OrthoSystem,
+    MeasurementOperator,
     ReconstructionConfig,
     ReconstructionReport,
     clip_to_psd,
     enforce_structure,
-    kaczmarz_sweep,
-    measurement_rows,
     normalize_trace,
-    orthogonalize,
-    project_hyperplane,
     reconstruct,
     threshold_eigs,
     threshold_elements,
-    vectorize_projector,
 )
 
 __version__ = "0.1.0"

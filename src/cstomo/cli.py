@@ -4,7 +4,8 @@ Four subcommands cover the whole pipeline: ``simulate`` writes a measurement
 campaign to JSON, ``reconstruct`` recovers a density matrix from one,
 ``sweep`` runs the fidelity-vs-measurement-fraction experiment into CSV, and
 ``metrics`` scores a stored matrix. Exit codes: 0 success/converged,
-1 input or I/O error, 3 non-convergence, 4 degenerate measurement system.
+1 input or I/O error, 3 non-convergence, 4 degenerate measurement system,
+5 a solver invariant violated (a bug, not bad input).
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 
 from . import __version__
 from .correction import NoiseCorrectionConfig, reconstruct_corrected
-from .errors import DegenerateIterateError, DegenerateSystemError, SchemaError
+from .errors import DegenerateIterateError, DegenerateSystemError, InvariantViolation, SchemaError
 from .experiments import CSV_COLUMNS, SweepSpec, run_sweep, summarize_sweep
 from .linalg import check_hermitian
 from .metrics import summarize
@@ -40,6 +41,7 @@ EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_NOT_CONVERGED = 3
 EXIT_DEGENERATE = 4
+EXIT_INVARIANT = 5
 
 
 def _add_solver_flags(p: argparse.ArgumentParser) -> None:
@@ -331,6 +333,9 @@ def main(argv=None) -> int:
     except DegenerateIterateError as exc:
         print(f"error: degenerate iterate: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
+    except InvariantViolation as exc:
+        print(f"error: solver invariant violated: {exc}", file=sys.stderr)
+        return EXIT_INVARIANT
 
 
 if __name__ == "__main__":

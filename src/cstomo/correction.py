@@ -15,8 +15,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import DegenerateIterateError, DegenerateSystemError
 from .linalg import mat, vec
-from .simulate import MeasurementSet
+from .simulate import MeasurementSet, expectations, joint_vectors
 from .solver import (
     CorrectionDiagnostics,
     ReconstructionConfig,
@@ -148,7 +149,7 @@ def estimate_delta_rho(
     For subset i the gap is vec(solution) − vec(structural stage of the
     solution); the pre-structural converged iterate is the subset solution.
     Subsets that fail to converge (or degenerate) contribute nothing and are
-    flagged.
+    flagged; any other error, such as an InvariantViolation, propagates.
     """
     if len(subsets) < 2:
         raise ValueError("need at least two subsets to estimate the displacement")
@@ -160,7 +161,7 @@ def estimate_delta_rho(
         sizes.append(len(sub))
         try:
             rep = reconstruct(sub, sub_cfg)
-        except Exception as exc:  # degenerate subset: omit and flag
+        except (DegenerateSystemError, DegenerateIterateError) as exc:  # omit and flag
             warnings.warn(f"subset reconstruction failed ({exc}); contribution omitted")
             oks.append(False)
             norms.append(float("nan"))
@@ -188,20 +189,11 @@ def correct_probabilities(
     """Subtract the probability shift implied by a displacement estimate.
 
     The shift of measurement i is Re Tr[Â_i Δ] evaluated against the original
-    (non-orthogonalized) measurement operators. Corrected probabilities are
-    clamped to [0, 1]; the clamp count is returned alongside the new set.
+    measurement operators. Corrected probabilities are clamped to [0, 1]; the
+    clamp count is returned alongside the new set.
     """
     delta_mat = mat(np.asarray(delta_rho, dtype=complex))
-    dim = ms.d**2
-    if delta_mat.shape != (dim, dim):
-        raise ValueError(
-            f"delta_rho reshapes to {delta_mat.shape}, expected {(dim, dim)}"
-        )
-    shifts = np.empty(len(ms))
-    for i, a in enumerate(ms.projectors):
-        w = a.joint_vector()
-        shifts[i] = np.vdot(w, delta_mat @ w).real
-    raw = ms.probs - shifts
+    raw = ms.probs - expectations(joint_vectors(ms.projectors, ms.d), delta_mat)
     corrected = np.clip(raw, 0.0, 1.0)
     n_clamped = int(np.count_nonzero(raw != corrected))
     return (

@@ -2,7 +2,7 @@
 
 
 class DegenerateSystemError(RuntimeError):
-    """Raised when orthogonalization drops every measurement row."""
+    """Raised when a measurement set leaves no row to solve against."""
 
 
 class DegenerateIterateError(RuntimeError):
@@ -11,9 +11,9 @@ class DegenerateIterateError(RuntimeError):
 
 
 class InvariantViolation(RuntimeError):
-    """Raised when a per-sweep runtime check fails (Hermiticity drift or an
-    orthonormalized constraint not satisfied). Indicates a convention bug,
-    not bad data."""
+    """Raised when a per-projection runtime check fails (Hermiticity drift or
+    a measurement constraint not met). Indicates a convention bug, not bad
+    data."""
 
 
 class SchemaError(ValueError):

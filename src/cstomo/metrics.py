@@ -8,7 +8,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import hermitian_part, hs_inner
-from .simulate import MeasurementSet, TwoPhotonState, joint_state_vector
+from .simulate import (
+    MeasurementSet,
+    TwoPhotonState,
+    expectations,
+    joint_state_vector,
+    joint_vectors,
+)
 
 __all__ = [
     "MetricsSummary",
@@ -75,16 +81,8 @@ def effective_rank(rho: np.ndarray, rel_tol: float = 1e-3) -> int:
 
 def residual(ms: MeasurementSet, rho: np.ndarray) -> float:
     """Worst constraint violation: max over i of |Tr[Â_i ρ] − p_i|."""
-    rho = np.asarray(rho)
-    dim = ms.d**2
-    if rho.shape != (dim, dim):
-        raise ValueError(f"matrix shape {rho.shape} does not match D={dim}")
-    worst = 0.0
-    for a, p in zip(ms.projectors, ms.probs):
-        w = a.joint_vector()
-        t = float(np.vdot(w, rho @ w).real)
-        worst = max(worst, abs(t - p))
-    return worst
+    t = expectations(joint_vectors(ms.projectors, ms.d), rho)
+    return float(np.abs(t - ms.probs).max(initial=0.0))
 
 
 def summarize(

@@ -25,7 +25,8 @@ __all__ = [
     "state_to_density",
     "random_mode",
     "random_projector",
-    "ideal_probability",
+    "joint_vectors",
+    "expectations",
     "simulate_counts",
     "counts_to_probs",
     "simulate_measurements",
@@ -118,8 +119,8 @@ class Projector:
         return np.kron(self.signal.amps, self.idler.amps)
 
     def materialize(self) -> np.ndarray:
-        """The full D×D operator |w⟩⟨w|. O(D²) memory; prefer the bilinear
-        form of ideal_probability when only traces are needed."""
+        """The full D×D operator |w⟩⟨w|. O(D²) memory; prefer
+        ``expectations`` when only traces are needed."""
         w = self.joint_vector()
         return np.outer(w, w.conj())
 
@@ -230,20 +231,21 @@ def random_projector(
     return Projector(signal, idler)
 
 
-def ideal_probability(a: Projector, rho: np.ndarray) -> float:
-    """Coincidence probability Tr[Â ρ] = ⟨w|ρ|w⟩ for the projector's joint
-    vector w.
+def joint_vectors(projectors: list[Projector], d: int) -> np.ndarray:
+    """The M×D matrix W whose row i is the joint vector of projector i; the
+    one representation of a measurement set's operators (D = d²)."""
+    return np.array([a.joint_vector() for a in projectors], dtype=complex).reshape(
+        len(projectors), d * d
+    )
 
-    Evaluated as a bilinear form, O(D²), without materializing the D×D
-    operator. The result is clamped to [0, 1]; valid density matrices only
-    stray outside by rounding (≤ 1e-12).
-    """
-    w = a.joint_vector()
+
+def expectations(w: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """Tr[Â_i ρ] = ⟨w_i|ρ|w_i⟩ for every row w_i of W, real part, without
+    materializing any D×D operator: O(M·D²)."""
     rho = np.asarray(rho)
-    if rho.shape != (w.size, w.size):
-        raise ValueError(f"density matrix shape {rho.shape} does not match D={w.size}")
-    p = float(np.vdot(w, rho @ w).real)
-    return min(max(p, 0.0), 1.0)
+    if rho.shape != (w.shape[1],) * 2:
+        raise ValueError(f"matrix shape {rho.shape} does not match D={w.shape[1]}")
+    return ((w.conj() @ rho) * w).sum(axis=1).real
 
 
 def simulate_counts(p: float, mean_total_counts: float, rng: np.random.Generator) -> int:
@@ -295,7 +297,8 @@ def simulate_measurements(
         random_projector(d, rng, identical_arms=identical_arms)
         for _ in range(n_measurements)
     ]
-    ideal = np.array([ideal_probability(a, rho) for a in projectors])
+    # valid density matrices stray outside [0, 1] only by rounding (≤ 1e-12)
+    ideal = np.clip(expectations(joint_vectors(projectors, d), rho), 0.0, 1.0)
     if mean_total_counts is None:
         probs, counts, calibration = ideal, None, None
     else:

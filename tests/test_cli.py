@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from cstomo.cli import main
+from cstomo.errors import InvariantViolation
 from cstomo.serialize import load_measurement_set
 from cstomo.simulate import make_max_entangled, state_to_density
 
@@ -111,6 +112,17 @@ class TestReconstructCommand:
         inp.write_text('{"d":3,"projectors":[],"probs":[]}')
         assert run("reconstruct", inp, "--out", tmp_path / "r.json",
                    "--no-correction") == 4
+
+    def test_invariant_violation_exit_code(self, tmp_path, capsys, monkeypatch):
+        def broken(ms, cfg, on_iteration=None):
+            raise InvariantViolation("iterate lost Hermiticity after projection 1")
+
+        monkeypatch.setattr("cstomo.cli.reconstruct", broken)
+        inp = self.make_input(tmp_path)
+        assert run("reconstruct", inp, "--out", tmp_path / "r.json",
+                   "--no-correction") == 5
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
 
     def test_byte_identical_reruns(self, tmp_path):
         inp = self.make_input(tmp_path, n=60, noise=True)

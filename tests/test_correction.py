@@ -11,6 +11,7 @@ from cstomo.correction import (
     partition,
     reconstruct_corrected,
 )
+from cstomo.errors import InvariantViolation
 from cstomo.linalg import frob_norm, hs_inner, mat, vec
 from cstomo.simulate import simulate_measurements, state_to_density
 from cstomo.solver import ReconstructionConfig
@@ -120,6 +121,18 @@ class TestEstimateDeltaRho:
         assert est.subset_converged == [False, False]
         assert est.n_omitted == 2
         assert np.linalg.norm(est.delta) == 0.0
+
+
+    def test_invariant_violation_propagates(self, monkeypatch):
+        # a convention bug must surface, not become an omitted subset
+        def broken(ms, cfg):
+            raise InvariantViolation("projection 1 left constraint residual 1e-3 > 1e-9")
+
+        ms = simulate_measurements(3, 60, seed=0, mean_total_counts=1e4)
+        cfg = d3_correction_config(n_subsets=2)
+        monkeypatch.setattr("cstomo.correction.reconstruct", broken)
+        with pytest.raises(InvariantViolation):
+            estimate_delta_rho(partition(ms, cfg), cfg)
 
 
 class TestCorrectProbabilities:

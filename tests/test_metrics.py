@@ -4,6 +4,7 @@ import pytest
 from cstomo.linalg import hs_inner
 from cstomo.metrics import effective_rank, fidelity_pure, purity, residual, summarize
 from cstomo.simulate import (
+    MeasurementSet,
     TwoPhotonState,
     joint_state_vector,
     make_downconversion_state,
@@ -125,6 +126,10 @@ class TestResidual:
         ms = simulate_measurements(3, 5, seed=1)
         with pytest.raises(ValueError, match="match"):
             residual(ms, np.eye(4))
+
+    def test_empty_set(self):
+        ms = MeasurementSet(d=3, projectors=[], probs=[])
+        assert residual(ms, np.eye(9) / 9) == 0.0
 
 
 class TestSummarize:

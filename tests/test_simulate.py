@@ -9,8 +9,9 @@ from cstomo.simulate import (
     TwoPhotonState,
     counts_to_probs,
     ell_range,
-    ideal_probability,
+    expectations,
     joint_state_vector,
+    joint_vectors,
     make_downconversion_state,
     make_max_entangled,
     random_mode,
@@ -157,6 +158,11 @@ class TestRandomDraws:
         assert np.array_equal(a.signal.amps, a.idler.amps)
 
 
+def probability(a, rho):
+    """Tr[Â ρ] of one projector through the batched map."""
+    return expectations(joint_vectors([a], a.d), rho)[0]
+
+
 class TestProbabilities:
     def test_central_mode_projector_on_max_entangled(self):
         # |l=0>_S |l=0>_I against the flat state: p = |c_0|^2 = 1/d
@@ -166,27 +172,27 @@ class TestProbabilities:
             e0[half] = 1.0
             proj = Projector(ModeVector(e0.copy()), ModeVector(e0.copy()))
             rho = state_to_density(make_max_entangled(d))
-            assert ideal_probability(proj, rho) == pytest.approx(1 / d, abs=1e-12)
+            assert probability(proj, rho) == pytest.approx(1 / d, abs=1e-12)
 
     def test_any_projector_on_maximally_mixed(self):
         d = 5
         rho = np.eye(d * d, dtype=complex) / (d * d)
         a = random_projector(d, np.random.default_rng(7))
-        assert ideal_probability(a, rho) == pytest.approx(1 / d**2, abs=1e-12)
+        assert probability(a, rho) == pytest.approx(1 / d**2, abs=1e-12)
 
     def test_matches_materialized_inner_product(self):
         rng = np.random.default_rng(8)
         d = 3
         a = random_projector(d, rng)
         rho = state_to_density(make_downconversion_state(d, 1.5))
-        assert ideal_probability(a, rho) == pytest.approx(
+        assert probability(a, rho) == pytest.approx(
             hs_inner(a.materialize(), rho).real, abs=1e-10
         )
 
     def test_dimension_mismatch(self):
         a = random_projector(3, np.random.default_rng(9))
         with pytest.raises(ValueError, match="match"):
-            ideal_probability(a, np.eye(4))
+            probability(a, np.eye(4))
 
     def test_complete_basis_probabilities_sum_to_one(self):
         d = 3
@@ -198,10 +204,20 @@ class TestProbabilities:
                 s[i] = 1.0
                 t = np.zeros(d, dtype=complex)
                 t[j] = 1.0
-                total += ideal_probability(
+                total += probability(
                     Projector(ModeVector(s), ModeVector(t)), rho
                 )
         assert total == pytest.approx(1.0, abs=1e-10)
+
+
+    def test_expectations_match_per_projector_loop(self):
+        rng = np.random.default_rng(13)
+        d = 3
+        projs = [random_projector(d, rng) for _ in range(15)]
+        a = rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9))
+        rho = (a + a.conj().T) / 2
+        loop = [np.vdot(p.joint_vector(), rho @ p.joint_vector()).real for p in projs]
+        assert np.abs(expectations(joint_vectors(projs, d), rho) - loop).max() <= 1e-12
 
 
 class TestCounts:
@@ -248,7 +264,8 @@ class TestSimulateMeasurements:
     def test_noiseless_probs_are_ideal(self):
         ms = simulate_measurements(3, 10, seed=1)
         rho = state_to_density(ms.truth)
-        expected = [ideal_probability(a, rho) for a in ms.projectors]
+        expected = [np.vdot(a.joint_vector(), rho @ a.joint_vector()).real
+                    for a in ms.projectors]
         assert np.allclose(ms.probs, expected, atol=1e-15)
         assert ms.counts is None and ms.calibration is None
 

@@ -1,18 +1,24 @@
+import json
+
 import numpy as np
 import pytest
 
+from cstomo.cli import main as cli_main
 from cstomo.errors import DegenerateIterateError, DegenerateSystemError
 from cstomo.linalg import frob_norm, hermiticity_error, mat, vec
 from cstomo.metrics import fidelity_pure
+from cstomo.serialize import save_measurement_set
 from cstomo.simulate import (
     MeasurementSet,
-    ideal_probability,
+    expectations,
+    joint_vectors,
     make_max_entangled,
     random_projector,
     simulate_measurements,
     state_to_density,
 )
 from cstomo.solver import (
+    MeasurementOperator,
     ReconstructionConfig,
     clip_to_psd,
     enforce_structure,
@@ -20,11 +26,9 @@ from cstomo.solver import (
     measurement_rows,
     normalize_trace,
     orthogonalize,
-    project_hyperplane,
     reconstruct,
     threshold_eigs,
     threshold_elements,
-    vectorize_projector,
 )
 
 
@@ -48,14 +52,33 @@ def hermitian_rows(n_rows, dim, rng):
     return rows, p, x
 
 
+def random_measurement_set(d, n, rng, *, noisy=False):
+    """Random projectors against a random pure state of any d (the simulator's
+    states need odd d); Poisson counts at 1e3 when ``noisy``."""
+    projs = [random_projector(d, rng) for _ in range(n)]
+    rho = random_pure_density(d * d, rng)
+    probs = np.clip(expectations(joint_vectors(projs, d), rho), 0, 1)
+    if noisy:
+        probs = np.clip(rng.poisson(probs * 1e3) / 1e3, 0, 1)
+    return MeasurementSet(d=d, projectors=projs, probs=probs)
+
+
+def vectorize_projector(a):
+    """The row of one projector in measurement_rows."""
+    return measurement_rows(MeasurementSet(d=a.d, projectors=[a], probs=[0.0]))[0]
+
+
 class TestVectorizeProjector:
+    """Rows of measurement_rows, one vectorized projector each."""
+
     def test_dot_with_vec_rho_is_trace(self):
         rng = np.random.default_rng(0)
         for d in (2, 3):
             a = random_projector(d, rng)
             rho = random_pure_density(d * d, rng)
             lhs = np.dot(vectorize_projector(a), vec(rho))
-            assert lhs.real == pytest.approx(ideal_probability(a, rho), abs=1e-12)
+            w = a.joint_vector()
+            assert lhs.real == pytest.approx(np.vdot(w, rho @ w).real, abs=1e-12)
             assert abs(lhs.imag) <= 1e-12
 
     def test_d1_single_entry(self):
@@ -220,41 +243,6 @@ class TestNormalizeAndStructure:
         assert np.linalg.eigvalsh(out)[0] >= -1e-10
 
 
-class TestProjectHyperplane:
-    def test_point_on_plane_unchanged(self):
-        n = np.array([1, 0, 0, 0], dtype=complex)
-        x = np.array([0.3, 1, 2, 3], dtype=complex)
-        out = project_hyperplane(x, n, 0.3)
-        assert np.allclose(out, x, atol=1e-15)
-
-    def test_from_origin(self):
-        n = np.array([1, 0], dtype=complex)
-        out = project_hyperplane(np.zeros(2, dtype=complex), n, 0.3)
-        assert np.allclose(out, [0.3, 0])
-
-    def test_minimum_norm_against_projector_oracle(self):
-        # independent oracle: project with the explicit rank-1 projector matrix
-        rng = np.random.default_rng(13)
-        n = rng.standard_normal(6) + 1j * rng.standard_normal(6)
-        n /= np.linalg.norm(n)
-        x = rng.standard_normal(6) + 1j * rng.standard_normal(6)
-        target = 0.42
-        y0 = target * n  # a point on the hyperplane
-        perp = np.eye(6) - np.outer(n, n.conj())
-        oracle = y0 + perp @ (x - y0)
-        out = project_hyperplane(x, n, target)
-        assert np.abs(out - oracle).max() <= 1e-12
-        assert np.vdot(n, out) == pytest.approx(target, abs=1e-12)
-        assert np.linalg.norm(out - x) == pytest.approx(
-            abs(target - np.vdot(n, x)), abs=1e-12
-        )
-
-    def test_rejects_non_unit_normal(self):
-        with pytest.raises(ValueError, match="unit"):
-            project_hyperplane(np.zeros(2, dtype=complex),
-                               np.array([2.0, 0], dtype=complex), 0.1)
-
-
 class TestKaczmarzSweep:
     def _system(self, n_rows, dim, rng):
         rows, p, x = hermitian_rows(n_rows, dim, rng)
@@ -265,14 +253,6 @@ class TestKaczmarzSweep:
         sysm, x = self._system(6, 3, rng)
         out = kaczmarz_sweep(x, sysm)
         assert np.abs(out - x).max() <= 1e-12
-
-    def test_single_row_equals_project_hyperplane(self):
-        rng = np.random.default_rng(15)
-        rows, p, _ = hermitian_rows(1, 3, rng)
-        sysm = orthogonalize(rows, p)
-        x = rng.standard_normal(9) + 1j * rng.standard_normal(9)
-        expected = project_hyperplane(x, sysm.rows[0].conj(), sysm.probs_prime[0])
-        assert np.array_equal(kaczmarz_sweep(x, sysm), expected)
 
     def test_matches_pseudoinverse_affine_projection(self):
         # least-squares oracle for the orthogonal projection onto {y: Qy = p'}
@@ -300,6 +280,42 @@ class TestKaczmarzSweep:
         assert hermiticity_error(out) <= 1e-9
 
 
+class TestMeasurementOperator:
+    @pytest.mark.parametrize("noisy", [False, True])
+    @pytest.mark.parametrize("d,n", [(1, 3), (2, 10), (3, 24), (5, 100)])
+    def test_projection_matches_sequential_reference(self, d, n, noisy):
+        rng = np.random.default_rng(20 + d)
+        ms = random_measurement_set(d, n, rng, noisy=noisy)
+        op = MeasurementOperator(ms)
+        sysm = orthogonalize(measurement_rows(ms), ms.probs)
+        assert op.n_dropped == sysm.n_dropped  # d=1: every row after the first
+        a = rng.standard_normal((d * d, d * d)) + 1j * rng.standard_normal((d * d, d * d))
+        rho = (a + a.conj().T) / 2
+        expected = mat(kaczmarz_sweep(vec(rho), sysm))
+        assert np.abs(op.project(rho) - expected).max() <= 1e-12
+
+    def test_duplicated_projector_dropped_in_input_order(self, tmp_path):
+        ms = simulate_measurements(3, 24, seed=3)
+        projs = list(ms.projectors)
+        projs.insert(10, ms.projectors[4])
+        dup = MeasurementSet(d=3, projectors=projs, probs=np.insert(ms.probs, 10, ms.probs[4]))
+        op = MeasurementOperator(dup)
+        assert op.n_dropped == 1
+        assert np.array_equal(op.w, joint_vectors(ms.projectors, 3))
+
+        cfg = ReconstructionConfig(tau=0.7)
+        rep, rep_dup = reconstruct(ms, cfg), reconstruct(dup, cfg)
+        assert rep_dup.converged and rep_dup.n_dropped_rows == 1
+        assert rep_dup.iterations == rep.iterations
+        assert np.abs(rep_dup.rho - rep.rho).max() <= 1e-10
+
+        inp, out = tmp_path / "dup.json", tmp_path / "report.json"
+        save_measurement_set(dup, str(inp))
+        assert cli_main(["reconstruct", str(inp), "--out", str(out), "--tau", "0.7",
+                         "--no-correction"]) == 0
+        assert json.loads(out.read_text())["n_dropped_rows"] == 1
+
+
 class TestReconstruct:
     def test_fully_determined_matches_direct_solve(self):
         # d=2, D=4, N=16 with 16 independent projectors: unique solution
@@ -307,7 +323,7 @@ class TestReconstruct:
         d = 2
         rho_true = random_pure_density(d * d, rng)
         projs = [random_projector(d, rng) for _ in range(16)]
-        probs = np.array([ideal_probability(a, rho_true) for a in projs])
+        probs = np.clip(expectations(joint_vectors(projs, d), rho_true), 0, 1)
         ms = MeasurementSet(d=d, projectors=projs, probs=probs)
         a_mat = measurement_rows(ms)
         direct = mat(np.linalg.solve(a_mat, probs.astype(complex)))
@@ -327,7 +343,7 @@ class TestReconstruct:
         rho_mixed = np.eye(d * d, dtype=complex) / (d * d)
         rng = np.random.default_rng(19)
         projs = [random_projector(d, rng) for _ in range(20)]
-        probs = np.array([ideal_probability(a, rho_mixed) for a in projs])
+        probs = np.clip(expectations(joint_vectors(projs, d), rho_mixed), 0, 1)
         ms = MeasurementSet(d=d, projectors=projs, probs=probs)
         rep = reconstruct(ms)
         assert rep.converged
@@ -353,8 +369,7 @@ class TestReconstruct:
         assert r1.per_iteration_steps == r2.per_iteration_steps
 
     def test_original_system_residual_at_recovered_solution(self):
-        # the orthonormalized system has the same solution set, so the raw
-        # converged iterate must satisfy the original measurements too
+        # the raw converged iterate sits on every measurement hyperplane
         from cstomo.metrics import residual
 
         ms = simulate_measurements(3, 24, seed=8)
