@@ -233,10 +233,13 @@ def random_projector(
 
 def joint_vectors(projectors: list[Projector], d: int) -> np.ndarray:
     """The M×D matrix W whose row i is the joint vector of projector i; the
-    one representation of a measurement set's operators (D = d²)."""
-    return np.array([a.joint_vector() for a in projectors], dtype=complex).reshape(
-        len(projectors), d * d
-    )
+    one representation of a measurement set's operators (D = d²).
+
+    One broadcast over the stacked arm amplitudes: row i is the same product
+    of entries as ``projectors[i].joint_vector()``, so the bits match."""
+    sig = np.array([a.signal.amps for a in projectors], dtype=complex).reshape(-1, d)
+    idl = np.array([a.idler.amps for a in projectors], dtype=complex).reshape(-1, d)
+    return (sig[:, :, None] * idl[:, None, :]).reshape(len(projectors), d * d)
 
 
 def expectations(w: np.ndarray, rho: np.ndarray) -> np.ndarray:

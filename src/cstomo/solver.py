@@ -11,7 +11,10 @@ The solver alternates two stages until the step size stalls below tolerance:
 Measurement convention: every Â_i = |w_i⟩⟨w_i| is rank 1, so the system is the
 M×D matrix W of joint vectors, Tr[Â_i ρ] = ⟨w_i|ρ|w_i⟩, the operators' Gram
 matrix is G = |W̄Wᵀ|⊙² (real, M×M) and the projection is ρ + Σ_i c_i Â_i with
-G c = p − (Tr[Â_i ρ])_i; no M×D⁴ matrix is formed. The test-only reference
+G c = p − (Tr[Â_i ρ])_i; no M×D⁴ matrix is formed. G⁻¹ = L⁻ᵀL⁻¹ is formed once
+per solve from the Cholesky factor L, whose inverse is taken by halves
+(about 2M³/3 flops in matrix products, a third of an LU-based inverse).
+The test-only reference
 ``measurement_rows`` → ``orthogonalize`` → ``kaczmarz_sweep`` computes the same
 projection from the Gram-Schmidt orthonormalized rows u = conj(vec(Â)), with
 u · vec(ρ) = Tr[Â ρ] and hyperplane normal conj(u).
@@ -49,6 +52,9 @@ THRESHOLD_MODES = ("relative", "absolute")
 # ~1e-16 instead of failing, so a row is dropped as dependent on the rows
 # before it once its pivot falls below this cut (a residual norm of 1e-5).
 PIVOT_TOL = 1e-10
+
+# Below this many rows _lower_inverse hands its block to LAPACK.
+_INV_LEAF = 64
 
 
 @dataclass
@@ -359,11 +365,31 @@ def _in_order_cholesky(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate([keep1, h + keep2]), low
 
 
+def _lower_inverse(low: np.ndarray) -> np.ndarray:
+    """Inverse of a lower-triangular matrix by halves: for L = [[A, 0], [C, B]]
+    it is [[A⁻¹, 0], [−B⁻¹·C·A⁻¹, B⁻¹]], with LAPACK's inverse below
+    _INV_LEAF rows. About 2n³/3 flops, nearly all in matrix products, against
+    about 2n³ for an LU-based inverse."""
+    n = len(low)
+    if n <= _INV_LEAF:
+        return np.linalg.inv(low)
+    h = n // 2
+    a_inv = _lower_inverse(low[:h, :h])
+    b_inv = _lower_inverse(low[h:, h:])
+    out = np.zeros_like(low)
+    out[:h, :h] = a_inv
+    out[h:, h:] = b_inv
+    out[h:, :h] = -b_inv @ (low[h:, :h] @ a_inv)
+    return out
+
+
 class MeasurementOperator:
     """The orthogonal projection onto {ρ : Tr[Â_i ρ] = p_i}, built once per
     solve: G = |W̄Wᵀ|⊙² is factored in input order, rows dependent on earlier
-    ones are dropped (``n_dropped``) and G⁻¹ of the kept rows is formed, so a
-    projection costs two O(M·D²) products and one M×M matrix-vector product.
+    ones are dropped (``n_dropped``) and G⁻¹ = L⁻ᵀL⁻¹ of the kept rows is
+    formed from a blocked inverse of the lower factor L (about 2M³/3 flops,
+    against about 2M³ for an LU-based inverse), so a projection costs two
+    O(M·D²) products and one M×M matrix-vector product.
     """
 
     def __init__(self, ms: MeasurementSet):
@@ -371,7 +397,7 @@ class MeasurementOperator:
             raise DegenerateSystemError("measurement set is empty")
         w = joint_vectors(ms.projectors, ms.d)
         keep, low = _in_order_cholesky(np.abs(w.conj() @ w.T) ** 2)
-        low_inv = np.linalg.inv(low)
+        low_inv = _lower_inverse(low)
         self.w = w[keep]
         self.probs = ms.probs[keep]
         self.gram_inv = low_inv.T @ low_inv

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cstomo
 from cstomo.cli import main
 from cstomo.errors import InvariantViolation
 from cstomo.serialize import load_measurement_set
@@ -130,6 +135,19 @@ class TestReconstructCommand:
         for out in (a, b):
             assert run("reconstruct", inp, "--out", out, "--tau", 0.7,
                        "--subsets", 2) == 0
+        assert a.read_bytes() == b.read_bytes()
+
+    def test_byte_identical_across_processes(self, tmp_path):
+        # the README's determinism scope: one numpy/BLAS build, fixed thread count
+        inp = self.make_input(tmp_path, n=60, noise=True)
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+        src = str(Path(cstomo.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        for out in (a, b):
+            subprocess.run([sys.executable, "-m", "cstomo", "reconstruct", str(inp),
+                            "--out", str(out), "--tau", "0.7", "--subsets", "2"],
+                           env=env, check=True, timeout=120)
         assert a.read_bytes() == b.read_bytes()
 
     def test_diagnostics_stream(self, tmp_path):

@@ -210,6 +210,15 @@ class TestProbabilities:
         assert total == pytest.approx(1.0, abs=1e-10)
 
 
+    @pytest.mark.parametrize("identical_arms", [False, True])
+    @pytest.mark.parametrize("d", [1, 3, 7])
+    def test_joint_vectors_equal_kron_per_row(self, d, identical_arms):
+        rng = np.random.default_rng(d)
+        projs = [random_projector(d, rng, identical_arms) for _ in range(12)]
+        loop = np.array([np.kron(p.signal.amps, p.idler.amps) for p in projs])
+        assert np.array_equal(joint_vectors(projs, d), loop)
+        assert joint_vectors([], d).shape == (0, d * d)
+
     def test_expectations_match_per_projector_loop(self):
         rng = np.random.default_rng(13)
         d = 3

@@ -19,6 +19,8 @@ from cstomo.simulate import (
 )
 from cstomo.solver import (
     MeasurementOperator,
+    _in_order_cholesky,
+    _lower_inverse,
     ReconstructionConfig,
     clip_to_psd,
     enforce_structure,
@@ -314,6 +316,33 @@ class TestMeasurementOperator:
         assert cli_main(["reconstruct", str(inp), "--out", str(out), "--tau", "0.7",
                          "--no-correction"]) == 0
         assert json.loads(out.read_text())["n_dropped_rows"] == 1
+
+
+def gram_of(projs, d):
+    w = joint_vectors(projs, d)
+    return np.abs(w.conj() @ w.T) ** 2
+
+
+class TestLowerInverse:
+    @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 130, 720])
+    def test_matches_lapack_inverse(self, n):
+        rng = np.random.default_rng(n)
+        low = np.linalg.cholesky(gram_of([random_projector(7, rng) for _ in range(n)], 7))
+        inv = _lower_inverse(low)
+        assert np.abs(low @ inv - np.eye(n)).max() <= 1e-12
+        assert np.abs(inv - np.linalg.inv(low)).max() <= 1e-12 * np.abs(inv).max()
+
+    def test_factor_from_drop_path(self):
+        rng = np.random.default_rng(5)
+        projs = [random_projector(7, rng) for _ in range(130)]
+        projs.insert(90, projs[20])
+        g = gram_of(projs, 7)
+        keep, low = _in_order_cholesky(g)
+        assert len(keep) == 130 and 90 not in keep
+        inv = _lower_inverse(low)
+        assert np.abs(low @ inv - np.eye(130)).max() <= 1e-12
+        g_inv = np.linalg.inv(g[np.ix_(keep, keep)])
+        assert np.abs(inv.T @ inv - g_inv).max() <= 1e-12 * np.abs(g_inv).max()
 
 
 class TestReconstruct:
