@@ -16,6 +16,7 @@ from .errors import (
     DegenerateSystemError,
     InvariantViolation,
     SchemaError,
+    WorkerPoolError,
 )
 from .experiments import SweepRow, SweepSpec, run_sweep, run_sweep_cell, summarize_sweep
 from .linalg import (

@@ -5,7 +5,9 @@ campaign to JSON, ``reconstruct`` recovers a density matrix from one,
 ``sweep`` runs the fidelity-vs-measurement-fraction experiment into CSV, and
 ``metrics`` scores a stored matrix. Exit codes: 0 success/converged,
 1 input or I/O error, 3 non-convergence, 4 degenerate measurement system,
-5 a solver invariant violated (a bug, not bad input).
+5 a solver invariant violated (a bug, not bad input), 6 a worker process
+solving the correction's subsets died or could not be started (for example
+killed when memory ran out).
 """
 
 from __future__ import annotations
@@ -18,7 +20,13 @@ import numpy as np
 
 from . import __version__
 from .correction import NoiseCorrectionConfig, reconstruct_corrected
-from .errors import DegenerateIterateError, DegenerateSystemError, InvariantViolation, SchemaError
+from .errors import (
+    DegenerateIterateError,
+    DegenerateSystemError,
+    InvariantViolation,
+    SchemaError,
+    WorkerPoolError,
+)
 from .experiments import CSV_COLUMNS, SweepSpec, run_sweep, summarize_sweep
 from .linalg import check_hermitian
 from .metrics import summarize
@@ -42,6 +50,7 @@ EXIT_ERROR = 1
 EXIT_NOT_CONVERGED = 3
 EXIT_DEGENERATE = 4
 EXIT_INVARIANT = 5
+EXIT_WORKER = 6
 
 
 def _add_solver_flags(p: argparse.ArgumentParser) -> None:
@@ -336,6 +345,9 @@ def main(argv=None) -> int:
     except InvariantViolation as exc:
         print(f"error: solver invariant violated: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
+    except WorkerPoolError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_WORKER
 
 
 if __name__ == "__main__":

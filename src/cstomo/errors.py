@@ -16,5 +16,10 @@ class InvariantViolation(RuntimeError):
     data."""
 
 
+class WorkerPoolError(RuntimeError):
+    """Raised when a worker process solving correction subsets dies or cannot
+    be started."""
+
+
 class SchemaError(ValueError):
     """Raised when a JSON input file does not match the declared format."""

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import os
+from itertools import chain
 from typing import Any
 
 import numpy as np
@@ -57,12 +58,36 @@ def _pairs_to_cvec(pairs: Any, what: str, expected_len: int | None = None) -> np
             or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in item)
         ):
             raise SchemaError(f"{what}[{i}]: expected a [re, im] pair of numbers")
-        out[i] = complex(item[0], item[1])
+        try:
+            out[i] = complex(item[0], item[1])
+        except OverflowError as exc:  # an integer beyond double range
+            raise SchemaError(f"{what}[{i}]: {exc}") from exc
     if expected_len is not None and out.size != expected_len:
         raise SchemaError(f"{what}: expected length {expected_len}, got {out.size}")
     if not np.isfinite(out.view(float)).all():
         raise SchemaError(f"{what}: non-finite value")
     return out
+
+
+def _bulk_cvecs(vectors: list, d: int) -> np.ndarray | None:
+    """Convert n ≥ 1 lists of d [re, im] pairs into an (n, d) complex array
+    with one type scan per nesting level and one ``np.array``, bit-identical
+    to ``_pairs_to_cvec``. Returns None when any of them breaks the format;
+    ``_pairs_to_cvec`` then locates and reports the first offence."""
+    if not set(map(type, vectors)) <= {list}:
+        return None
+    pairs = list(chain.from_iterable(vectors))
+    if not set(map(type, pairs)) <= {list}:
+        return None
+    if not set(map(type, chain.from_iterable(pairs))) <= {int, float}:
+        return None
+    try:
+        parts = np.array(vectors, dtype=float)
+    except (ValueError, OverflowError):  # ragged, or an int beyond double range
+        return None
+    if parts.shape != (len(vectors), d, 2) or not np.isfinite(parts).all():
+        return None
+    return parts.view(complex).reshape(len(vectors), d)
 
 
 def dump_json(obj: Any, path: str) -> None:
@@ -94,6 +119,32 @@ def measurement_set_to_dict(ms: MeasurementSet, *, strip_truth: bool = False) ->
     return doc
 
 
+def _parse_projectors(raw_projs: list, d: int) -> list[Projector]:
+    """Every projector's amplitudes in one bulk conversion; when an entry
+    breaks the format, entry by entry up to the first offence, which the
+    error then names."""
+    if raw_projs and all(type(e) is dict and "signal" in e and "idler" in e for e in raw_projs):
+        amps = _bulk_cvecs([v for e in raw_projs for v in (e["signal"], e["idler"])], d)
+        if amps is not None:
+            return [
+                Projector(ModeVector(sig), ModeVector(idl))
+                for sig, idl in zip(amps[0::2], amps[1::2])
+            ]
+    projectors = []
+    for i, entry in enumerate(raw_projs):
+        if not isinstance(entry, dict) or "signal" not in entry or "idler" not in entry:
+            raise SchemaError(
+                f"projectors[{i}]: expected an object with 'signal' and 'idler'"
+            )
+        projectors.append(
+            Projector(
+                ModeVector(_pairs_to_cvec(entry["signal"], f"projectors[{i}].signal", d)),
+                ModeVector(_pairs_to_cvec(entry["idler"], f"projectors[{i}].idler", d)),
+            )
+        )
+    return projectors
+
+
 def measurement_set_from_dict(doc: Any) -> MeasurementSet:
     if not isinstance(doc, dict):
         raise SchemaError("measurement set: expected a JSON object")
@@ -117,18 +168,7 @@ def measurement_set_from_dict(doc: Any) -> MeasurementSet:
         raise SchemaError("measurement set: probs must be numbers")
 
     try:
-        projectors = []
-        for i, entry in enumerate(raw_projs):
-            if not isinstance(entry, dict) or "signal" not in entry or "idler" not in entry:
-                raise SchemaError(
-                    f"projectors[{i}]: expected an object with 'signal' and 'idler'"
-                )
-            projectors.append(
-                Projector(
-                    ModeVector(_pairs_to_cvec(entry["signal"], f"projectors[{i}].signal", d)),
-                    ModeVector(_pairs_to_cvec(entry["idler"], f"projectors[{i}].idler", d)),
-                )
-            )
+        projectors = _parse_projectors(raw_projs, d)
         counts = doc.get("counts")
         if counts is not None:
             if not isinstance(counts, list) or not all(
@@ -151,7 +191,7 @@ def measurement_set_from_dict(doc: Any) -> MeasurementSet:
         )
     except SchemaError:
         raise
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         raise SchemaError(f"measurement set: {exc}") from exc
 
 

@@ -3,7 +3,8 @@ the measured numbers (run with -s or -rA to see them).
 
 Criterion 3 runs the full d=7 fidelity-vs-fraction experiment and takes
 several minutes; criterion 4 (the d=17 stretch run) is opt-in via
-CSTOMO_STRETCH=1 since it needs about 5 minutes.
+CSTOMO_STRETCH=1 since it needs about 4 minutes at one BLAS thread on two
+CPUs.
 """
 
 import os

@@ -1,4 +1,5 @@
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -128,6 +129,49 @@ class TestReconstructCommand:
                    "--no-correction") == 5
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_dead_subset_worker_exit_code(self, tmp_path, capsys, monkeypatch):
+        # a worker killed mid-solve (for example when memory runs out)
+        def die(sub, sub_cfg):
+            os._exit(1)
+
+        monkeypatch.setattr("cstomo.correction._subset_workers", lambda n: 2)
+        monkeypatch.setattr("cstomo.correction._subset_gap", die)
+        inp = self.make_input(tmp_path, noise=True)
+        out = tmp_path / "r.json"
+        assert run("reconstruct", inp, "--out", out, "--tau", 0.7) == 6
+        err = capsys.readouterr().err
+        assert err.startswith("error: a subset worker died") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_failed_worker_start_exit_code(self, tmp_path, capsys, monkeypatch):
+        # the first worker forks, the second cannot: the first must not linger
+        real_fork = os.fork
+        forks = []
+
+        def fork_once():
+            forks.append(None)
+            if len(forks) > 1:
+                raise BlockingIOError(11, "Resource temporarily unavailable")
+            return real_fork()
+
+        monkeypatch.setattr("cstomo.correction._subset_workers", lambda n: 2)
+        monkeypatch.setattr(os, "fork", fork_once)
+        before = set(multiprocessing.active_children())
+        inp = self.make_input(tmp_path, noise=True)
+        try:
+            rc = run("reconstruct", inp, "--out", tmp_path / "r.json", "--tau", 0.7)
+        finally:
+            stray = set(multiprocessing.active_children()) - before
+            for proc in stray:  # keep a failure here from hanging the test run
+                proc.kill()
+                proc.join(10)
+        assert rc == 6
+        err = capsys.readouterr().err
+        assert err.startswith("error: could not start subset workers")
+        assert err.count("\n") == 1
+        assert len(forks) == 2
+        assert not stray
 
     def test_byte_identical_reruns(self, tmp_path):
         inp = self.make_input(tmp_path, n=60, noise=True)

@@ -1,10 +1,15 @@
+import multiprocessing
+import os
+import re
 import warnings
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
 
 from cstomo.correction import (
     NoiseCorrectionConfig,
+    _subset_workers,
     correct_probabilities,
     default_subset_count,
     estimate_delta_rho,
@@ -14,7 +19,7 @@ from cstomo.correction import (
 from cstomo.errors import InvariantViolation
 from cstomo.linalg import frob_norm, hs_inner, mat, vec
 from cstomo.simulate import simulate_measurements, state_to_density
-from cstomo.solver import ReconstructionConfig
+from cstomo.solver import ReconstructionConfig, reconstruct
 
 
 D3_CFG = ReconstructionConfig(tau=0.7)  # small-instance threshold (see solver tests)
@@ -124,15 +129,106 @@ class TestEstimateDeltaRho:
 
 
     def test_invariant_violation_propagates(self, monkeypatch):
-        # a convention bug must surface, not become an omitted subset
+        # a convention bug must surface, not become an omitted subset, also
+        # when a subset worker process raises it
         def broken(ms, cfg):
-            raise InvariantViolation("projection 1 left constraint residual 1e-3 > 1e-9")
+            raise InvariantViolation(
+                f"projection 1 left constraint residual 1e-3 > 1e-9 (pid {os.getpid()})"
+            )
 
         ms = simulate_measurements(3, 60, seed=0, mean_total_counts=1e4)
         cfg = d3_correction_config(n_subsets=2)
         monkeypatch.setattr("cstomo.correction.reconstruct", broken)
-        with pytest.raises(InvariantViolation):
+        monkeypatch.setattr("cstomo.correction._subset_workers", lambda n: 2)
+        with pytest.raises(InvariantViolation) as info:
             estimate_delta_rho(partition(ms, cfg), cfg)
+        pid = int(re.search(r"pid (\d+)", str(info.value)).group(1))
+        assert pid != os.getpid()
+
+
+class TestSubsetWorkers:
+    def test_pool_gives_the_same_bits(self, monkeypatch):
+        # d=5, 4 subsets of 50; subset 3 needs 261 iterations, so k_max=100
+        # omits it while the other three converge
+        ms = simulate_measurements(5, 200, seed=0, mean_total_counts=300)
+        cfg = NoiseCorrectionConfig(n_subsets=4, base=ReconstructionConfig(k_max=100))
+        subsets = partition(ms, cfg)
+        delta = np.zeros(25 * 25, dtype=complex)
+        converged, norms = [], []
+        for sub in subsets:
+            rep = reconstruct(sub, cfg.base)
+            converged.append(rep.converged)
+            norms.append(float("nan"))
+            if rep.converged:
+                gap = vec(rep.rho_pre_gamma) - vec(rep.rho)
+                delta += gap
+                norms[-1] = float(np.linalg.norm(gap))
+        assert converged == [True, True, True, False]
+
+        def estimate():
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                est = estimate_delta_rho(subsets, cfg)
+            return est, [str(w.message) for w in caught]
+
+        monkeypatch.setattr("cstomo.correction._subset_workers", lambda n: 1)
+        _, inline_warnings = estimate()
+        pools = []
+
+        class CountingPool(ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                pools.append(kwargs["max_workers"])
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr("cstomo.correction.ProcessPoolExecutor", CountingPool)
+        monkeypatch.setattr("cstomo.correction._subset_workers", lambda n: 2)
+        est, pool_warnings = estimate()
+        assert pools == [2]
+        assert np.array_equal(est.delta, delta)
+        assert est.subset_converged == converged
+        assert np.array_equal(est.subset_delta_norms, norms, equal_nan=True)
+        assert pool_warnings == inline_warnings
+        assert pool_warnings == [
+            "subset did not converge within k_max=100; contribution omitted"
+        ]
+
+    @pytest.mark.parametrize(
+        "env, n_subsets, workers",
+        [
+            ({"OPENBLAS_NUM_THREADS": "1"}, 8, 4),
+            ({"OPENBLAS_NUM_THREADS": "1"}, 3, 3),
+            ({"OMP_NUM_THREADS": "2"}, 8, 2),
+            ({"MKL_NUM_THREADS": "3", "OMP_NUM_THREADS": "1"}, 8, 1),
+            ({"OPENBLAS_NUM_THREADS": "8"}, 8, 1),
+            ({}, 8, 1),  # BLAS then runs one thread per CPU
+        ],
+    )
+    def test_worker_count(self, monkeypatch, env, n_subsets, workers):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+        for var in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS"):
+            monkeypatch.delenv(var, raising=False)
+        for var, value in env.items():
+            monkeypatch.setenv(var, value)
+        assert _subset_workers(n_subsets) == workers
+
+    @pytest.mark.parametrize("reason", ["one worker", "no fork", "multiprocessing child"])
+    def test_in_line_without_a_pool(self, monkeypatch, reason):
+        class NoPool:
+            def __init__(self, *args, **kwargs):
+                raise AssertionError("a pool was started")
+
+        monkeypatch.setattr("cstomo.correction.ProcessPoolExecutor", NoPool)
+        monkeypatch.setattr(
+            "cstomo.correction._subset_workers", lambda n: 1 if reason == "one worker" else 2
+        )
+        if reason == "no fork":
+            monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        if reason == "multiprocessing child":
+            monkeypatch.setattr(multiprocessing, "parent_process", lambda: object())
+        ms = simulate_measurements(3, 60, seed=4)
+        cfg = d3_correction_config(n_subsets=2)
+        est = estimate_delta_rho(partition(ms, cfg), cfg)
+        assert est.subset_converged == [True, True]
 
 
 class TestCorrectProbabilities:

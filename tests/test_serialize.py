@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -97,6 +98,63 @@ class TestSchemaValidation:
             measurement_set_from_dict(doc)
 
 
+class TestDeepMalformedAmplitude:
+    """One bad amplitude deep in a file: the error names it exactly."""
+
+    @pytest.fixture(scope="class")
+    def doc(self):
+        return measurement_set_to_dict(simulate_measurements(3, 600, seed=2))
+
+    @pytest.mark.parametrize(
+        "value, message",
+        [
+            ([True, 0.0], "projectors[500].idler[2]: expected a [re, im] pair of numbers"),
+            (["0.5", 0.0], "projectors[500].idler[2]: expected a [re, im] pair of numbers"),
+            ([0.5], "projectors[500].idler[2]: expected a [re, im] pair of numbers"),
+            ([0.5, 0.0, 0.0], "projectors[500].idler[2]: expected a [re, im] pair of numbers"),
+            ((0.5, 0.0), "projectors[500].idler[2]: expected a [re, im] pair of numbers"),
+            (None, "projectors[500].idler: expected length 3, got 2"),
+            ([float("inf"), 0.0], "projectors[500].idler: non-finite value"),
+            ([10**400, 0], "projectors[500].idler[2]: int too large to convert to float"),
+        ],
+        ids=["bool", "string", "short-pair", "long-pair", "tuple", "length",
+             "non-finite", "overflow"],
+    )
+    def test_first_offence_named(self, doc, value, message):
+        bad = json.loads(json.dumps(doc))
+        idler = bad["projectors"][500]["idler"]
+        if value is None:
+            idler.pop()
+        else:
+            idler[2] = value
+        with pytest.raises(SchemaError, match=f"^{re.escape(message)}$"):
+            measurement_set_from_dict(bad)
+
+    def test_not_a_list(self, doc):
+        bad = json.loads(json.dumps(doc))
+        bad["projectors"][500]["signal"] = {"re": 1.0}
+        with pytest.raises(SchemaError, match=re.escape(
+                "projectors[500].signal: expected a list of [re, im] pairs")):
+            measurement_set_from_dict(bad)
+
+    def test_earlier_offence_wins(self, doc):
+        bad = json.loads(json.dumps(doc))
+        bad["projectors"][500]["idler"][2] = [True, 0.0]
+        bad["projectors"][3]["signal"] = [[2.0, 0.0]] * 3
+        with pytest.raises(SchemaError, match="not normalized"):
+            measurement_set_from_dict(bad)
+
+    def test_integer_amplitudes_same_bits(self, doc):
+        # integer parts convert exactly as complex(re, im) converts them
+        bad = json.loads(json.dumps(doc))
+        bad["projectors"][7]["signal"] = [[1, 0], [0, 0], [0, 0]]
+        ms = measurement_set_from_dict(bad)
+        assert ms.projectors[7].signal.amps.tolist() == [1 + 0j, 0j, 0j]
+        for got, entry in zip(ms.projectors, doc["projectors"]):
+            want = np.array([complex(*p) for p in entry["idler"]])
+            assert got.idler.amps.tobytes() == want.tobytes()
+
+
 class TestReportSerialization:
     def test_report_schema_and_rho_round_trip(self, tmp_path, noisy_ms):
         rep = reconstruct(noisy_ms, ReconstructionConfig(tau=0.7))
@@ -116,6 +174,18 @@ class TestReportSerialization:
         path.write_text(json.dumps(doc))
         back = load_matrix(str(path))
         assert np.array_equal(back, rho)
+
+    def test_matrix_integer_beyond_double_range(self, tmp_path):
+        path = tmp_path / "m.json"
+        path.write_text("[[[1" + "0" * 400 + ", 0]]]")
+        with pytest.raises(SchemaError, match=re.escape("matrix[0][0]: int too large")):
+            load_matrix(str(path))
+
+    def test_probs_integer_beyond_double_range(self, noisy_ms):
+        doc = measurement_set_to_dict(noisy_ms)
+        doc["probs"][4] = 10**400
+        with pytest.raises(SchemaError, match="int too large"):
+            measurement_set_from_dict(doc)
 
     def test_matrix_object_without_rho(self, tmp_path):
         path = tmp_path / "m.json"
