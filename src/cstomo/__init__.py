@@ -31,8 +31,6 @@ from .linalg import (
 from .metrics import MetricsSummary, effective_rank, fidelity_pure, purity, residual, summarize
 from .simulate import (
     MeasurementSet,
-    ModeVector,
-    Projector,
     TwoPhotonState,
     counts_to_probs,
     expectations,
@@ -41,8 +39,6 @@ from .simulate import (
     make_downconversion_state,
     make_max_entangled,
     random_mode,
-    random_projector,
-    simulate_counts,
     simulate_measurements,
     state_to_density,
 )

@@ -131,7 +131,8 @@ def partition(ms: MeasurementSet, cfg: NoiseCorrectionConfig) -> list[Measuremen
         subsets.append(
             MeasurementSet(
                 d=ms.d,
-                projectors=[ms.projectors[i] for i in idx],
+                signal=ms.signal[idx],
+                idler=ms.idler[idx],
                 probs=ms.probs[idx],
                 counts=None if ms.counts is None else ms.counts[idx],
                 seed=ms.seed,
@@ -289,13 +290,14 @@ def correct_probabilities(
     clamp count is returned alongside the new set.
     """
     delta_mat = mat(np.asarray(delta_rho, dtype=complex))
-    raw = ms.probs - expectations(joint_vectors(ms.projectors, ms.d), delta_mat)
+    raw = ms.probs - expectations(joint_vectors(ms.signal, ms.idler), delta_mat)
     corrected = np.clip(raw, 0.0, 1.0)
     n_clamped = int(np.count_nonzero(raw != corrected))
     return (
         MeasurementSet(
             d=ms.d,
-            projectors=list(ms.projectors),
+            signal=ms.signal,
+            idler=ms.idler,
             probs=corrected,
             counts=ms.counts,
             seed=ms.seed,

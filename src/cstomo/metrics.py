@@ -81,7 +81,7 @@ def effective_rank(rho: np.ndarray, rel_tol: float = 1e-3) -> int:
 
 def residual(ms: MeasurementSet, rho: np.ndarray) -> float:
     """Worst constraint violation: max over i of |Tr[Â_i ρ] − p_i|."""
-    t = expectations(joint_vectors(ms.projectors, ms.d), rho)
+    t = expectations(joint_vectors(ms.signal, ms.idler), rho)
     return float(np.abs(t - ms.probs).max(initial=0.0))
 
 

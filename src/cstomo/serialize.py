@@ -1,10 +1,16 @@
 """File formats: measurement-set JSON, report JSON, and CSV helpers.
 
 Complex numbers serialize as two-element arrays [re, im] of doubles
-everywhere. Writers are deterministic (sorted keys, fixed separators, no
-timestamps) so identical inputs produce byte-identical files; floats use
-Python's shortest round-trip repr in JSON and 17-significant-digit scientific
-notation in CSV.
+everywhere; a complex array is written as one nested list of such pairs, in
+the array's own shape. Writers are deterministic (sorted keys, fixed
+separators, no timestamps) so identical inputs produce byte-identical files;
+floats use Python's shortest round-trip repr in JSON and 17-significant-digit
+scientific notation in CSV.
+
+A measurement set's projectors are read straight into its two (M, d) arm
+arrays by one bulk conversion of every amplitude. Only a file that breaks the
+format is read again, projector by projector, so the error can name the
+first offence.
 """
 
 from __future__ import annotations
@@ -12,13 +18,14 @@ from __future__ import annotations
 import json
 import os
 from itertools import chain
+from operator import itemgetter
 from typing import Any
 
 import numpy as np
 
 from .errors import SchemaError
 from .metrics import MetricsSummary
-from .simulate import MeasurementSet, ModeVector, Projector, TwoPhotonState
+from .simulate import MeasurementSet, TwoPhotonState, _check_rows
 from .solver import ReconstructionReport
 
 __all__ = [
@@ -39,12 +46,10 @@ def format_float(x: float) -> str:
     return f"{float(x):.16e}"
 
 
-def _cvec_to_pairs(v: np.ndarray) -> list[list[float]]:
-    return [[float(z.real), float(z.imag)] for z in np.asarray(v, dtype=complex)]
-
-
-def _cmat_to_pairs(m: np.ndarray) -> list[list[list[float]]]:
-    return [_cvec_to_pairs(row) for row in np.asarray(m, dtype=complex)]
+def _to_pairs(a: np.ndarray) -> list:
+    """A complex array as nested lists of [re, im] Python floats."""
+    a = np.ascontiguousarray(a, dtype=complex)
+    return a.view(float).reshape(*a.shape, 2).tolist()
 
 
 def _pairs_to_cvec(pairs: Any, what: str, expected_len: int | None = None) -> np.ndarray:
@@ -67,6 +72,12 @@ def _pairs_to_cvec(pairs: Any, what: str, expected_len: int | None = None) -> np
     if not np.isfinite(out.view(float)).all():
         raise SchemaError(f"{what}: non-finite value")
     return out
+
+
+def _all_of(items: list, kinds) -> bool:
+    """Every item is an instance of ``kinds`` and not a bool, decided once per
+    distinct type rather than once per item."""
+    return all(issubclass(t, kinds) and t is not bool for t in set(map(type, items)))
 
 
 def _bulk_cvecs(vectors: list, d: int) -> np.ndarray | None:
@@ -103,46 +114,52 @@ def measurement_set_to_dict(ms: MeasurementSet, *, strip_truth: bool = False) ->
     doc: dict[str, Any] = {
         "d": int(ms.d),
         "projectors": [
-            {"signal": _cvec_to_pairs(a.signal.amps), "idler": _cvec_to_pairs(a.idler.amps)}
-            for a in ms.projectors
+            {"signal": sig, "idler": idl}
+            for sig, idl in zip(_to_pairs(ms.signal), _to_pairs(ms.idler))
         ],
-        "probs": [float(p) for p in ms.probs],
+        "probs": ms.probs.tolist(),
     }
     if ms.seed is not None:
         doc["seed"] = int(ms.seed)
     if ms.calibration is not None:
         doc["calibration"] = float(ms.calibration)
     if ms.counts is not None:
-        doc["counts"] = [int(c) for c in ms.counts]
+        doc["counts"] = ms.counts.tolist()
     if ms.truth is not None and not strip_truth:
-        doc["truth"] = {"coeffs": _cvec_to_pairs(ms.truth.coeffs)}
+        doc["truth"] = {"coeffs": _to_pairs(ms.truth.coeffs)}
     return doc
 
 
-def _parse_projectors(raw_projs: list, d: int) -> list[Projector]:
-    """Every projector's amplitudes in one bulk conversion; when an entry
-    breaks the format, entry by entry up to the first offence, which the
-    error then names."""
-    if raw_projs and all(type(e) is dict and "signal" in e and "idler" in e for e in raw_projs):
-        amps = _bulk_cvecs([v for e in raw_projs for v in (e["signal"], e["idler"])], d)
-        if amps is not None:
-            return [
-                Projector(ModeVector(sig), ModeVector(idl))
-                for sig, idl in zip(amps[0::2], amps[1::2])
-            ]
-    projectors = []
+def _parse_projectors(raw_projs: list, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (M, d) signal and idler arrays of every projector in one bulk
+    conversion. When an entry breaks the format, it is read again entry by
+    entry up to the first offence, which the error then names; an earlier
+    row that is not of unit norm is the first offence."""
+    m = len(raw_projs)
+    if m and set(map(type, raw_projs)) <= {dict}:
+        try:
+            vectors = list(map(itemgetter("signal"), raw_projs))
+            vectors += map(itemgetter("idler"), raw_projs)
+        except KeyError:
+            pass
+        else:
+            amps = _bulk_cvecs(vectors, d)
+            if amps is not None:
+                return amps[:m], amps[m:]
+    signal, idler = [], []
     for i, entry in enumerate(raw_projs):
-        if not isinstance(entry, dict) or "signal" not in entry or "idler" not in entry:
-            raise SchemaError(
-                f"projectors[{i}]: expected an object with 'signal' and 'idler'"
-            )
-        projectors.append(
-            Projector(
-                ModeVector(_pairs_to_cvec(entry["signal"], f"projectors[{i}].signal", d)),
-                ModeVector(_pairs_to_cvec(entry["idler"], f"projectors[{i}].idler", d)),
-            )
-        )
-    return projectors
+        try:
+            if not isinstance(entry, dict) or "signal" not in entry or "idler" not in entry:
+                raise SchemaError(
+                    f"projectors[{i}]: expected an object with 'signal' and 'idler'"
+                )
+            sig = _pairs_to_cvec(entry["signal"], f"projectors[{i}].signal", d)
+            idler.append(_pairs_to_cvec(entry["idler"], f"projectors[{i}].idler", d))
+            signal.append(sig)
+        except SchemaError:
+            _check_rows(np.reshape(signal, (i, d)), np.reshape(idler, (i, d)))
+            raise
+    return np.reshape(signal, (m, d)), np.reshape(idler, (m, d))
 
 
 def measurement_set_from_dict(doc: Any) -> MeasurementSet:
@@ -152,8 +169,8 @@ def measurement_set_from_dict(doc: Any) -> MeasurementSet:
         if key not in doc:
             raise SchemaError(f"measurement set: missing required key '{key}'")
     d = doc["d"]
-    if not isinstance(d, int) or isinstance(d, bool):
-        raise SchemaError("measurement set: 'd' must be an integer")
+    if not isinstance(d, int) or isinstance(d, bool) or d < 1:
+        raise SchemaError("measurement set: 'd' must be a positive integer")
     raw_projs = doc["projectors"]
     raw_probs = doc["probs"]
     if not isinstance(raw_projs, list) or not isinstance(raw_probs, list):
@@ -162,18 +179,14 @@ def measurement_set_from_dict(doc: Any) -> MeasurementSet:
         raise SchemaError(
             f"measurement set: {len(raw_projs)} projectors but {len(raw_probs)} probs"
         )
-    if not all(
-        isinstance(p, (int, float)) and not isinstance(p, bool) for p in raw_probs
-    ):
+    if not _all_of(raw_probs, (int, float)):
         raise SchemaError("measurement set: probs must be numbers")
 
     try:
-        projectors = _parse_projectors(raw_projs, d)
+        signal, idler = _parse_projectors(raw_projs, d)
         counts = doc.get("counts")
         if counts is not None:
-            if not isinstance(counts, list) or not all(
-                isinstance(c, int) and not isinstance(c, bool) for c in counts
-            ):
+            if not isinstance(counts, list) or not _all_of(counts, int):
                 raise SchemaError("measurement set: counts must be a list of integers")
         truth = doc.get("truth")
         if truth is not None:
@@ -182,7 +195,8 @@ def measurement_set_from_dict(doc: Any) -> MeasurementSet:
             truth = TwoPhotonState(_pairs_to_cvec(truth["coeffs"], "truth.coeffs", d))
         return MeasurementSet(
             d=d,
-            projectors=projectors,
+            signal=signal,
+            idler=idler,
             probs=np.asarray(raw_probs, dtype=float),
             counts=None if counts is None else np.asarray(counts, dtype=np.int64),
             seed=doc.get("seed"),
@@ -229,8 +243,8 @@ def report_to_dict(
 ) -> dict:
     doc: dict[str, Any] = {
         "d": int(d),
-        "rho": _cmat_to_pairs(report.rho),
-        "rho_pre_gamma": _cmat_to_pairs(report.rho_pre_gamma),
+        "rho": _to_pairs(report.rho),
+        "rho_pre_gamma": _to_pairs(report.rho_pre_gamma),
         "converged": bool(report.converged),
         "iterations": int(report.iterations),
         "final_step": float(report.final_step),
@@ -256,7 +270,7 @@ def report_to_dict(
             cdoc["reason"] = corr.reason
         if corr.raw_report is not None:
             cdoc["raw"] = {
-                "rho": _cmat_to_pairs(corr.raw_report.rho),
+                "rho": _to_pairs(corr.raw_report.rho),
                 "converged": bool(corr.raw_report.converged),
                 "iterations": int(corr.raw_report.iterations),
                 "final_step": float(corr.raw_report.final_step),

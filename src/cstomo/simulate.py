@@ -5,6 +5,12 @@ modes per photon, anti-correlated between the signal and idler arms), random
 separable rank-1 projectors, ideal coincidence probabilities, and
 Poisson-noisy counts. This replaces the physical downconversion/SLM/detector
 chain with a statistical model; the only noise source is shot noise.
+
+A measurement set holds its M projectors as two (M, d) complex arrays, one
+unit-norm mode vector per row for each arm (``signal`` and ``idler``).
+Projector i is |w_i⟩⟨w_i| with w_i = signal[i] ⊗ idler[i]; ``joint_vectors``
+forms every w_i in one broadcast, and ``expectations`` evaluates Tr[Â_i ρ]
+from them.
 """
 
 from __future__ import annotations
@@ -14,9 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "ModeVector",
     "TwoPhotonState",
-    "Projector",
     "MeasurementSet",
     "ell_range",
     "make_max_entangled",
@@ -24,10 +28,8 @@ __all__ = [
     "joint_state_vector",
     "state_to_density",
     "random_mode",
-    "random_projector",
     "joint_vectors",
     "expectations",
-    "simulate_counts",
     "counts_to_probs",
     "simulate_measurements",
 ]
@@ -62,19 +64,19 @@ def _check_unit(amps: np.ndarray, what: str) -> np.ndarray:
     return amps
 
 
-@dataclass(eq=False)
-class ModeVector:
-    """Single-photon superposition over d modes (indexed ℓ = -L..L when d is
-    odd); unit norm."""
-
-    amps: np.ndarray
-
-    def __post_init__(self):
-        self.amps = _check_unit(self.amps, "mode vector")
-
-    @property
-    def d(self) -> int:
-        return self.amps.size
+def _check_rows(signal: np.ndarray, idler: np.ndarray) -> None:
+    """Every row of both (M, d) arms is finite and of unit norm. The error
+    names the first bad row, the signal arm before the idler arm."""
+    power = np.stack([np.sum(np.abs(amps) ** 2, axis=1) for amps in (signal, idler)], axis=1)
+    bad = np.argwhere(~(np.abs(power - 1.0) <= _NORM_TOL))  # NaN and inf are bad too
+    if bad.size:
+        i, k = bad[0]
+        arm, amps = (("signal", signal), ("idler", idler))[k]
+        if not np.isfinite(amps[i]).all():
+            raise ValueError(f"projectors[{i}].{arm} has a non-finite amplitude")
+        raise ValueError(
+            f"projectors[{i}].{arm} is not normalized: sum |a|^2 = {float(power[i, k])!r}"
+        )
 
 
 @dataclass(eq=False)
@@ -93,50 +95,21 @@ class TwoPhotonState:
 
 
 @dataclass(eq=False)
-class Projector:
-    """Separable rank-1 measurement operator built from one mode vector per arm.
-
-    As an operator on the D = d² joint space it is Hermitian, PSD, rank 1,
-    trace 1.
-    """
-
-    signal: ModeVector
-    idler: ModeVector
-
-    def __post_init__(self):
-        if self.signal.d != self.idler.d:
-            raise ValueError(
-                f"signal and idler mode counts differ: {self.signal.d} vs {self.idler.d}"
-            )
-
-    @property
-    def d(self) -> int:
-        return self.signal.d
-
-    def joint_vector(self) -> np.ndarray:
-        """The D-dimensional joint-space vector; index of (ℓ_S, ℓ_I) is
-        (ℓ_S + L)·d + (ℓ_I + L)."""
-        return np.kron(self.signal.amps, self.idler.amps)
-
-    def materialize(self) -> np.ndarray:
-        """The full D×D operator |w⟩⟨w|. O(D²) memory; prefer
-        ``expectations`` when only traces are needed."""
-        w = self.joint_vector()
-        return np.outer(w, w.conj())
-
-
-@dataclass(eq=False)
 class MeasurementSet:
     """A measurement campaign: projectors with measured probabilities.
 
-    ``calibration`` is the mean total count at p = 1 used to normalize raw
-    counts; the simulator records it (and the RNG seed) so files replay
-    exactly. ``truth`` is simulation-only metadata enabling downstream
-    fidelity checks; strip it to emulate blind reconstruction.
+    Projector i is the separable rank-1 operator of the mode vectors
+    ``signal[i]`` and ``idler[i]``, rows of two (M, d) complex arrays; every
+    row must be finite and of unit norm. ``calibration`` is the mean total
+    count at p = 1 used to normalize raw counts; the simulator records it
+    (and the RNG seed) so files replay exactly. ``truth`` is simulation-only
+    metadata enabling downstream fidelity checks; strip it to emulate blind
+    reconstruction.
     """
 
     d: int
-    projectors: list[Projector]
+    signal: np.ndarray
+    idler: np.ndarray
     probs: np.ndarray
     counts: np.ndarray | None = None
     seed: int | None = None
@@ -146,13 +119,16 @@ class MeasurementSet:
     def __post_init__(self):
         self.d = _check_mode_count(self.d)
         self.probs = np.asarray(self.probs, dtype=float)
-        if len(self.projectors) != self.probs.size:
-            raise ValueError(
-                f"{len(self.projectors)} projectors but {self.probs.size} probabilities"
-            )
-        for a in self.projectors:
-            if a.d != self.d:
-                raise ValueError(f"projector has d={a.d}, expected {self.d}")
+        shape = (self.probs.size, self.d)
+        self.signal = np.asarray(self.signal, dtype=complex)
+        self.idler = np.asarray(self.idler, dtype=complex)
+        for arm, amps in (("signal", self.signal), ("idler", self.idler)):
+            if amps.shape != shape:
+                raise ValueError(
+                    f"{arm} amplitudes have shape {amps.shape}, expected {shape}: "
+                    f"one row of d={self.d} modes for each of {shape[0]} probabilities"
+                )
+        _check_rows(self.signal, self.idler)
         if self.probs.size and (self.probs.min() < 0.0 or self.probs.max() > 1.0):
             raise ValueError("probabilities must lie in [0, 1]")
         if self.counts is not None:
@@ -165,7 +141,7 @@ class MeasurementSet:
             raise ValueError(f"truth state has d={self.truth.d}, expected {self.d}")
 
     def __len__(self) -> int:
-        return len(self.projectors)
+        return self.probs.size
 
 
 def make_max_entangled(d: int) -> TwoPhotonState:
@@ -209,7 +185,7 @@ def state_to_density(s: TwoPhotonState) -> np.ndarray:
     return np.outer(psi, psi.conj())
 
 
-def random_mode(d: int, rng: np.random.Generator) -> ModeVector:
+def random_mode(d: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-uniform random mode superposition: i.i.d. standard complex
     Gaussian amplitudes, normalized. Deterministic for a fixed generator
     state."""
@@ -218,28 +194,16 @@ def random_mode(d: int, rng: np.random.Generator) -> ModeVector:
         amps = rng.standard_normal(d) + 1j * rng.standard_normal(d)
         norm = np.linalg.norm(amps)
         if norm > 0:  # zero draw has probability zero but would divide by 0
-            return ModeVector(amps / norm)
+            return amps / norm
 
 
-def random_projector(
-    d: int, rng: np.random.Generator, identical_arms: bool = False
-) -> Projector:
-    """Random separable projector; arms drawn independently unless
-    ``identical_arms`` (same random mode reused on both)."""
-    signal = random_mode(d, rng)
-    idler = signal if identical_arms else random_mode(d, rng)
-    return Projector(signal, idler)
-
-
-def joint_vectors(projectors: list[Projector], d: int) -> np.ndarray:
-    """The M×D matrix W whose row i is the joint vector of projector i; the
-    one representation of a measurement set's operators (D = d²).
-
-    One broadcast over the stacked arm amplitudes: row i is the same product
-    of entries as ``projectors[i].joint_vector()``, so the bits match."""
-    sig = np.array([a.signal.amps for a in projectors], dtype=complex).reshape(-1, d)
-    idl = np.array([a.idler.amps for a in projectors], dtype=complex).reshape(-1, d)
-    return (sig[:, :, None] * idl[:, None, :]).reshape(len(projectors), d * d)
+def joint_vectors(signal: np.ndarray, idler: np.ndarray) -> np.ndarray:
+    """The M×D matrix W whose row i is the joint vector signal[i] ⊗ idler[i]
+    of projector i; the one representation of a measurement set's operators
+    (D = d²). The index of (ℓ_S, ℓ_I) is (ℓ_S + L)·d + (ℓ_I + L); each entry
+    is the same product as in ``np.kron(signal[i], idler[i])``."""
+    m, d = signal.shape
+    return (signal[:, :, None] * idler[:, None, :]).reshape(m, d * d)
 
 
 def expectations(w: np.ndarray, rho: np.ndarray) -> np.ndarray:
@@ -249,17 +213,6 @@ def expectations(w: np.ndarray, rho: np.ndarray) -> np.ndarray:
     if rho.shape != (w.shape[1],) * 2:
         raise ValueError(f"matrix shape {rho.shape} does not match D={w.shape[1]}")
     return ((w.conj() @ rho) * w).sum(axis=1).real
-
-
-def simulate_counts(p: float, mean_total_counts: float, rng: np.random.Generator) -> int:
-    """One Poisson coincidence count with mean p·mean_total_counts."""
-    p = float(p)
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"probability must lie in [0, 1], got {p}")
-    mean_total_counts = float(mean_total_counts)
-    if not mean_total_counts > 0:
-        raise ValueError("mean_total_counts must be positive")
-    return int(rng.poisson(p * mean_total_counts))
 
 
 def counts_to_probs(counts, mean_total_counts: float) -> np.ndarray:
@@ -282,7 +235,8 @@ def simulate_measurements(
     """Run a full simulated campaign and return a self-describing MeasurementSet.
 
     Draws ``n_measurements`` random separable projectors against ``state``
-    (maximally entangled by default), computes ideal probabilities, and, when
+    (maximally entangled by default; both arms share one random mode when
+    ``identical_arms``), computes ideal probabilities, and, when
     ``mean_total_counts`` is given, replaces them with Poisson-noisy
     normalized counts. All randomness flows from ``seed``.
     """
@@ -296,12 +250,15 @@ def simulate_measurements(
         raise ValueError(f"state has d={state.d}, expected {d}")
     rng = np.random.default_rng(seed)
     rho = state_to_density(state)
-    projectors = [
-        random_projector(d, rng, identical_arms=identical_arms)
-        for _ in range(n_measurements)
-    ]
+    # projector by projector, signal before idler: the campaign a seed gives
+    # depends on this order
+    signal = np.empty((n_measurements, d), dtype=complex)
+    idler = np.empty((n_measurements, d), dtype=complex)
+    for i in range(n_measurements):
+        signal[i] = random_mode(d, rng)
+        idler[i] = signal[i] if identical_arms else random_mode(d, rng)
     # valid density matrices stray outside [0, 1] only by rounding (≤ 1e-12)
-    ideal = np.clip(expectations(joint_vectors(projectors, d), rho), 0.0, 1.0)
+    ideal = np.clip(expectations(joint_vectors(signal, idler), rho), 0.0, 1.0)
     if mean_total_counts is None:
         probs, counts, calibration = ideal, None, None
     else:
@@ -312,7 +269,8 @@ def simulate_measurements(
         probs = counts_to_probs(counts, calibration)
     return MeasurementSet(
         d=d,
-        projectors=projectors,
+        signal=signal,
+        idler=idler,
         probs=probs,
         counts=counts,
         seed=seed,

@@ -169,7 +169,7 @@ def measurement_rows(ms: MeasurementSet) -> np.ndarray:
     Sequential reference only: at d=17 the matrix takes 3.35 GB, where the
     solver's joint vectors take 12 MB.
     """
-    w = joint_vectors(ms.projectors, ms.d)
+    w = joint_vectors(ms.signal, ms.idler)
     # vec(|w><w|) = kron(conj(w), w) under column stacking; conjugate it.
     return (w[:, :, None] * w.conj()[:, None, :]).reshape(len(ms), -1)
 
@@ -395,7 +395,7 @@ class MeasurementOperator:
     def __init__(self, ms: MeasurementSet):
         if len(ms) == 0:
             raise DegenerateSystemError("measurement set is empty")
-        w = joint_vectors(ms.projectors, ms.d)
+        w = joint_vectors(ms.signal, ms.idler)
         keep, low = _in_order_cholesky(np.abs(w.conj() @ w.T) ** 2)
         low_inv = _lower_inverse(low)
         self.w = w[keep]

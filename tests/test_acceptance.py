@@ -26,7 +26,7 @@ from cstomo.simulate import (
     joint_vectors,
     make_downconversion_state,
     make_max_entangled,
-    random_projector,
+    random_mode,
     simulate_measurements,
 )
 from cstomo.solver import (
@@ -56,9 +56,10 @@ def test_criterion_1_oracle_equivalence_small_instance():
     rng = np.random.default_rng(1)  # frozen: truth has no sub-threshold entries
     d = 2
     rho_true = _random_pure_density(d * d, rng)
-    projectors = [random_projector(d, rng) for _ in range(16)]
-    probs = np.clip(expectations(joint_vectors(projectors, d), rho_true), 0, 1)
-    ms = MeasurementSet(d=d, projectors=projectors, probs=probs)
+    arms = np.array([[random_mode(d, rng), random_mode(d, rng)] for _ in range(16)])
+    signal, idler = arms[:, 0], arms[:, 1]
+    probs = np.clip(expectations(joint_vectors(signal, idler), rho_true), 0, 1)
+    ms = MeasurementSet(d=d, signal=signal, idler=idler, probs=probs)
 
     a_matrix = measurement_rows(ms)
     direct = mat(np.linalg.solve(a_matrix, probs.astype(complex)))

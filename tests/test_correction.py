@@ -18,7 +18,7 @@ from cstomo.correction import (
 )
 from cstomo.errors import InvariantViolation
 from cstomo.linalg import frob_norm, hs_inner, mat, vec
-from cstomo.simulate import simulate_measurements, state_to_density
+from cstomo.simulate import joint_vectors, simulate_measurements, state_to_density
 from cstomo.solver import ReconstructionConfig, reconstruct
 
 
@@ -63,10 +63,11 @@ class TestPartition:
             assert sum(len(s) for s in subs) == len(ms)
             seen = set()
             for s in subs:
-                for a in s.projectors:
-                    key = a.signal.amps.tobytes() + a.idler.amps.tobytes()
+                for sig, idl in zip(s.signal, s.idler):
+                    key = sig.tobytes() + idl.tobytes()
                     assert key not in seen
                     seen.add(key)
+            assert len(seen) == len(ms)
 
     def test_seeded_random_deterministic(self):
         ms = simulate_measurements(3, 40, seed=2)
@@ -241,8 +242,8 @@ class TestCorrectProbabilities:
     def test_orthogonal_delta_leaves_probs(self):
         # delta = vec of an operator Hilbert-Schmidt-orthogonal to the single projector
         ms = simulate_measurements(3, 1, seed=9)
-        a = ms.projectors[0]
-        op = a.materialize()
+        w = joint_vectors(ms.signal, ms.idler)[0]
+        op = np.outer(w, w.conj())
         w, v = np.linalg.eigh(op)
         perp = np.outer(v[:, 0], v[:, 0].conj())  # eigenvector of eigenvalue 0
         assert abs(hs_inner(op, perp)) < 1e-12
@@ -255,8 +256,8 @@ class TestCorrectProbabilities:
         a = rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9))
         delta = vec((a + a.conj().T) / 200)
         out, _ = correct_probabilities(ms, delta)
-        for i, proj in enumerate(ms.projectors):
-            shift = hs_inner(proj.materialize(), mat(delta))
+        for i, w in enumerate(joint_vectors(ms.signal, ms.idler)):
+            shift = hs_inner(np.outer(w, w.conj()), mat(delta))
             assert abs(shift.imag) <= 1e-12
             expected = min(max(ms.probs[i] - shift.real, 0.0), 1.0)
             assert out.probs[i] == pytest.approx(expected, abs=1e-12)

@@ -128,7 +128,8 @@ class TestResidual:
             residual(ms, np.eye(4))
 
     def test_empty_set(self):
-        ms = MeasurementSet(d=3, projectors=[], probs=[])
+        none = np.empty((0, 3), dtype=complex)
+        ms = MeasurementSet(d=3, signal=none, idler=none, probs=[])
         assert residual(ms, np.eye(9) / 9) == 0.0
 
 

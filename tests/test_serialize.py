@@ -37,9 +37,8 @@ class TestMeasurementSetRoundTrip:
         assert np.array_equal(back.probs, noisy_ms.probs)
         assert np.array_equal(back.counts, noisy_ms.counts)
         assert np.array_equal(back.truth.coeffs, noisy_ms.truth.coeffs)
-        for a, b in zip(back.projectors, noisy_ms.projectors):
-            assert np.array_equal(a.signal.amps, b.signal.amps)
-            assert np.array_equal(a.idler.amps, b.idler.amps)
+        assert back.signal.tobytes() == noisy_ms.signal.tobytes()
+        assert back.idler.tobytes() == noisy_ms.idler.tobytes()
 
     def test_strip_truth(self, tmp_path, noisy_ms):
         path = tmp_path / "ms.json"
@@ -67,6 +66,15 @@ class TestSchemaValidation:
         with pytest.raises(SchemaError, match="missing required key"):
             measurement_set_from_dict({"d": 3, "projectors": []})
 
+    @pytest.mark.parametrize("d", [0, -3, 3.0, True])
+    @pytest.mark.parametrize("m", [0, 12])
+    def test_bad_mode_count(self, noisy_ms, d, m):
+        doc = measurement_set_to_dict(noisy_ms)
+        doc.update(d=d, projectors=doc["projectors"][:m], probs=doc["probs"][:m])
+        del doc["counts"]
+        with pytest.raises(SchemaError, match="^measurement set: 'd' must be a positive integer$"):
+            measurement_set_from_dict(doc)
+
     def test_probs_length_mismatch(self, noisy_ms):
         doc = measurement_set_to_dict(noisy_ms)
         doc["probs"] = doc["probs"][:-1]
@@ -84,6 +92,16 @@ class TestSchemaValidation:
         doc["projectors"][0]["signal"] = [[2.0, 0.0] for _ in range(3)]
         with pytest.raises(SchemaError, match="normalized"):
             measurement_set_from_dict(doc)
+
+    @pytest.mark.parametrize("arm", ["signal", "idler"])
+    def test_unnormalized_row_named(self, tmp_path, noisy_ms, arm):
+        doc = measurement_set_to_dict(noisy_ms)
+        doc["projectors"][9][arm][1] = [0.9, 0.0]
+        path = tmp_path / "ms.json"
+        dump_json(doc, str(path))
+        with pytest.raises(SchemaError, match=re.escape(
+                f"measurement set: projectors[9].{arm} is not normalized")):
+            load_measurement_set(str(path))
 
     def test_invalid_json_file(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -149,10 +167,9 @@ class TestDeepMalformedAmplitude:
         bad = json.loads(json.dumps(doc))
         bad["projectors"][7]["signal"] = [[1, 0], [0, 0], [0, 0]]
         ms = measurement_set_from_dict(bad)
-        assert ms.projectors[7].signal.amps.tolist() == [1 + 0j, 0j, 0j]
-        for got, entry in zip(ms.projectors, doc["projectors"]):
-            want = np.array([complex(*p) for p in entry["idler"]])
-            assert got.idler.amps.tobytes() == want.tobytes()
+        assert ms.signal[7].tolist() == [1 + 0j, 0j, 0j]
+        want = np.array([[complex(*p) for p in entry["idler"]] for entry in doc["projectors"]])
+        assert ms.idler.tobytes() == want.tobytes()
 
 
 class TestReportSerialization:
@@ -192,6 +209,45 @@ class TestReportSerialization:
         path.write_text(json.dumps({"something": 1}))
         with pytest.raises(SchemaError, match="rho"):
             load_matrix(str(path))
+
+
+def per_element_pairs(a):
+    """The [re, im] writer the array writer replaced: one float() per part."""
+    a = np.asarray(a, dtype=complex)
+    if a.ndim == 1:
+        return [[float(z.real), float(z.imag)] for z in a]
+    return [per_element_pairs(row) for row in a]
+
+
+class TestPairWriter:
+    """The array writer gives the same document as per-element conversion."""
+
+    def test_campaign(self):
+        ms = simulate_measurements(7, 720, seed=5, mean_total_counts=300)
+        doc = measurement_set_to_dict(ms)
+        assert doc["projectors"] == [
+            {"signal": per_element_pairs(s), "idler": per_element_pairs(t)}
+            for s, t in zip(ms.signal, ms.idler)
+        ]
+        assert doc["truth"] == {"coeffs": per_element_pairs(ms.truth.coeffs)}
+        assert doc["probs"] == [float(p) for p in ms.probs]
+        assert doc["counts"] == [int(c) for c in ms.counts]
+        assert all(type(x) is float for pair in doc["projectors"][0]["signal"] for x in pair)
+        assert all(type(c) is int for c in doc["counts"])
+
+    def test_report(self):
+        from cstomo.correction import NoiseCorrectionConfig, reconstruct_corrected
+
+        ms = simulate_measurements(3, 40, seed=1, mean_total_counts=1e4)
+        rep = reconstruct_corrected(
+            ms, NoiseCorrectionConfig(n_subsets=2, base=ReconstructionConfig(tau=0.7))
+        )
+        doc = report_to_dict(rep, d=3)
+        assert doc["rho"] == per_element_pairs(rep.rho)
+        assert doc["rho_pre_gamma"] == per_element_pairs(rep.rho_pre_gamma)
+        assert doc["correction"]["raw"]["rho"] == per_element_pairs(rep.correction.raw_report.rho)
+        rep.rho = np.asfortranarray(rep.rho)  # any memory layout, same pairs
+        assert report_to_dict(rep, d=3) == doc
 
 
 class TestFormatting:

@@ -4,8 +4,6 @@ import pytest
 from cstomo.linalg import frob_norm, hs_inner
 from cstomo.simulate import (
     MeasurementSet,
-    ModeVector,
-    Projector,
     TwoPhotonState,
     counts_to_probs,
     ell_range,
@@ -15,37 +13,64 @@ from cstomo.simulate import (
     make_downconversion_state,
     make_max_entangled,
     random_mode,
-    random_projector,
-    simulate_counts,
     simulate_measurements,
     state_to_density,
 )
 
 
+def random_arms(d, n, rng, identical_arms=False):
+    """n random projectors' (signal, idler) rows, drawn in simulate_measurements'
+    order: one projector after another, signal before idler."""
+    signal, idler = [], []
+    for _ in range(n):
+        signal.append(random_mode(d, rng))
+        idler.append(signal[-1] if identical_arms else random_mode(d, rng))
+    return np.array(signal), np.array(idler)
+
+
+def projector_operator(signal, idler):
+    """The D×D operator |w⟩⟨w| of a single projector's (1, d) arms, from its
+    joint_vectors row."""
+    w = joint_vectors(signal, idler)[0]
+    return np.outer(w, w.conj())
+
+
 class TestTypes:
     def test_mode_vector_requires_unit_norm(self):
-        with pytest.raises(ValueError, match="not normalized"):
-            ModeVector(np.array([1.0, 1.0], dtype=complex))
+        signal, idler = random_arms(3, 4, np.random.default_rng(0))
+        idler[2] = [1.0, 1.0, 0.0]
+        with pytest.raises(ValueError, match=r"^projectors\[2\]\.idler is not normalized"):
+            MeasurementSet(d=3, signal=signal, idler=idler, probs=np.zeros(4))
 
     def test_two_photon_state_requires_unit_norm(self):
         with pytest.raises(ValueError, match="not normalized"):
             TwoPhotonState(np.array([0.5, 0.5, 0.5]))
 
     def test_projector_requires_matching_arms(self):
-        a = ModeVector(np.array([1.0], dtype=complex))
-        b = ModeVector(np.array([1.0, 0.0, 0.0], dtype=complex))
-        with pytest.raises(ValueError, match="differ"):
-            Projector(a, b)
+        signal = np.ones((1, 1), dtype=complex)
+        idler = np.array([[1.0, 0.0, 0.0]], dtype=complex)
+        with pytest.raises(ValueError, match=r"signal amplitudes have shape \(1, 1\), expected \(1, 3\)"):
+            MeasurementSet(d=3, signal=signal, idler=idler, probs=[0.5])
+        with pytest.raises(ValueError, match=r"idler amplitudes have shape \(1, 3\), expected \(1, 1\)"):
+            MeasurementSet(d=1, signal=signal, idler=idler, probs=[0.5])
 
     def test_measurement_set_length_mismatch(self):
-        a = random_projector(3, np.random.default_rng(0))
+        signal, idler = random_arms(3, 1, np.random.default_rng(0))
         with pytest.raises(ValueError, match="probabilities"):
-            MeasurementSet(d=3, projectors=[a], probs=np.array([0.1, 0.2]))
+            MeasurementSet(d=3, signal=signal, idler=idler, probs=np.array([0.1, 0.2]))
 
     def test_measurement_set_prob_range(self):
-        a = random_projector(3, np.random.default_rng(0))
+        signal, idler = random_arms(3, 1, np.random.default_rng(0))
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
-            MeasurementSet(d=3, projectors=[a], probs=np.array([1.5]))
+            MeasurementSet(d=3, signal=signal, idler=idler, probs=np.array([1.5]))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_row_named(self, value):
+        signal, idler = random_arms(3, 5, np.random.default_rng(1))
+        signal[3, 1] = value
+        idler[4] = 2 * idler[4]  # a later bad row is not the first
+        with pytest.raises(ValueError, match=r"^projectors\[3\]\.signal has a non-finite amplitude$"):
+            MeasurementSet(d=3, signal=signal, idler=idler, probs=np.zeros(5))
 
 
 class TestStates:
@@ -125,42 +150,53 @@ class TestRandomDraws:
         rng = np.random.default_rng(0)
         for d in (1, 3, 7):
             m = random_mode(d, rng)
-            assert np.sum(np.abs(m.amps) ** 2) == pytest.approx(1.0, abs=1e-12)
+            assert m.shape == (d,)
+            assert np.sum(np.abs(m) ** 2) == pytest.approx(1.0, abs=1e-12)
 
     def test_random_mode_d1_unit_modulus(self):
         m = random_mode(1, np.random.default_rng(1))
-        assert abs(m.amps[0]) == pytest.approx(1.0, abs=1e-12)
+        assert abs(m[0]) == pytest.approx(1.0, abs=1e-12)
 
     def test_random_mode_deterministic(self):
         a = random_mode(5, np.random.default_rng(42))
         b = random_mode(5, np.random.default_rng(42))
-        assert np.array_equal(a.amps, b.amps)
+        assert np.array_equal(a, b)
 
     def test_random_projector_trace_one(self):
-        a = random_projector(5, np.random.default_rng(2))
-        op = a.materialize()
+        op = projector_operator(*random_arms(5, 1, np.random.default_rng(2)))
         assert np.trace(op).real == pytest.approx(1.0, abs=1e-12)
+        assert np.linalg.matrix_rank(op) == 1
 
     def test_random_projector_idempotent(self):
-        a = random_projector(3, np.random.default_rng(3))
-        op = a.materialize()
+        op = projector_operator(*random_arms(3, 1, np.random.default_rng(3)))
         assert frob_norm(op @ op - op) < 1e-10
 
     def test_independent_draws_overlap(self):
         # two projectors from different seeds: strictly between 0 and 1
-        a = random_projector(5, np.random.default_rng(4))
-        b = random_projector(5, np.random.default_rng(5))
-        ov = abs(hs_inner(a.materialize(), b.materialize()))
+        a = projector_operator(*random_arms(5, 1, np.random.default_rng(4)))
+        b = projector_operator(*random_arms(5, 1, np.random.default_rng(5)))
+        ov = abs(hs_inner(a, b))
         assert 0.0 < ov < 1.0
 
     def test_identical_arms_flag(self):
-        a = random_projector(5, np.random.default_rng(6), identical_arms=True)
-        assert np.array_equal(a.signal.amps, a.idler.amps)
+        ms = simulate_measurements(5, 6, seed=6, identical_arms=True)
+        assert np.array_equal(ms.signal, ms.idler)
+
+    @pytest.mark.parametrize("identical_arms", [False, True])
+    def test_arms_are_per_projector_random_mode_draws(self, identical_arms):
+        # the RNG stream behind every campaign file: projector after projector,
+        # signal before idler, the idler reusing the signal draw when identical
+        ms = simulate_measurements(
+            5, 40, seed=21, mean_total_counts=1e3, identical_arms=identical_arms
+        )
+        signal, idler = random_arms(5, 40, np.random.default_rng(21), identical_arms)
+        assert np.array_equal(ms.signal, signal)
+        assert np.array_equal(ms.idler, idler)
 
 
-def probability(a, rho):
+def probability(signal, idler, rho):
     """Tr[Â ρ] of one projector through the batched map."""
-    return expectations(joint_vectors([a], a.d), rho)[0]
+    return expectations(joint_vectors(signal[None], idler[None]), rho)[0]
 
 
 class TestProbabilities:
@@ -170,29 +206,28 @@ class TestProbabilities:
             half = (d - 1) // 2
             e0 = np.zeros(d, dtype=complex)
             e0[half] = 1.0
-            proj = Projector(ModeVector(e0.copy()), ModeVector(e0.copy()))
             rho = state_to_density(make_max_entangled(d))
-            assert probability(proj, rho) == pytest.approx(1 / d, abs=1e-12)
+            assert probability(e0, e0, rho) == pytest.approx(1 / d, abs=1e-12)
 
     def test_any_projector_on_maximally_mixed(self):
         d = 5
         rho = np.eye(d * d, dtype=complex) / (d * d)
-        a = random_projector(d, np.random.default_rng(7))
-        assert probability(a, rho) == pytest.approx(1 / d**2, abs=1e-12)
+        signal, idler = random_arms(d, 1, np.random.default_rng(7))
+        assert probability(signal[0], idler[0], rho) == pytest.approx(1 / d**2, abs=1e-12)
 
     def test_matches_materialized_inner_product(self):
         rng = np.random.default_rng(8)
         d = 3
-        a = random_projector(d, rng)
+        signal, idler = random_arms(d, 1, rng)
         rho = state_to_density(make_downconversion_state(d, 1.5))
-        assert probability(a, rho) == pytest.approx(
-            hs_inner(a.materialize(), rho).real, abs=1e-10
+        assert probability(signal[0], idler[0], rho) == pytest.approx(
+            hs_inner(projector_operator(signal, idler), rho).real, abs=1e-10
         )
 
     def test_dimension_mismatch(self):
-        a = random_projector(3, np.random.default_rng(9))
+        signal, idler = random_arms(3, 1, np.random.default_rng(9))
         with pytest.raises(ValueError, match="match"):
-            probability(a, np.eye(4))
+            probability(signal[0], idler[0], np.eye(4))
 
     def test_complete_basis_probabilities_sum_to_one(self):
         d = 3
@@ -204,9 +239,7 @@ class TestProbabilities:
                 s[i] = 1.0
                 t = np.zeros(d, dtype=complex)
                 t[j] = 1.0
-                total += probability(
-                    Projector(ModeVector(s), ModeVector(t)), rho
-                )
+                total += probability(s, t, rho)
         assert total == pytest.approx(1.0, abs=1e-10)
 
 
@@ -214,44 +247,32 @@ class TestProbabilities:
     @pytest.mark.parametrize("d", [1, 3, 7])
     def test_joint_vectors_equal_kron_per_row(self, d, identical_arms):
         rng = np.random.default_rng(d)
-        projs = [random_projector(d, rng, identical_arms) for _ in range(12)]
-        loop = np.array([np.kron(p.signal.amps, p.idler.amps) for p in projs])
-        assert np.array_equal(joint_vectors(projs, d), loop)
-        assert joint_vectors([], d).shape == (0, d * d)
+        signal, idler = random_arms(d, 12, rng, identical_arms)
+        loop = np.array([np.kron(s, t) for s, t in zip(signal, idler)])
+        assert np.array_equal(joint_vectors(signal, idler), loop)
+        empty = np.empty((0, d), dtype=complex)
+        assert joint_vectors(empty, empty).shape == (0, d * d)
 
     def test_expectations_match_per_projector_loop(self):
         rng = np.random.default_rng(13)
         d = 3
-        projs = [random_projector(d, rng) for _ in range(15)]
+        signal, idler = random_arms(d, 15, rng)
         a = rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9))
         rho = (a + a.conj().T) / 2
-        loop = [np.vdot(p.joint_vector(), rho @ p.joint_vector()).real for p in projs]
-        assert np.abs(expectations(joint_vectors(projs, d), rho) - loop).max() <= 1e-12
+        loop = [np.vdot(np.kron(s, t), rho @ np.kron(s, t)).real for s, t in zip(signal, idler)]
+        assert np.abs(expectations(joint_vectors(signal, idler), rho) - loop).max() <= 1e-12
 
 
 class TestCounts:
-    def test_zero_probability_always_zero(self):
-        rng = np.random.default_rng(10)
-        assert all(simulate_counts(0.0, 1e6, rng) == 0 for _ in range(50))
-
     def test_poisson_mean(self):
-        # sample mean over 1000 draws within 3 sigma of p*C
-        rng = np.random.default_rng(11)
-        p, c = 0.5, 1e6
-        draws = np.array([simulate_counts(p, c, rng) for _ in range(1000)])
-        sigma = np.sqrt(p * c / 1000)
-        assert abs(draws.mean() - p * c) < 3 * sigma
-
-    def test_reproducible(self):
-        a = [simulate_counts(0.3, 1e4, np.random.default_rng(12)) for _ in range(5)]
-        b = [simulate_counts(0.3, 1e4, np.random.default_rng(12)) for _ in range(5)]
-        assert a == b
-
-    def test_invalid_probability(self):
-        with pytest.raises(ValueError):
-            simulate_counts(1.5, 1e4, np.random.default_rng(0))
-        with pytest.raises(ValueError):
-            simulate_counts(-0.1, 1e4, np.random.default_rng(0))
+        # the counts' summed deviation from p*C over 1000 projectors, each
+        # Poisson with variance p*C, within 3 sigma of zero; the noiseless
+        # campaign of the same seed draws the same projectors
+        c = 1e6
+        ideal = simulate_measurements(3, 1000, seed=11).probs
+        counts = simulate_measurements(3, 1000, seed=11, mean_total_counts=c).counts
+        sigma = np.sqrt(np.sum(ideal * c))
+        assert abs(np.sum(counts - ideal * c)) < 3 * sigma
 
     def test_counts_to_probs(self):
         assert counts_to_probs([0, 0, 0], 100.0).tolist() == [0.0, 0.0, 0.0]
@@ -273,8 +294,8 @@ class TestSimulateMeasurements:
     def test_noiseless_probs_are_ideal(self):
         ms = simulate_measurements(3, 10, seed=1)
         rho = state_to_density(ms.truth)
-        expected = [np.vdot(a.joint_vector(), rho @ a.joint_vector()).real
-                    for a in ms.projectors]
+        expected = [np.vdot(np.kron(s, t), rho @ np.kron(s, t)).real
+                    for s, t in zip(ms.signal, ms.idler)]
         assert np.allclose(ms.probs, expected, atol=1e-15)
         assert ms.counts is None and ms.calibration is None
 
@@ -289,9 +310,8 @@ class TestSimulateMeasurements:
         b = simulate_measurements(3, 8, seed=3, mean_total_counts=1e3)
         assert np.array_equal(a.probs, b.probs)
         assert np.array_equal(a.counts, b.counts)
-        for pa, pb in zip(a.projectors, b.projectors):
-            assert np.array_equal(pa.signal.amps, pb.signal.amps)
-            assert np.array_equal(pa.idler.amps, pb.idler.amps)
+        assert np.array_equal(a.signal, b.signal)
+        assert np.array_equal(a.idler, b.idler)
 
     def test_rejects_zero_measurements(self):
         with pytest.raises(ValueError, match="at least one"):

@@ -13,7 +13,7 @@ from cstomo.simulate import (
     expectations,
     joint_vectors,
     make_max_entangled,
-    random_projector,
+    random_mode,
     simulate_measurements,
     state_to_density,
 )
@@ -54,20 +54,31 @@ def hermitian_rows(n_rows, dim, rng):
     return rows, p, x
 
 
+def random_arms(d, n, rng):
+    """n random projectors' (signal, idler) rows, drawn in simulate_measurements'
+    order: one projector after another, signal before idler."""
+    signal, idler = [], []
+    for _ in range(n):
+        signal.append(random_mode(d, rng))
+        idler.append(random_mode(d, rng))
+    return np.array(signal), np.array(idler)
+
+
 def random_measurement_set(d, n, rng, *, noisy=False):
     """Random projectors against a random pure state of any d (the simulator's
     states need odd d); Poisson counts at 1e3 when ``noisy``."""
-    projs = [random_projector(d, rng) for _ in range(n)]
+    signal, idler = random_arms(d, n, rng)
     rho = random_pure_density(d * d, rng)
-    probs = np.clip(expectations(joint_vectors(projs, d), rho), 0, 1)
+    probs = np.clip(expectations(joint_vectors(signal, idler), rho), 0, 1)
     if noisy:
         probs = np.clip(rng.poisson(probs * 1e3) / 1e3, 0, 1)
-    return MeasurementSet(d=d, projectors=projs, probs=probs)
+    return MeasurementSet(d=d, signal=signal, idler=idler, probs=probs)
 
 
-def vectorize_projector(a):
-    """The row of one projector in measurement_rows."""
-    return measurement_rows(MeasurementSet(d=a.d, projectors=[a], probs=[0.0]))[0]
+def vectorize_projector(signal, idler):
+    """The row of one projector, given by its (1, d) arms, in measurement_rows."""
+    ms = MeasurementSet(d=signal.shape[1], signal=signal, idler=idler, probs=[0.0])
+    return measurement_rows(ms)[0]
 
 
 class TestVectorizeProjector:
@@ -76,26 +87,27 @@ class TestVectorizeProjector:
     def test_dot_with_vec_rho_is_trace(self):
         rng = np.random.default_rng(0)
         for d in (2, 3):
-            a = random_projector(d, rng)
+            signal, idler = random_arms(d, 1, rng)
             rho = random_pure_density(d * d, rng)
-            lhs = np.dot(vectorize_projector(a), vec(rho))
-            w = a.joint_vector()
+            lhs = np.dot(vectorize_projector(signal, idler), vec(rho))
+            w = np.kron(signal[0], idler[0])
             assert lhs.real == pytest.approx(np.vdot(w, rho @ w).real, abs=1e-12)
             assert abs(lhs.imag) <= 1e-12
 
     def test_d1_single_entry(self):
-        a = random_projector(1, np.random.default_rng(1))
-        row = vectorize_projector(a)
+        row = vectorize_projector(*random_arms(1, 1, np.random.default_rng(1)))
         assert row.shape == (1,)
         assert row[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_unit_norm(self):
-        a = random_projector(3, np.random.default_rng(2))
-        assert np.linalg.norm(vectorize_projector(a)) == pytest.approx(1.0, abs=1e-12)
+        row = vectorize_projector(*random_arms(3, 1, np.random.default_rng(2)))
+        assert np.linalg.norm(row) == pytest.approx(1.0, abs=1e-12)
 
     def test_equals_conjugate_vec_of_materialized(self):
-        a = random_projector(3, np.random.default_rng(3))
-        assert np.allclose(vectorize_projector(a), vec(a.materialize()).conj(), atol=1e-15)
+        signal, idler = random_arms(3, 1, np.random.default_rng(3))
+        w = np.kron(signal[0], idler[0])
+        op = np.outer(w, w.conj())
+        assert np.allclose(vectorize_projector(signal, idler), vec(op).conj(), atol=1e-15)
 
 
 class TestOrthogonalize:
@@ -298,12 +310,15 @@ class TestMeasurementOperator:
 
     def test_duplicated_projector_dropped_in_input_order(self, tmp_path):
         ms = simulate_measurements(3, 24, seed=3)
-        projs = list(ms.projectors)
-        projs.insert(10, ms.projectors[4])
-        dup = MeasurementSet(d=3, projectors=projs, probs=np.insert(ms.probs, 10, ms.probs[4]))
+        dup = MeasurementSet(
+            d=3,
+            signal=np.insert(ms.signal, 10, ms.signal[4], axis=0),
+            idler=np.insert(ms.idler, 10, ms.idler[4], axis=0),
+            probs=np.insert(ms.probs, 10, ms.probs[4]),
+        )
         op = MeasurementOperator(dup)
         assert op.n_dropped == 1
-        assert np.array_equal(op.w, joint_vectors(ms.projectors, 3))
+        assert np.array_equal(op.w, joint_vectors(ms.signal, ms.idler))
 
         cfg = ReconstructionConfig(tau=0.7)
         rep, rep_dup = reconstruct(ms, cfg), reconstruct(dup, cfg)
@@ -318,8 +333,8 @@ class TestMeasurementOperator:
         assert json.loads(out.read_text())["n_dropped_rows"] == 1
 
 
-def gram_of(projs, d):
-    w = joint_vectors(projs, d)
+def gram_of(signal, idler):
+    w = joint_vectors(signal, idler)
     return np.abs(w.conj() @ w.T) ** 2
 
 
@@ -327,16 +342,15 @@ class TestLowerInverse:
     @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 130, 720])
     def test_matches_lapack_inverse(self, n):
         rng = np.random.default_rng(n)
-        low = np.linalg.cholesky(gram_of([random_projector(7, rng) for _ in range(n)], 7))
+        low = np.linalg.cholesky(gram_of(*random_arms(7, n, rng)))
         inv = _lower_inverse(low)
         assert np.abs(low @ inv - np.eye(n)).max() <= 1e-12
         assert np.abs(inv - np.linalg.inv(low)).max() <= 1e-12 * np.abs(inv).max()
 
     def test_factor_from_drop_path(self):
         rng = np.random.default_rng(5)
-        projs = [random_projector(7, rng) for _ in range(130)]
-        projs.insert(90, projs[20])
-        g = gram_of(projs, 7)
+        signal, idler = random_arms(7, 130, rng)
+        g = gram_of(np.insert(signal, 90, signal[20], axis=0), np.insert(idler, 90, idler[20], axis=0))
         keep, low = _in_order_cholesky(g)
         assert len(keep) == 130 and 90 not in keep
         inv = _lower_inverse(low)
@@ -351,9 +365,9 @@ class TestReconstruct:
         rng = np.random.default_rng(1)
         d = 2
         rho_true = random_pure_density(d * d, rng)
-        projs = [random_projector(d, rng) for _ in range(16)]
-        probs = np.clip(expectations(joint_vectors(projs, d), rho_true), 0, 1)
-        ms = MeasurementSet(d=d, projectors=projs, probs=probs)
+        signal, idler = random_arms(d, 16, rng)
+        probs = np.clip(expectations(joint_vectors(signal, idler), rho_true), 0, 1)
+        ms = MeasurementSet(d=d, signal=signal, idler=idler, probs=probs)
         a_mat = measurement_rows(ms)
         direct = mat(np.linalg.solve(a_mat, probs.astype(complex)))
         rep = reconstruct(ms)
@@ -371,9 +385,9 @@ class TestReconstruct:
         d = 3
         rho_mixed = np.eye(d * d, dtype=complex) / (d * d)
         rng = np.random.default_rng(19)
-        projs = [random_projector(d, rng) for _ in range(20)]
-        probs = np.clip(expectations(joint_vectors(projs, d), rho_mixed), 0, 1)
-        ms = MeasurementSet(d=d, projectors=projs, probs=probs)
+        signal, idler = random_arms(d, 20, rng)
+        probs = np.clip(expectations(joint_vectors(signal, idler), rho_mixed), 0, 1)
+        ms = MeasurementSet(d=d, signal=signal, idler=idler, probs=probs)
         rep = reconstruct(ms)
         assert rep.converged
         assert rep.iterations <= 2
