@@ -3,7 +3,7 @@ from a small number of random projective measurements, with measurement
 simulation, shot-noise correction, and fidelity benchmarking."""
 
 from .correction import (
-    CorrectionEstimate,
+    CorrectionDiagnostics,
     NoiseCorrectionConfig,
     correct_probabilities,
     default_subset_count,
@@ -43,7 +43,6 @@ from .simulate import (
     state_to_density,
 )
 from .solver import (
-    CorrectionDiagnostics,
     MeasurementOperator,
     ReconstructionConfig,
     ReconstructionReport,

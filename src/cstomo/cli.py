@@ -6,8 +6,8 @@ campaign to JSON, ``reconstruct`` recovers a density matrix from one,
 ``metrics`` scores a stored matrix. Exit codes: 0 success/converged,
 1 input or I/O error, 3 non-convergence, 4 degenerate measurement system,
 5 a solver invariant violated (a bug, not bad input), 6 a worker process
-solving the correction's subsets died or could not be started (for example
-killed when memory ran out).
+died or could not be started (for example killed when memory ran out): one
+solving the correction's subsets, or a ``sweep --jobs N`` worker.
 """
 
 from __future__ import annotations

@@ -16,10 +16,17 @@ platform without fork, and inside a process that is itself a
 multiprocessing worker (a ``run_sweep(jobs>1)`` cell). The raw and final
 solves always run in the calling process, which also emits the warnings and
 sums the gaps in subset order.
+
+The outcome is one ``CorrectionDiagnostics``: ``estimate_delta_rho`` fills in
+the per-subset sizes, flags and gap norms and the summed displacement, and
+``reconstruct_corrected`` adds the clamp count and the raw report when the
+correction is applied, or the reason it was skipped, before attaching it to
+the report it returns.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import multiprocessing
 import os
 import warnings
@@ -33,16 +40,11 @@ import numpy as np
 from .errors import DegenerateIterateError, DegenerateSystemError, WorkerPoolError
 from .linalg import mat, vec
 from .simulate import MeasurementSet, expectations, joint_vectors
-from .solver import (
-    CorrectionDiagnostics,
-    ReconstructionConfig,
-    ReconstructionReport,
-    reconstruct,
-)
+from .solver import ReconstructionConfig, ReconstructionReport, reconstruct
 
 __all__ = [
     "NoiseCorrectionConfig",
-    "CorrectionEstimate",
+    "CorrectionDiagnostics",
     "default_subset_count",
     "partition",
     "estimate_delta_rho",
@@ -87,17 +89,45 @@ class NoiseCorrectionConfig:
 
 
 @dataclass(eq=False)
-class CorrectionEstimate:
-    """Summed displacement estimate plus per-subset diagnostics."""
+class CorrectionDiagnostics:
+    """Outcome of the correction; ``reconstruct_corrected`` attaches it as
+    the returned report's ``correction``.
 
-    delta: np.ndarray
-    subset_sizes: list[int]
-    subset_converged: list[bool]
-    subset_delta_norms: list[float]
+    subset_sizes, subset_converged, subset_delta_norms: one entry per subset,
+        in subset order; an omitted subset (unconverged or degenerate) has
+        flag False and norm NaN and adds nothing to ``delta``.
+    delta: the summed structural gaps, vec of a D×D matrix; None when the
+        measurements could not be partitioned.
+    n_clamped: corrected probabilities clamped to [0, 1].
+    reason: why the correction was skipped; empty when it was applied.
+    raw_report: the uncorrected solve's report when the correction was
+        applied (the returned report is then the corrected solve's), else
+        None (the returned report is the raw one).
+    """
+
+    subset_sizes: list[int] = field(default_factory=list)
+    subset_converged: list[bool] = field(default_factory=list)
+    subset_delta_norms: list[float] = field(default_factory=list)
+    delta: np.ndarray | None = None
+    n_clamped: int = 0
+    reason: str = ""
+    raw_report: ReconstructionReport | None = None
+
+    @property
+    def applied(self) -> bool:
+        return self.raw_report is not None
+
+    @property
+    def n_subsets(self) -> int:
+        return len(self.subset_sizes)
 
     @property
     def n_omitted(self) -> int:
         return sum(not ok for ok in self.subset_converged)
+
+    @property
+    def delta_norm(self) -> float:
+        return 0.0 if self.delta is None else float(np.linalg.norm(self.delta))
 
 
 def default_subset_count(n_measurements: int, dim: int) -> int:
@@ -144,16 +174,10 @@ def partition(ms: MeasurementSet, cfg: NoiseCorrectionConfig) -> list[Measuremen
 
 
 def _subset_config(cfg: NoiseCorrectionConfig) -> ReconstructionConfig:
-    base = cfg.base
     if cfg.subset_step_tol_rel is None:
-        return base
-    return ReconstructionConfig(
-        tau=base.tau,
-        tau_ell=base.tau_ell,
-        step_tol_rel=min(base.step_tol_rel, cfg.subset_step_tol_rel),
-        k_max=base.k_max,
-        init=base.init,
-        threshold_mode=base.threshold_mode,
+        return cfg.base
+    return dataclasses.replace(
+        cfg.base, step_tol_rel=min(cfg.base.step_tol_rel, cfg.subset_step_tol_rel)
     )
 
 
@@ -181,14 +205,15 @@ def _subset_workers(n_subsets: int) -> int:
 
 
 def _subset_gap(sub: MeasurementSet, sub_cfg: ReconstructionConfig):
-    """Solve one subset. Returns its structural gap, None when the solve did
-    not converge, or the degenerate-system error it raised."""
+    """Solve one subset. Returns its structural gap, or the reason it is
+    omitted as text: the solve did not converge or raised a degenerate-system
+    error."""
     try:
         rep = reconstruct(sub, sub_cfg)
     except (DegenerateSystemError, DegenerateIterateError) as exc:
-        return exc
+        return f"reconstruction failed ({exc})"
     if not rep.converged:
-        return None
+        return f"did not converge within k_max={sub_cfg.k_max}"
     return vec(rep.rho_pre_gamma) - vec(rep.rho)
 
 
@@ -240,44 +265,32 @@ def _solve_subsets(subsets: list[MeasurementSet], sub_cfg: ReconstructionConfig)
 
 def estimate_delta_rho(
     subsets: list[MeasurementSet], cfg: NoiseCorrectionConfig
-) -> CorrectionEstimate:
+) -> CorrectionDiagnostics:
     """Reconstruct every subset and sum the structural gaps.
 
     For subset i the gap is vec(solution) − vec(structural stage of the
     solution); the pre-structural converged iterate is the subset solution.
     Subsets that fail to converge (or degenerate) contribute nothing and are
-    flagged; any other error, such as an InvariantViolation, propagates. The
-    solves run in forked worker processes (see the module docstring); a
-    worker that dies or cannot start raises WorkerPoolError. Warnings, flags
-    and the sum are made here, in subset order.
+    flagged with a warning; any other error, such as an InvariantViolation,
+    propagates. The solves run in forked worker processes (see the module
+    docstring); a worker that dies or cannot start raises WorkerPoolError.
+    Warnings, flags and the sum are made here, in subset order.
     """
     if len(subsets) < 2:
         raise ValueError("need at least two subsets to estimate the displacement")
-    sub_cfg = _subset_config(cfg)
     dim = subsets[0].d ** 2
-    delta = np.zeros(dim * dim, dtype=complex)
-    sizes, oks, norms = [], [], []
-    for sub, gap in zip(subsets, _solve_subsets(subsets, sub_cfg)):
-        sizes.append(len(sub))
-        if isinstance(gap, Exception):  # omit and flag
-            warnings.warn(f"subset reconstruction failed ({gap}); contribution omitted")
-            oks.append(False)
-            norms.append(float("nan"))
-            continue
-        if gap is None:
-            warnings.warn(
-                f"subset did not converge within k_max={sub_cfg.k_max}; "
-                "contribution omitted"
-            )
-            oks.append(False)
-            norms.append(float("nan"))
-            continue
-        delta += gap
-        oks.append(True)
-        norms.append(float(np.linalg.norm(gap)))
-    return CorrectionEstimate(
-        delta=delta, subset_sizes=sizes, subset_converged=oks, subset_delta_norms=norms
-    )
+    out = CorrectionDiagnostics(delta=np.zeros(dim * dim, dtype=complex))
+    for sub, gap in zip(subsets, _solve_subsets(subsets, _subset_config(cfg))):
+        omitted = isinstance(gap, str)
+        out.subset_sizes.append(len(sub))
+        out.subset_converged.append(not omitted)
+        if omitted:
+            warnings.warn(f"subset {gap}; contribution omitted")
+            out.subset_delta_norms.append(float("nan"))
+        else:
+            out.delta += gap
+            out.subset_delta_norms.append(float(np.linalg.norm(gap)))
+    return out
 
 
 def correct_probabilities(
@@ -327,35 +340,19 @@ def reconstruct_corrected(
     raw = reconstruct(ms, cfg.base, on_iteration=on_iteration)
 
     try:
-        subsets = partition(ms, cfg)
-        est = estimate_delta_rho(subsets, cfg)
+        diag = estimate_delta_rho(partition(ms, cfg), cfg)
     except ValueError as exc:
-        warnings.warn(f"noise correction skipped: {exc}")
-        raw.correction = CorrectionDiagnostics(applied=False, reason=str(exc))
-        return raw
-    if est.n_omitted == len(subsets):
-        reason = "every subset failed to converge"
-        warnings.warn(f"noise correction skipped: {reason}")
-        raw.correction = CorrectionDiagnostics(
-            applied=False,
-            n_subsets=len(subsets),
-            subset_sizes=est.subset_sizes,
-            subset_converged=est.subset_converged,
-            subset_delta_norms=est.subset_delta_norms,
-            reason=reason,
-        )
+        diag = CorrectionDiagnostics(reason=str(exc))
+    else:
+        if diag.n_omitted == diag.n_subsets:
+            diag.reason = "every subset failed to converge"
+    if diag.n_omitted == diag.n_subsets:  # no subset contributed
+        warnings.warn(f"noise correction skipped: {diag.reason}")
+        raw.correction = diag
         return raw
 
-    corrected_ms, n_clamped = correct_probabilities(ms, est.delta)
+    corrected_ms, diag.n_clamped = correct_probabilities(ms, diag.delta)
     out = reconstruct(corrected_ms, cfg.base, on_iteration=on_iteration)
-    out.correction = CorrectionDiagnostics(
-        applied=True,
-        n_subsets=len(subsets),
-        subset_sizes=est.subset_sizes,
-        subset_converged=est.subset_converged,
-        subset_delta_norms=est.subset_delta_norms,
-        delta_norm=float(np.linalg.norm(est.delta)),
-        n_clamped=n_clamped,
-        raw_report=raw,
-    )
+    diag.raw_report = raw
+    out.correction = diag
     return out

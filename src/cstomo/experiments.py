@@ -13,11 +13,13 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .correction import NoiseCorrectionConfig, reconstruct_corrected
+from .errors import WorkerPoolError
 from .metrics import fidelity_pure
 from .simulate import TwoPhotonState, make_max_entangled, simulate_measurements
 from .solver import ReconstructionConfig, reconstruct
@@ -156,7 +158,8 @@ def _run_cell_star(args) -> SweepRow:
 
 def run_sweep(spec: SweepSpec, jobs: int = 1, on_row=None) -> list[SweepRow]:
     """Run every cell, serially or in a process pool, and return rows sorted
-    by (fraction index, repeat)."""
+    by (fraction index, repeat). A pool worker that dies raises
+    WorkerPoolError."""
     cells = _cell_args(spec)
     if jobs <= 1:
         rows = []
@@ -167,7 +170,10 @@ def run_sweep(spec: SweepSpec, jobs: int = 1, on_row=None) -> list[SweepRow]:
                 on_row(row)
         return rows
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        rows = list(pool.map(_run_cell_star, [(spec, fi, ri) for fi, ri in cells]))
+        try:
+            rows = list(pool.map(_run_cell_star, [(spec, fi, ri) for fi, ri in cells]))
+        except BrokenProcessPool as exc:
+            raise WorkerPoolError(f"a sweep worker died: {exc}") from exc
     if on_row is not None:
         for row in rows:
             on_row(row)

@@ -129,6 +129,9 @@ class MeasurementSet:
                     f"one row of d={self.d} modes for each of {shape[0]} probabilities"
                 )
         _check_rows(self.signal, self.idler)
+        nonfinite = np.flatnonzero(~np.isfinite(self.probs))
+        if nonfinite.size:  # NaN would pass the range check below
+            raise ValueError(f"probs[{nonfinite[0]}] is not finite")
         if self.probs.size and (self.probs.min() < 0.0 or self.probs.max() > 1.0):
             raise ValueError("probabilities must lie in [0, 1]")
         if self.counts is not None:

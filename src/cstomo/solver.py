@@ -18,12 +18,16 @@ The test-only reference
 ``measurement_rows`` → ``orthogonalize`` → ``kaczmarz_sweep`` computes the same
 projection from the Gram-Schmidt orthonormalized rows u = conj(vec(Â)), with
 u · vec(ρ) = Tr[Â ρ] and hyperplane normal conj(u).
+
+Every solve starts from the maximally mixed state I/D. A report's
+``correction`` is filled in only by ``correction.reconstruct_corrected``,
+and its type, ``CorrectionDiagnostics``, is defined there.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
@@ -31,10 +35,12 @@ from .errors import DegenerateIterateError, DegenerateSystemError, InvariantViol
 from .linalg import eig_hermitian, frob_norm, hermiticity_error
 from .simulate import MeasurementSet, expectations, joint_vectors
 
+if TYPE_CHECKING:
+    from .correction import CorrectionDiagnostics
+
 __all__ = [
     "ReconstructionConfig",
     "ReconstructionReport",
-    "CorrectionDiagnostics",
     "MeasurementOperator",
     "threshold_eigs",
     "threshold_elements",
@@ -56,6 +62,12 @@ PIVOT_TOL = 1e-10
 # Below this many rows _lower_inverse hands its block to LAPACK.
 _INV_LEAF = 64
 
+# clip_to_psd leaves a matrix whose spectrum sits above -_PSD_FLOOR as it is:
+# the floor tolerates eigensolver rounding on genuinely PSD inputs while
+# staying an order of magnitude inside the -1e-10 validity band demanded of
+# structural-stage outputs.
+_PSD_FLOOR = 1e-12
+
 
 @dataclass
 class ReconstructionConfig:
@@ -69,14 +81,12 @@ class ReconstructionConfig:
     step_tol_rel: convergence when the Frobenius step between consecutive
         iterates falls below step_tol_rel × (norm of the current iterate).
     k_max: iteration cap; hitting it is reported, not raised.
-    init: optional starting matrix; the maximally mixed state I/D when None.
     """
 
     tau: float = 0.4
     tau_ell: float = 0.04
     step_tol_rel: float = 1e-3
     k_max: int = 500
-    init: np.ndarray | None = None
     threshold_mode: str = "relative"
 
     def __post_init__(self):
@@ -120,22 +130,6 @@ class OrthoSystem:
     @property
     def dim(self) -> int:
         return self.rows.shape[1]
-
-
-@dataclass(eq=False)
-class CorrectionDiagnostics:
-    """Outcome of the subset-based probability correction (see correction
-    module); attached to the report of the corrected run."""
-
-    applied: bool
-    n_subsets: int = 0
-    subset_sizes: list[int] = field(default_factory=list)
-    subset_converged: list[bool] = field(default_factory=list)
-    subset_delta_norms: list[float] = field(default_factory=list)
-    delta_norm: float = 0.0
-    n_clamped: int = 0
-    reason: str = ""
-    raw_report: "ReconstructionReport | None" = None
 
 
 @dataclass(eq=False)
@@ -293,16 +287,11 @@ def normalize_trace(rho: np.ndarray) -> np.ndarray:
     return a / tr
 
 
-def clip_to_psd(rho: np.ndarray, floor: float = 1e-12) -> np.ndarray:
-    """Project onto the PSD cone by zeroing negative eigenvalues.
-
-    Exact no-op for matrices whose spectrum sits above ``-floor``; the default
-    floor tolerates eigensolver rounding on genuinely PSD inputs while staying
-    an order of magnitude inside the -1e-10 validity band demanded of
-    structural-stage outputs.
-    """
+def clip_to_psd(rho: np.ndarray) -> np.ndarray:
+    """Project onto the PSD cone by zeroing negative eigenvalues; an exact
+    no-op for matrices whose spectrum sits above -_PSD_FLOOR."""
     w, v = eig_hermitian(rho)
-    if w[-1] >= -floor:
+    if w[-1] >= -_PSD_FLOOR:
         return np.asarray(rho)
     w = np.maximum(w, 0.0)
     return (v * w) @ v.conj().T
@@ -415,15 +404,6 @@ class MeasurementOperator:
         return rho + (self.w.T * c) @ self.w.conj()
 
 
-def _initial_iterate(cfg: ReconstructionConfig, dim: int) -> np.ndarray:
-    if cfg.init is None:
-        return np.eye(dim, dtype=complex) / dim
-    init = np.asarray(cfg.init, dtype=complex)
-    if init.shape != (dim, dim):
-        raise ValueError(f"init has shape {init.shape}, expected {(dim, dim)}")
-    return init.copy()
-
-
 def reconstruct(
     ms: MeasurementSet,
     cfg: ReconstructionConfig | None = None,
@@ -449,7 +429,8 @@ def reconstruct(
     if cfg is None:
         cfg = ReconstructionConfig()
     op = MeasurementOperator(ms)
-    prev = _initial_iterate(cfg, ms.d**2)
+    dim = ms.d**2
+    prev = np.eye(dim, dtype=complex) / dim
     steps: list[float] = []
     residuals: list[float] = []
     converged = False

@@ -107,6 +107,17 @@ class TestReconstructCommand:
         assert run("reconstruct", inp, "--out", out) == 1
         assert not out.exists()
 
+    def test_non_finite_prob_exit_code(self, tmp_path, capsys):
+        inp = self.make_input(tmp_path, n=30)
+        doc = json.loads(inp.read_text())
+        doc["probs"][4] = float("nan")
+        inp.write_text(json.dumps(doc))
+        out = tmp_path / "report.json"
+        capsys.readouterr()
+        assert run("reconstruct", inp, "--out", out) == 1
+        assert capsys.readouterr().err == "error: measurement set: probs[4] is not finite\n"
+        assert not out.exists()
+
     def test_nonconvergence_exit_code(self, tmp_path):
         inp = self.make_input(tmp_path, n=20, noise=True)
         out = tmp_path / "report.json"
@@ -271,6 +282,20 @@ class TestSweepCommand:
         # summaries carry no timing at all: fully byte-identical
         assert (tmp_path / "a.csv.summary.csv").read_bytes() == \
             (tmp_path / "b.csv.summary.csv").read_bytes()
+
+
+    def test_dead_worker_exit_code(self, tmp_path, capsys, monkeypatch):
+        # a cell worker killed mid-run (for example when memory runs out)
+        def die(spec, fraction_index, repeat_index):
+            os._exit(1)
+
+        monkeypatch.setattr("cstomo.experiments.run_sweep_cell", die)
+        out = tmp_path / "sweep.csv"
+        assert run("sweep", "--d", 3, "--fractions", "0.75", "--repeats", 2,
+                   "--tau", 0.7, "--jobs", 2, "--out", out) == 6
+        err = capsys.readouterr().err
+        assert err.startswith("error: a sweep worker died") and err.count("\n") == 1
+        assert not out.exists()
 
 
 class TestParser:

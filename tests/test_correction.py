@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import multiprocessing
 import os
 import re
@@ -9,6 +11,7 @@ import pytest
 
 from cstomo.correction import (
     NoiseCorrectionConfig,
+    _subset_config,
     _subset_workers,
     correct_probabilities,
     default_subset_count,
@@ -18,6 +21,7 @@ from cstomo.correction import (
 )
 from cstomo.errors import InvariantViolation
 from cstomo.linalg import frob_norm, hs_inner, mat, vec
+from cstomo.serialize import report_to_dict
 from cstomo.simulate import joint_vectors, simulate_measurements, state_to_density
 from cstomo.solver import ReconstructionConfig, reconstruct
 
@@ -44,6 +48,16 @@ class TestConfig:
         assert default_subset_count(30, 9) == 3
         with pytest.raises(ValueError, match="infeasible"):
             default_subset_count(17, 9)
+
+    @pytest.mark.parametrize("subset_tol, expected", [(None, 1e-2), (1e-4, 1e-4), (1e-1, 1e-2)])
+    def test_subset_config_keeps_base_fields(self, subset_tol, expected):
+        base = ReconstructionConfig(
+            tau=0.6, tau_ell=5.0, step_tol_rel=1e-2, k_max=7, threshold_mode="absolute"
+        )
+        sub = _subset_config(NoiseCorrectionConfig(base=base, subset_step_tol_rel=subset_tol))
+        for f in dataclasses.fields(base):
+            want = expected if f.name == "step_tol_rel" else getattr(base, f.name)
+            assert getattr(sub, f.name) == want, f.name
 
 
 class TestPartition:
@@ -308,6 +322,38 @@ class TestReconstructCorrected:
         assert rep.correction is not None
         assert not rep.correction.applied
         assert rep.correction.reason
+
+    def test_fallback_when_every_subset_omitted(self):
+        ms = simulate_measurements(3, 60, seed=7, mean_total_counts=500.0)
+        cfg = d3_correction_config(n_subsets=2, base=ReconstructionConfig(tau=0.7, k_max=1))
+        with pytest.warns(UserWarning) as caught:
+            rep = reconstruct_corrected(ms, cfg)
+        assert [str(w.message) for w in caught] == [
+            "subset did not converge within k_max=1; contribution omitted",
+            "subset did not converge within k_max=1; contribution omitted",
+            "noise correction skipped: every subset failed to converge",
+        ]
+        raw = reconstruct(ms, cfg.base)
+        assert np.array_equal(rep.rho, raw.rho)
+        assert rep.iterations == raw.iterations == 1
+        c = rep.correction
+        assert not c.applied and c.raw_report is None
+        assert c.reason == "every subset failed to converge"
+        assert c.n_subsets == 2 and c.n_omitted == 2
+        assert c.subset_sizes == [30, 30]
+        assert c.subset_converged == [False, False]
+        assert np.isnan(c.subset_delta_norms).all() and len(c.subset_delta_norms) == 2
+        doc = report_to_dict(rep, d=3)["correction"]
+        assert json.dumps(doc, sort_keys=True) == json.dumps({
+            "applied": False,
+            "n_subsets": 2,
+            "subset_sizes": [30, 30],
+            "subset_converged": [False, False],
+            "subset_delta_norms": [float("nan"), float("nan")],
+            "delta_norm": 0.0,
+            "n_clamped": 0,
+            "reason": "every subset failed to converge",
+        }, sort_keys=True)
 
     def test_report_carries_diagnostics(self):
         ms = simulate_measurements(3, 60, seed=18, mean_total_counts=2e3)

@@ -103,6 +103,17 @@ class TestSchemaValidation:
                 f"measurement set: projectors[9].{arm} is not normalized")):
             load_measurement_set(str(path))
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_prob_named(self, tmp_path, noisy_ms, value):
+        # json.load accepts NaN and Infinity, and NaN passes a [0, 1] range check
+        doc = measurement_set_to_dict(noisy_ms)
+        doc["probs"][4] = value
+        path = tmp_path / "ms.json"
+        dump_json(doc, str(path))
+        with pytest.raises(SchemaError, match=re.escape(
+                "measurement set: probs[4] is not finite")):
+            load_measurement_set(str(path))
+
     def test_invalid_json_file(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")

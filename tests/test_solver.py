@@ -425,13 +425,6 @@ class TestReconstruct:
         assert rep.iterations == 2
         assert not rep.converged
 
-    def test_supplied_init(self):
-        ms = simulate_measurements(3, 24, seed=7)
-        init = state_to_density(ms.truth)
-        rep = reconstruct(ms, ReconstructionConfig(tau=0.7, init=init))
-        assert rep.converged
-        assert rep.iterations <= 2
-
     def test_config_validation(self):
         with pytest.raises(ValueError):
             ReconstructionConfig(tau=1.5)
