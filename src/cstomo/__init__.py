@@ -6,7 +6,6 @@ from .correction import (
     CorrectionDiagnostics,
     NoiseCorrectionConfig,
     correct_probabilities,
-    default_subset_count,
     estimate_delta_rho,
     partition,
     reconstruct_corrected,
@@ -32,7 +31,6 @@ from .metrics import MetricsSummary, effective_rank, fidelity_pure, purity, resi
 from .simulate import (
     MeasurementSet,
     TwoPhotonState,
-    counts_to_probs,
     expectations,
     joint_state_vector,
     joint_vectors,
@@ -46,12 +44,8 @@ from .solver import (
     MeasurementOperator,
     ReconstructionConfig,
     ReconstructionReport,
-    clip_to_psd,
     enforce_structure,
-    normalize_trace,
     reconstruct,
-    threshold_eigs,
-    threshold_elements,
 )
 
 __version__ = "0.1.0"

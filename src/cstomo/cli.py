@@ -27,10 +27,11 @@ from .errors import (
     SchemaError,
     WorkerPoolError,
 )
-from .experiments import CSV_COLUMNS, SweepSpec, run_sweep, summarize_sweep
+from .experiments import CSV_COLUMNS, SUMMARY_COLUMNS, SweepSpec, run_sweep, summarize_sweep
 from .linalg import check_hermitian
 from .metrics import summarize
 from .serialize import (
+    _metrics_to_dict,
     format_float,
     load_matrix,
     load_measurement_set,
@@ -244,6 +245,18 @@ def _cmd_reconstruct(args) -> int:
     return EXIT_OK if report.converged else EXIT_NOT_CONVERGED
 
 
+def _write_csv(path: str, columns: tuple[str, ...], records: list[dict]) -> None:
+    """One line per record, its ``columns`` in order; floats at full precision."""
+
+    def cell(x) -> str:
+        return format_float(x) if isinstance(x, float) else str(x)
+
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(",".join(columns) + "\n")
+        for rec in records:
+            fh.write(",".join(cell(rec[c]) for c in columns) + "\n")
+
+
 def _cmd_sweep(args) -> int:
     fractions = [float(tok) for tok in args.fractions.split(",") if tok.strip()]
     cfg = _solver_config(args)
@@ -259,31 +272,9 @@ def _cmd_sweep(args) -> int:
         correction=NoiseCorrectionConfig(n_subsets=args.subsets, base=cfg),
     )
     rows = run_sweep(spec, jobs=args.jobs)
-
-    def fmt(x):
-        return format_float(x)
-
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(",".join(CSV_COLUMNS) + "\n")
-        for r in rows:
-            fh.write(
-                f"{fmt(r.fraction)},{r.repeat},{r.seed},{fmt(r.fidelity_raw)},"
-                f"{fmt(r.fidelity_corrected)},{r.iterations},{fmt(r.runtime_seconds)},"
-                f"{r.status}\n"
-            )
+    _write_csv(args.out, CSV_COLUMNS, [vars(r) for r in rows])
     summary_path = args.summary or f"{args.out}.summary.csv"
-    agg = summarize_sweep(rows)
-    with open(summary_path, "w", encoding="utf-8") as fh:
-        fh.write(
-            "fraction,n,fidelity_raw_mean,fidelity_raw_std,"
-            "fidelity_corrected_mean,fidelity_corrected_std\n"
-        )
-        for e in agg:
-            fh.write(
-                f"{fmt(e['fraction'])},{e['n']},{fmt(e['fidelity_raw_mean'])},"
-                f"{fmt(e['fidelity_raw_std'])},{fmt(e['fidelity_corrected_mean'])},"
-                f"{fmt(e['fidelity_corrected_std'])}\n"
-            )
+    _write_csv(summary_path, SUMMARY_COLUMNS, summarize_sweep(rows))
     n_failed = sum(r.status != "ok" for r in rows)
     print(f"wrote {args.out} ({len(rows)} cells, {n_failed} failed) and {summary_path}")
     return EXIT_OK
@@ -314,12 +305,7 @@ def _cmd_metrics(args) -> int:
             else make_max_entangled(d)
         )
     m = summarize(rho, measurements=ms, target=target, rank_rel_tol=args.rank_tol)
-    doc = {"purity": m.purity, "effective_rank": m.effective_rank}
-    if m.fidelity is not None:
-        doc["fidelity"] = m.fidelity
-    if m.residual_inf is not None:
-        doc["residual_inf"] = m.residual_inf
-    print(json.dumps(doc, sort_keys=True))
+    print(json.dumps(_metrics_to_dict(m), sort_keys=True))
     return EXIT_OK
 
 

@@ -7,15 +7,12 @@ subset solution sits from the structured set (solution minus its structural
 projection), sum those gaps into a displacement estimate, map it back onto
 the probabilities, and re-run the solver on the corrected system.
 
-The subset solves do not depend on each other, so they run in worker
-processes started with fork, one per usable CPU that BLAS threads leave
-free. Forked workers inherit the loaded modules and the BLAS settings, so
-every subset runs the same arithmetic as an in-line solve and the results
-are bit-identical. The solves run in-line when that leaves one worker, on a
-platform without fork, and inside a process that is itself a
-multiprocessing worker (a ``run_sweep(jobs>1)`` cell). The raw and final
-solves always run in the calling process, which also emits the warnings and
-sums the gaps in subset order.
+The subset solves do not depend on each other, so they run through
+``workers.ordered_map``, one forked worker per usable CPU that BLAS threads
+leave free; every subset runs the same arithmetic as an in-line solve, so
+the results are bit-identical. The raw and final solves always run in the
+calling process, which also emits the warnings and sums the gaps in subset
+order.
 
 The outcome is one ``CorrectionDiagnostics``: ``estimate_delta_rho`` fills in
 the per-subset sizes, flags and gap norms and the summed displacement, and
@@ -27,25 +24,21 @@ the report it returns.
 from __future__ import annotations
 
 import dataclasses
-import multiprocessing
 import os
 import warnings
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from itertools import repeat
 
 import numpy as np
 
-from .errors import DegenerateIterateError, DegenerateSystemError, WorkerPoolError
+from .errors import DegenerateIterateError, DegenerateSystemError
 from .linalg import mat, vec
 from .simulate import MeasurementSet, expectations, joint_vectors
 from .solver import ReconstructionConfig, ReconstructionReport, reconstruct
+from .workers import ordered_map
 
 __all__ = [
     "NoiseCorrectionConfig",
     "CorrectionDiagnostics",
-    "default_subset_count",
     "partition",
     "estimate_delta_rho",
     "correct_probabilities",
@@ -217,50 +210,14 @@ def _subset_gap(sub: MeasurementSet, sub_cfg: ReconstructionConfig):
     return vec(rep.rho_pre_gamma) - vec(rep.rho)
 
 
-# (subsets, config) in a subset worker. A forked worker inherits them from
-# the pool's initializer arguments, so no subset is pickled; tasks send only
-# an index.
-_worker_subsets: tuple | None = None
-
-
-def _init_worker(subsets, sub_cfg) -> None:
-    global _worker_subsets
-    _worker_subsets = (subsets, sub_cfg)
-
-
-def _worker_gap(j: int):
-    subsets, sub_cfg = _worker_subsets
-    return _subset_gap(subsets[j], sub_cfg)
-
-
 def _solve_subsets(subsets: list[MeasurementSet], sub_cfg: ReconstructionConfig) -> list:
     """``_subset_gap`` of every subset, in subset order."""
-    workers = _subset_workers(len(subsets))
-    if (
-        workers < 2
-        or "fork" not in multiprocessing.get_all_start_methods()
-        or multiprocessing.parent_process() is not None
-    ):
-        return list(map(_subset_gap, subsets, repeat(sub_cfg)))
-    with ProcessPoolExecutor(
-        max_workers=workers,
-        mp_context=multiprocessing.get_context("fork"),
-        initializer=_init_worker,
-        initargs=(subsets, sub_cfg),
-    ) as pool:
-        running = set(multiprocessing.active_children())
-        try:
-            futures = [pool.submit(_worker_gap, j) for j in range(len(subsets))]
-        except OSError as exc:
-            # a worker forked before the failing one would wait for work forever
-            for proc in set(multiprocessing.active_children()) - running:
-                proc.kill()
-                proc.join()
-            raise WorkerPoolError(f"could not start subset workers: {exc}") from exc
-        try:
-            return [f.result() for f in futures]
-        except BrokenProcessPool as exc:
-            raise WorkerPoolError(f"a subset worker died: {exc}") from exc
+    n = len(subsets)
+    return list(
+        ordered_map(
+            lambda j: _subset_gap(subsets[j], sub_cfg), n, _subset_workers(n), "subset"
+        )
+    )
 
 
 def estimate_delta_rho(

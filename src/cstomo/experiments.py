@@ -5,24 +5,26 @@ measurement fraction, reconstructs with and without noise correction, and
 scores fidelity against the maximally entangled target state (the benchmark
 metric; it coincides with fidelity-to-truth when the simulated state is the
 default maximally entangled one). Cells are independent and own their seeded
-RNG streams, so the sweep can run in a process pool; rows are always emitted
-sorted by (fraction, repeat) regardless of completion order.
+RNG streams, so ``run_sweep(jobs=N)`` (``cstomo sweep --jobs N``) runs them
+through ``workers.ordered_map`` in N forked worker processes, or in-line
+where there is no fork. Either way the rows, and the ``on_row`` calls that
+stream them, come in (fraction, repeat) order whatever order the cells finish
+in, and a cell's row does not depend on where it ran (its wall-clock
+``runtime_seconds`` aside).
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .correction import NoiseCorrectionConfig, reconstruct_corrected
-from .errors import WorkerPoolError
 from .metrics import fidelity_pure
 from .simulate import TwoPhotonState, make_max_entangled, simulate_measurements
 from .solver import ReconstructionConfig, reconstruct
+from .workers import ordered_map
 
 __all__ = ["SweepSpec", "SweepRow", "cell_seed", "run_sweep_cell", "run_sweep", "summarize_sweep"]
 
@@ -35,6 +37,15 @@ CSV_COLUMNS = (
     "iterations",
     "runtime_seconds",
     "status",
+)
+
+SUMMARY_COLUMNS = (
+    "fraction",
+    "n",
+    "fidelity_raw_mean",
+    "fidelity_raw_std",
+    "fidelity_corrected_mean",
+    "fidelity_corrected_std",
 )
 
 
@@ -145,37 +156,21 @@ def run_sweep_cell(spec: SweepSpec, fraction_index: int, repeat_index: int) -> S
         )
 
 
-def _cell_args(spec: SweepSpec):
-    return [
-        (fi, ri) for fi in range(len(spec.fractions)) for ri in range(spec.repeats)
-    ]
-
-
-def _run_cell_star(args) -> SweepRow:
-    spec, fi, ri = args
-    return run_sweep_cell(spec, fi, ri)
-
-
 def run_sweep(spec: SweepSpec, jobs: int = 1, on_row=None) -> list[SweepRow]:
-    """Run every cell, serially or in a process pool, and return rows sorted
-    by (fraction index, repeat). A pool worker that dies raises
-    WorkerPoolError."""
-    cells = _cell_args(spec)
-    if jobs <= 1:
-        rows = []
-        for fi, ri in cells:
-            row = run_sweep_cell(spec, fi, ri)
-            rows.append(row)
-            if on_row is not None:
-                on_row(row)
-        return rows
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        try:
-            rows = list(pool.map(_run_cell_star, [(spec, fi, ri) for fi, ri in cells]))
-        except BrokenProcessPool as exc:
-            raise WorkerPoolError(f"a sweep worker died: {exc}") from exc
-    if on_row is not None:
-        for row in rows:
+    """Run every cell, in-line or in up to ``jobs`` forked worker processes,
+    and return the rows sorted by (fraction index, repeat). ``on_row`` sees
+    each row in that order as soon as it and every row before it are done.
+    A worker that dies or cannot start raises WorkerPoolError."""
+    rows = []
+    cells = ordered_map(
+        lambda i: run_sweep_cell(spec, *divmod(i, spec.repeats)),
+        len(spec.fractions) * spec.repeats,
+        jobs,
+        "sweep",
+    )
+    for row in cells:
+        rows.append(row)
+        if on_row is not None:
             on_row(row)
     return rows
 

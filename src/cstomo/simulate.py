@@ -30,7 +30,6 @@ __all__ = [
     "random_mode",
     "joint_vectors",
     "expectations",
-    "counts_to_probs",
     "simulate_measurements",
 ]
 

@@ -42,10 +42,6 @@ __all__ = [
     "ReconstructionConfig",
     "ReconstructionReport",
     "MeasurementOperator",
-    "threshold_eigs",
-    "threshold_elements",
-    "normalize_trace",
-    "clip_to_psd",
     "enforce_structure",
     "reconstruct",
 ]
@@ -58,6 +54,10 @@ THRESHOLD_MODES = ("relative", "absolute")
 # ~1e-16 instead of failing, so a row is dropped as dependent on the rows
 # before it once its pivot falls below this cut (a residual norm of 1e-5).
 PIVOT_TOL = 1e-10
+
+# orthogonalize drops a row whose Gram-Schmidt residual norm falls below this
+# fraction of its original norm.
+_DROP_TOL = 1e-10
 
 # Below this many rows _lower_inverse hands its block to LAPACK.
 _INV_LEAF = 64
@@ -168,16 +168,11 @@ def measurement_rows(ms: MeasurementSet) -> np.ndarray:
     return (w[:, :, None] * w.conj()[:, None, :]).reshape(len(ms), -1)
 
 
-def orthogonalize(
-    a_rows: np.ndarray,
-    probs: np.ndarray,
-    *,
-    drop_tol: float = 1e-10,
-) -> OrthoSystem:
+def orthogonalize(a_rows: np.ndarray, probs: np.ndarray) -> OrthoSystem:
     """Gram-Schmidt orthonormalization of measurement rows, carrying the
     probabilities through the identical elimination/scaling coefficients.
 
-    Rows whose residual norm after elimination falls below ``drop_tol`` times
+    Rows whose residual norm after elimination falls below ``_DROP_TOL`` times
     their original norm are dropped together with their probability entry;
     the count is reported on the returned system. Elimination runs twice per
     row (classical Gram-Schmidt with reorthogonalization) so the output rows
@@ -207,7 +202,7 @@ def orthogonalize(
                 v -= coef @ work[:kept]
                 beta -= coef @ pp[:kept]
         r = np.linalg.norm(v)
-        if r < drop_tol * norm0:
+        if r < _DROP_TOL * norm0:
             continue
         work[kept] = v / r
         pp[kept] = beta / r

@@ -297,6 +297,36 @@ class TestSweepCommand:
         assert err.startswith("error: a sweep worker died") and err.count("\n") == 1
         assert not out.exists()
 
+    def test_failed_worker_start_exit_code(self, tmp_path, capsys, monkeypatch):
+        # the first worker forks, the second cannot: the first must not linger
+        real_fork = os.fork
+        forks = []
+
+        def fork_once():
+            forks.append(None)
+            if len(forks) > 1:
+                raise BlockingIOError(11, "Resource temporarily unavailable")
+            return real_fork()
+
+        monkeypatch.setattr(os, "fork", fork_once)
+        before = set(multiprocessing.active_children())
+        out = tmp_path / "sweep.csv"
+        try:
+            rc = run("sweep", "--d", 3, "--fractions", "0.75", "--repeats", 2,
+                     "--tau", 0.7, "--jobs", 2, "--out", out)
+        finally:
+            stray = set(multiprocessing.active_children()) - before
+            for proc in stray:  # keep a failure here from hanging the test run
+                proc.kill()
+                proc.join(10)
+        assert rc == 6
+        err = capsys.readouterr().err
+        assert err.startswith("error: could not start sweep workers")
+        assert err.count("\n") == 1
+        assert len(forks) == 2
+        assert not stray
+        assert not out.exists()
+
 
 class TestParser:
     def test_unknown_command_exits_2(self):

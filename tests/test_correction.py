@@ -195,7 +195,7 @@ class TestSubsetWorkers:
                 pools.append(kwargs["max_workers"])
                 super().__init__(*args, **kwargs)
 
-        monkeypatch.setattr("cstomo.correction.ProcessPoolExecutor", CountingPool)
+        monkeypatch.setattr("cstomo.workers.ProcessPoolExecutor", CountingPool)
         monkeypatch.setattr("cstomo.correction._subset_workers", lambda n: 2)
         est, pool_warnings = estimate()
         assert pools == [2]
@@ -232,7 +232,7 @@ class TestSubsetWorkers:
             def __init__(self, *args, **kwargs):
                 raise AssertionError("a pool was started")
 
-        monkeypatch.setattr("cstomo.correction.ProcessPoolExecutor", NoPool)
+        monkeypatch.setattr("cstomo.workers.ProcessPoolExecutor", NoPool)
         monkeypatch.setattr(
             "cstomo.correction._subset_workers", lambda n: 1 if reason == "one worker" else 2
         )

@@ -71,6 +71,15 @@ class TestRunSweep:
             assert a.fidelity_raw == b.fidelity_raw
             assert a.fidelity_corrected == b.fidelity_corrected
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_on_row_streams_rows_in_order(self, jobs):
+        seen = []
+        rows = run_sweep(small_spec(), jobs=jobs, on_row=seen.append)
+        assert [(r.fraction, r.repeat) for r in seen] == [
+            (0.5, 0), (0.5, 1), (0.75, 0), (0.75, 1)
+        ]
+        assert seen == rows
+
     def test_raw_only_mode(self):
         spec = small_spec(with_correction=False, repeats=1)
         rows = run_sweep(spec)
