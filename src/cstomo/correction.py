@@ -7,12 +7,15 @@ subset solution sits from the structured set (solution minus its structural
 projection), sum those gaps into a displacement estimate, map it back onto
 the probabilities, and re-run the solver on the corrected system.
 
-The subset solves do not depend on each other, so they run through
-``workers.ordered_map``, one forked worker per usable CPU that BLAS threads
-leave free; every subset runs the same arithmetic as an in-line solve, so
-the results are bit-identical. The raw and final solves always run in the
-calling process, which also emits the warnings and sums the gaps in subset
-order.
+The subset solves do not depend on each other or on the raw solve, so
+``reconstruct_corrected`` submits them to a ``workers.WorkerPool`` of one
+forked worker per usable CPU that BLAS threads leave free, and then runs the
+raw solve while the workers solve the subsets. The pool is the caller's when
+it hands one in (``run_sweep`` keeps one for all its cells), else one of its
+own, stopped once the gaps are in. Every subset runs the same arithmetic as
+an in-line solve, so the results are bit-identical. The raw and final solves
+always run in the calling process, which also emits the warnings and sums
+the gaps in subset order.
 
 The outcome is one ``CorrectionDiagnostics``: ``estimate_delta_rho`` fills in
 the per-subset sizes, flags and gap norms and the summed displacement, and
@@ -23,6 +26,7 @@ the report it returns.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import os
 import warnings
@@ -34,7 +38,7 @@ from .errors import DegenerateIterateError, DegenerateSystemError
 from .linalg import mat, vec
 from .simulate import MeasurementSet, expectations, joint_vectors
 from .solver import ReconstructionConfig, ReconstructionReport, reconstruct
-from .workers import ordered_map
+from .workers import WorkerPool, ordered_map
 
 __all__ = [
     "NoiseCorrectionConfig",
@@ -123,9 +127,13 @@ class CorrectionDiagnostics:
         return 0.0 if self.delta is None else float(np.linalg.norm(self.delta))
 
 
+# the most subsets the default partition makes
+_MAX_SUBSETS = 8
+
+
 def default_subset_count(n_measurements: int, dim: int) -> int:
     """Largest subset count ≤ 8 keeping every subset at least D measurements."""
-    n = min(8, n_measurements // dim)
+    n = min(_MAX_SUBSETS, n_measurements // dim)
     if n < 2:
         raise ValueError(
             f"{n_measurements} measurements cannot form 2 subsets of at least "
@@ -210,18 +218,30 @@ def _subset_gap(sub: MeasurementSet, sub_cfg: ReconstructionConfig):
     return vec(rep.rho_pre_gamma) - vec(rep.rho)
 
 
-def _solve_subsets(subsets: list[MeasurementSet], sub_cfg: ReconstructionConfig) -> list:
-    """``_subset_gap`` of every subset, in subset order."""
-    n = len(subsets)
-    return list(
-        ordered_map(
-            lambda j: _subset_gap(subsets[j], sub_cfg), n, _subset_workers(n), "subset"
-        )
-    )
+def _subset_pool(cfg: NoiseCorrectionConfig, n_measurements: int, dim: int) -> WorkerPool:
+    """A pool for the subsets of campaigns of up to ``n_measurements``
+    measurements of dimension ``dim``: one worker per subset of the largest,
+    as far as ``_subset_workers`` allows."""
+    n = cfg.n_subsets
+    if n is None:
+        n = min(_MAX_SUBSETS, n_measurements // dim)
+    return WorkerPool(_subset_workers(n), "subset")
+
+
+def _solve_subsets(
+    subsets: list[MeasurementSet], cfg: NoiseCorrectionConfig, pool: WorkerPool | None = None
+):
+    """``_subset_gap`` of every subset, in subset order, submitted now to
+    ``pool``; without one, to a pool of their own that starts when the first
+    gap is read."""
+    tasks = [(sub, _subset_config(cfg)) for sub in subsets]
+    if pool is None:
+        return ordered_map(_subset_gap, tasks, _subset_workers(len(tasks)), "subset")
+    return pool.map(_subset_gap, tasks)
 
 
 def estimate_delta_rho(
-    subsets: list[MeasurementSet], cfg: NoiseCorrectionConfig
+    subsets: list[MeasurementSet], cfg: NoiseCorrectionConfig, *, gaps=None
 ) -> CorrectionDiagnostics:
     """Reconstruct every subset and sum the structural gaps.
 
@@ -231,13 +251,17 @@ def estimate_delta_rho(
     flagged with a warning; any other error, such as an InvariantViolation,
     propagates. The solves run in forked worker processes (see the module
     docstring); a worker that dies or cannot start raises WorkerPoolError.
+    ``gaps`` holds the subsets' pending outcomes when the caller submitted
+    them already (``reconstruct_corrected`` does, before its raw solve).
     Warnings, flags and the sum are made here, in subset order.
     """
     if len(subsets) < 2:
         raise ValueError("need at least two subsets to estimate the displacement")
+    if gaps is None:
+        gaps = _solve_subsets(subsets, cfg)
     dim = subsets[0].d ** 2
     out = CorrectionDiagnostics(delta=np.zeros(dim * dim, dtype=complex))
-    for sub, gap in zip(subsets, _solve_subsets(subsets, _subset_config(cfg))):
+    for sub, gap in zip(subsets, gaps):
         omitted = isinstance(gap, str)
         out.subset_sizes.append(len(sub))
         out.subset_converged.append(not omitted)
@@ -283,9 +307,13 @@ def reconstruct_corrected(
     cfg: NoiseCorrectionConfig | None = None,
     *,
     on_iteration=None,
+    pool: WorkerPool | None = None,
 ) -> ReconstructionReport:
     """Full pipeline: raw solve, subset displacement estimate, probability
     correction, corrected solve.
+
+    The subsets go to ``pool`` (left open), or to a pool of this call's own,
+    before the raw solve, which then runs while they are solved.
 
     The returned report is the corrected run with ``correction`` filled in,
     including the raw run's report. If partitioning is infeasible or every
@@ -294,15 +322,21 @@ def reconstruct_corrected(
     """
     if cfg is None:
         cfg = NoiseCorrectionConfig()
-    raw = reconstruct(ms, cfg.base, on_iteration=on_iteration)
-
     try:
-        diag = estimate_delta_rho(partition(ms, cfg), cfg)
+        subsets = partition(ms, cfg)
     except ValueError as exc:
-        diag = CorrectionDiagnostics(reason=str(exc))
-    else:
-        if diag.n_omitted == diag.n_subsets:
-            diag.reason = "every subset failed to converge"
+        subsets, diag = [], CorrectionDiagnostics(reason=str(exc))
+    with (
+        contextlib.nullcontext(pool)
+        if pool is not None
+        else _subset_pool(cfg, len(ms), ms.d**2)
+    ) as pool:
+        gaps = _solve_subsets(subsets, cfg, pool)
+        raw = reconstruct(ms, cfg.base, on_iteration=on_iteration)
+        if subsets:
+            diag = estimate_delta_rho(subsets, cfg, gaps=gaps)
+            if diag.n_omitted == diag.n_subsets:
+                diag.reason = "every subset failed to converge"
     if diag.n_omitted == diag.n_subsets:  # no subset contributed
         warnings.warn(f"noise correction skipped: {diag.reason}")
         raw.correction = diag

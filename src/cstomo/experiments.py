@@ -6,25 +6,29 @@ scores fidelity against the maximally entangled target state (the benchmark
 metric; it coincides with fidelity-to-truth when the simulated state is the
 default maximally entangled one). Cells are independent and own their seeded
 RNG streams, so ``run_sweep(jobs=N)`` (``cstomo sweep --jobs N``) runs them
-through ``workers.ordered_map`` in N forked worker processes, or in-line
-where there is no fork. Either way the rows, and the ``on_row`` calls that
-stream them, come in (fraction, repeat) order whatever order the cells finish
-in, and a cell's row does not depend on where it ran (its wall-clock
-``runtime_seconds`` aside).
+in a ``workers.WorkerPool`` of N forked worker processes, which solve their
+cells' correction subsets in-line. With ``jobs < 2`` the cells run in the
+calling process and share one subset pool, started once for the whole sweep.
+Either way the rows, and the ``on_row`` calls that stream them, come in
+(fraction, repeat) order whatever order the cells finish in, and a cell's row
+does not depend on where it ran (its wall-clock ``runtime_seconds`` aside).
 """
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .correction import NoiseCorrectionConfig, reconstruct_corrected
+from .correction import NoiseCorrectionConfig, _subset_pool, reconstruct_corrected
+from .errors import WorkerPoolError
 from .metrics import fidelity_pure
 from .simulate import TwoPhotonState, make_max_entangled, simulate_measurements
 from .solver import ReconstructionConfig, reconstruct
-from .workers import ordered_map
+from .workers import WorkerPool
 
 __all__ = ["SweepSpec", "SweepRow", "cell_seed", "run_sweep_cell", "run_sweep", "summarize_sweep"]
 
@@ -106,8 +110,16 @@ def cell_seed(base_seed: int, fraction_index: int, repeat_index: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def run_sweep_cell(spec: SweepSpec, fraction_index: int, repeat_index: int) -> SweepRow:
-    """Simulate and reconstruct one (fraction, repeat) cell."""
+def _correction_config(spec: SweepSpec) -> NoiseCorrectionConfig:
+    return spec.correction or NoiseCorrectionConfig(base=spec.solver)
+
+
+def run_sweep_cell(
+    spec: SweepSpec, fraction_index: int, repeat_index: int, *, pool: WorkerPool | None = None
+) -> SweepRow:
+    """Simulate and reconstruct one (fraction, repeat) cell, solving the
+    correction's subsets in ``pool`` when one is given. An error fails the
+    cell's row, except a WorkerPoolError, which propagates."""
     fraction = spec.fractions[fraction_index]
     seed = cell_seed(spec.seed, fraction_index, repeat_index)
     target = make_max_entangled(spec.d)
@@ -121,8 +133,7 @@ def run_sweep_cell(spec: SweepSpec, fraction_index: int, repeat_index: int) -> S
         )
         start = time.perf_counter()
         if spec.with_correction:
-            corr_cfg = spec.correction or NoiseCorrectionConfig(base=spec.solver)
-            rep = reconstruct_corrected(ms, corr_cfg)
+            rep = reconstruct_corrected(ms, _correction_config(spec), pool=pool)
             if rep.correction is not None and rep.correction.applied:
                 fid_corr = fidelity_pure(rep.rho, target)
                 fid_raw = fidelity_pure(rep.correction.raw_report.rho, target)
@@ -143,6 +154,8 @@ def run_sweep_cell(spec: SweepSpec, fraction_index: int, repeat_index: int) -> S
             iterations=rep.iterations,
             runtime_seconds=elapsed,
         )
+    except WorkerPoolError:
+        raise
     except Exception as exc:
         return SweepRow(
             fraction=fraction,
@@ -161,17 +174,23 @@ def run_sweep(spec: SweepSpec, jobs: int = 1, on_row=None) -> list[SweepRow]:
     and return the rows sorted by (fraction index, repeat). ``on_row`` sees
     each row in that order as soon as it and every row before it are done.
     A worker that dies or cannot start raises WorkerPoolError."""
+    n_cells = len(spec.fractions) * spec.repeats
+    cells = [(spec, *divmod(i, spec.repeats)) for i in range(n_cells)]
+    subset_pool = None
+    if jobs < 2 and spec.with_correction:
+        # the cells run here: one pool for all their subsets, sized for the
+        # sweep's largest campaign
+        subset_pool = _subset_pool(
+            _correction_config(spec), spec.n_measurements(spec.fractions[-1]), spec.d**2
+        )
     rows = []
-    cells = ordered_map(
-        lambda i: run_sweep_cell(spec, *divmod(i, spec.repeats)),
-        len(spec.fractions) * spec.repeats,
-        jobs,
-        "sweep",
-    )
-    for row in cells:
-        rows.append(row)
-        if on_row is not None:
-            on_row(row)
+    with WorkerPool(min(jobs, n_cells), "sweep") as cell_pool, (
+        subset_pool or contextlib.nullcontext()
+    ):
+        for row in cell_pool.map(functools.partial(run_sweep_cell, pool=subset_pool), cells):
+            rows.append(row)
+            if on_row is not None:
+                on_row(row)
     return rows
 
 

@@ -1,12 +1,18 @@
-"""One ordered map over forked worker processes, for the correction's subset
-solves and the sweep's cells.
+"""A pool of forked worker processes for the correction's subset solves and
+the sweep's cells.
 
-A worker is started with fork, so it inherits the loaded modules, the BLAS
-settings and the function to run: the function is the pool initializer's
-argument, never pickled, and each task sends only an index. The map runs
-in-line with fewer than two workers, on a platform without fork, and inside
-a process that is itself a multiprocessing worker, so the subsets of a sweep
-cell never start a pool of their own.
+A task is a module-level function and its arguments, both pickled (a
+function pickles as its name). The workers are started with fork, so they
+inherit the loaded modules and the BLAS settings and run the same arithmetic
+as an in-line run. A pool outlives one map: ``run_sweep`` keeps one subset
+pool for all its cells, and ``reconstruct_corrected`` submits the subsets
+before its raw solve, so the two run at the same time. The workers start at
+the first map and all at once, before the pool's manager thread, so a live
+pool never forks again.
+
+A pool runs its maps in-line with fewer than two workers, on a platform
+without fork, and inside a process that is itself a multiprocessing worker,
+so the subsets of a sweep cell never start a pool of their own.
 """
 
 from __future__ import annotations
@@ -18,51 +24,75 @@ from typing import Callable, Iterator
 
 from .errors import WorkerPoolError
 
-# the function a worker applies to each index, set by the pool initializer
-_worker_fn: Callable | None = None
 
+class WorkerPool:
+    """Up to ``workers`` forked processes that run the tasks of every map
+    made while the pool is open; ``what`` names them in errors. A worker
+    that cannot start or dies raises WorkerPoolError; an exception a task
+    raises propagates."""
 
-def _init_worker(fn: Callable) -> None:
-    global _worker_fn
-    _worker_fn = fn
+    def __init__(self, workers: int, what: str):
+        self._what = what
+        self._workers = workers
+        self._forked = (
+            workers >= 2
+            and "fork" in multiprocessing.get_all_start_methods()
+            and multiprocessing.parent_process() is None
+        )
+        self._executor: ProcessPoolExecutor | None = None
 
+    def __enter__(self) -> WorkerPool:
+        return self
 
-def _call(i: int):
-    return _worker_fn(i)
+    def __exit__(self, *exc) -> None:
+        self.close()
 
+    def close(self) -> None:
+        """Cancel the queued tasks and stop the workers."""
+        if self._executor is not None:
+            self._executor.shutdown(cancel_futures=True)
+            self._executor = None
 
-def ordered_map(fn: Callable, n: int, workers: int, what: str) -> Iterator:
-    """Yield fn(0), …, fn(n-1) in order, computed by up to ``workers``
-    forked processes. A worker that cannot start or dies raises
-    WorkerPoolError naming ``what``; an exception fn raises propagates."""
-    workers = min(workers, n)
-    if (
-        workers < 2
-        or "fork" not in multiprocessing.get_all_start_methods()
-        or multiprocessing.parent_process() is not None
-    ):
-        yield from map(fn, range(n))
-        return
-    with ProcessPoolExecutor(
-        max_workers=workers,
-        mp_context=multiprocessing.get_context("fork"),
-        initializer=_init_worker,
-        initargs=(fn,),
-    ) as pool:
+    def map(self, fn: Callable, tasks: list[tuple]) -> Iterator:
+        """Submit fn(*task) for every task now and yield the results in task
+        order. In-line, each runs as it is read. Dropping the iterator before
+        its end cancels the tasks not yet started."""
+        if not self._forked:
+            return (fn(*task) for task in tasks)
+        if self._executor is None:
+            self._executor = ProcessPoolExecutor(
+                max_workers=self._workers, mp_context=multiprocessing.get_context("fork")
+            )
         running = set(multiprocessing.active_children())
         try:
-            futures = [pool.submit(_call, i) for i in range(n)]
+            futures = [self._executor.submit(fn, *task) for task in tasks]
         except OSError as exc:
             # a worker forked before the failing one would wait for work forever
             for proc in set(multiprocessing.active_children()) - running:
                 proc.kill()
                 proc.join()
-            raise WorkerPoolError(f"could not start {what} workers: {exc}") from exc
+            self.close()
+            raise WorkerPoolError(f"could not start {self._what} workers: {exc}") from exc
+        except BrokenProcessPool as exc:
+            raise WorkerPoolError(f"a {self._what} worker died: {exc}") from exc
+        results = self._results(futures)
+        next(results)  # enter the try, so that closing it cancels the rest
+        return results
+
+    def _results(self, futures: list) -> Iterator:
         try:
+            yield
             for future in futures:
                 yield future.result()
         except BrokenProcessPool as exc:
-            raise WorkerPoolError(f"a {what} worker died: {exc}") from exc
+            raise WorkerPoolError(f"a {self._what} worker died: {exc}") from exc
         finally:
-            # a consumer that stops early leaves no queued task to run
-            pool.shutdown(cancel_futures=True)
+            for future in futures:
+                future.cancel()
+
+
+def ordered_map(fn: Callable, tasks: list[tuple], workers: int, what: str) -> Iterator:
+    """``WorkerPool(workers, what).map(fn, tasks)`` through a pool of its
+    own, started at the first read and stopped after the last."""
+    with WorkerPool(workers, what) as pool:
+        yield from pool.map(fn, tasks)

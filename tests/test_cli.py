@@ -19,6 +19,12 @@ def run(*argv):
     return main([str(a) for a in argv])
 
 
+def die(*args, **kwargs):
+    # a worker killed mid-task (for example when memory runs out); defined
+    # here, not in a test, because a task's function is pickled by name
+    os._exit(1)
+
+
 class TestSimulateCommand:
     def test_writes_valid_file(self, tmp_path, capsys):
         out = tmp_path / "ms.json"
@@ -143,9 +149,6 @@ class TestReconstructCommand:
 
     def test_dead_subset_worker_exit_code(self, tmp_path, capsys, monkeypatch):
         # a worker killed mid-solve (for example when memory runs out)
-        def die(sub, sub_cfg):
-            os._exit(1)
-
         monkeypatch.setattr("cstomo.correction._subset_workers", lambda n: 2)
         monkeypatch.setattr("cstomo.correction._subset_gap", die)
         inp = self.make_input(tmp_path, noise=True)
@@ -214,6 +217,23 @@ class TestReconstructCommand:
         assert lines[0] == "phase,iteration,step,step_tol"
         phases = {ln.split(",")[0] for ln in lines[1:]}
         assert phases == {"raw", "corrected"}
+
+    def test_diagnostics_raw_rows_first_with_subset_workers(self, tmp_path, monkeypatch):
+        # the raw solve runs while workers solve the subsets: its rows still
+        # all come first, and the rows are the in-line run's
+        inp = self.make_input(tmp_path, n=60, noise=True)
+        texts = []
+        for workers in (1, 2):
+            monkeypatch.setattr("cstomo.correction._subset_workers", lambda n: workers)
+            diag, out = tmp_path / f"diag{workers}.csv", tmp_path / f"r{workers}.json"
+            assert run("reconstruct", inp, "--out", out, "--tau", 0.7,
+                       "--subsets", 2, "--diagnostics", diag) == 0
+            texts.append(diag.read_text())
+        doc = json.loads(out.read_text())
+        phases = [ln.split(",")[0] for ln in texts[1].strip().splitlines()[1:]]
+        n_raw = doc["correction"]["raw"]["iterations"]
+        assert phases == ["raw"] * n_raw + ["corrected"] * doc["iterations"]
+        assert texts[1] == texts[0]
 
 
 class TestMetricsCommand:
@@ -286,9 +306,6 @@ class TestSweepCommand:
 
     def test_dead_worker_exit_code(self, tmp_path, capsys, monkeypatch):
         # a cell worker killed mid-run (for example when memory runs out)
-        def die(spec, fraction_index, repeat_index):
-            os._exit(1)
-
         monkeypatch.setattr("cstomo.experiments.run_sweep_cell", die)
         out = tmp_path / "sweep.csv"
         assert run("sweep", "--d", 3, "--fractions", "0.75", "--repeats", 2,
@@ -296,6 +313,20 @@ class TestSweepCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: a sweep worker died") and err.count("\n") == 1
         assert not out.exists()
+
+    def test_dead_subset_worker_exit_code(self, tmp_path, capsys, monkeypatch):
+        # a subset worker of an in-line sweep killed mid-solve stops the
+        # sweep: the pool it shares with the later cells is gone
+        monkeypatch.setattr("cstomo.correction._subset_workers", lambda n: 2)
+        monkeypatch.setattr("cstomo.correction._subset_gap", die)
+        before = set(multiprocessing.active_children())
+        out = tmp_path / "sweep.csv"
+        assert run("sweep", "--d", 3, "--fractions", "0.75", "--repeats", 2,
+                   "--tau", 0.7, "--out", out) == 6
+        err = capsys.readouterr().err
+        assert err.startswith("error: a subset worker died") and err.count("\n") == 1
+        assert not out.exists()
+        assert set(multiprocessing.active_children()) == before
 
     def test_failed_worker_start_exit_code(self, tmp_path, capsys, monkeypatch):
         # the first worker forks, the second cannot: the first must not linger

@@ -207,6 +207,34 @@ class TestSubsetWorkers:
             "subset did not converge within k_max=100; contribution omitted"
         ]
 
+    def test_overlap_gives_the_same_report(self, monkeypatch):
+        # the raw solve runs while two workers solve the subsets
+        ms = simulate_measurements(5, 200, seed=0, mean_total_counts=300)
+        cfg = NoiseCorrectionConfig(n_subsets=4, base=ReconstructionConfig(k_max=100))
+
+        def report():
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                rep = reconstruct_corrected(ms, cfg)
+            assert rep.correction.applied
+            return json.dumps(report_to_dict(rep, d=5), sort_keys=True)
+
+        monkeypatch.setattr("cstomo.correction._subset_workers", lambda n: 1)
+        inline = report()
+        pools = []
+
+        class CountingPool(ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                pools.append(kwargs["max_workers"])
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr("cstomo.workers.ProcessPoolExecutor", CountingPool)
+        monkeypatch.setattr("cstomo.correction._subset_workers", lambda n: 2)
+        before = set(multiprocessing.active_children())
+        assert report() == inline
+        assert pools == [2]
+        assert set(multiprocessing.active_children()) == before
+
     @pytest.mark.parametrize(
         "env, n_subsets, workers",
         [

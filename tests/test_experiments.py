@@ -1,3 +1,7 @@
+import dataclasses
+import multiprocessing
+from concurrent.futures import ProcessPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -96,3 +100,52 @@ class TestRunSweep:
             vals = [r.fidelity_raw for r in rows if r.fraction == e["fraction"]]
             assert e["fidelity_raw_mean"] == pytest.approx(np.mean(vals))
             assert e["fidelity_raw_std"] == pytest.approx(np.std(vals, ddof=1))
+
+
+class TestSubsetPool:
+    # d=5, 5 and 7 subsets per cell: an in-line sweep shares one pool for them
+    SPEC = dict(d=5, fractions=[0.2, 0.3], repeats=1, solver=ReconstructionConfig())
+
+    @staticmethod
+    def count_pools(monkeypatch):
+        pools = []
+
+        class CountingPool(ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                pools.append(kwargs["max_workers"])
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr("cstomo.workers.ProcessPoolExecutor", CountingPool)
+        return pools
+
+    def test_one_pool_per_sweep(self, monkeypatch):
+        spec = small_spec(**self.SPEC)
+        monkeypatch.setattr("cstomo.correction._subset_workers", lambda n: 1)
+        inline = run_sweep(spec)
+        pools = self.count_pools(monkeypatch)
+        monkeypatch.setattr("cstomo.correction._subset_workers", lambda n: 2)
+        before = set(multiprocessing.active_children())
+        pooled = run_sweep(spec)
+        assert pools == [2]
+        assert set(multiprocessing.active_children()) == before
+        assert all(r.status == "ok" and r.fidelity_corrected > 0 for r in pooled)
+
+        def timeless(rows):
+            return [repr(dataclasses.replace(r, runtime_seconds=0.0)) for r in rows]
+
+        assert timeless(pooled) == timeless(inline)
+
+    def test_no_child_left_when_on_row_raises(self, monkeypatch):
+        pools = self.count_pools(monkeypatch)
+        monkeypatch.setattr("cstomo.correction._subset_workers", lambda n: 2)
+        before = set(multiprocessing.active_children())
+        seen = []
+
+        def stop(row):
+            seen.append(row)
+            raise RuntimeError("stop")
+
+        with pytest.raises(RuntimeError, match="stop"):
+            run_sweep(small_spec(**self.SPEC), on_row=stop)
+        assert len(seen) == 1 and pools == [2]
+        assert set(multiprocessing.active_children()) == before
