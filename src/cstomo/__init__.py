@@ -6,7 +6,6 @@ from .correction import (
     CorrectionDiagnostics,
     NoiseCorrectionConfig,
     correct_probabilities,
-    estimate_delta_rho,
     partition,
     reconstruct_corrected,
 )

@@ -4,10 +4,12 @@ Four subcommands cover the whole pipeline: ``simulate`` writes a measurement
 campaign to JSON, ``reconstruct`` recovers a density matrix from one,
 ``sweep`` runs the fidelity-vs-measurement-fraction experiment into CSV, and
 ``metrics`` scores a stored matrix. Exit codes: 0 success/converged,
-1 input or I/O error, 3 non-convergence, 4 degenerate measurement system,
-5 a solver invariant violated (a bug, not bad input), 6 a worker process
-died or could not be started (for example killed when memory ran out): one
-solving the correction's subsets, or a ``sweep --jobs N`` worker.
+1 input or I/O error, 2 a usage error (an unknown command or flag, or a bad
+flag value, reported by argparse), 3 non-convergence, 4 degenerate
+measurement system, 5 a solver invariant violated (a bug, not bad input),
+6 a worker process died or could not be started (for example killed when
+memory ran out): one solving the correction's subsets, or a
+``sweep --jobs N`` worker.
 """
 
 from __future__ import annotations
@@ -87,9 +89,9 @@ def _add_state_flags(p: argparse.ArgumentParser) -> None:
                         "(only with --state downconversion; default 2.5)")
 
 
-def _make_state(args, d: int):
-    if args.state == "downconversion":
-        return make_downconversion_state(d, args.spiral_width)
+def _make_state(name: str, d: int, spiral_width: float):
+    if name == "downconversion":
+        return make_downconversion_state(d, spiral_width)
     return make_max_entangled(d)
 
 
@@ -165,7 +167,7 @@ def _cmd_simulate(args) -> int:
     if args.measurements < 1:
         print("error: --measurements must be at least 1", file=sys.stderr)
         return EXIT_ERROR
-    state = _make_state(args, args.d)
+    state = _make_state(args.state, args.d, args.spiral_width)
     ms = simulate_measurements(
         args.d,
         args.measurements,
@@ -259,7 +261,6 @@ def _write_csv(path: str, columns: tuple[str, ...], records: list[dict]) -> None
 
 def _cmd_sweep(args) -> int:
     fractions = [float(tok) for tok in args.fractions.split(",") if tok.strip()]
-    cfg = _solver_config(args)
     spec = SweepSpec(
         d=args.d,
         fractions=fractions,
@@ -267,9 +268,9 @@ def _cmd_sweep(args) -> int:
         mean_total_counts=args.mean_total_counts,
         seed=args.seed,
         with_correction=not args.no_correction,
-        state=_make_state(args, args.d),
-        solver=cfg,
-        correction=NoiseCorrectionConfig(n_subsets=args.subsets, base=cfg),
+        state=_make_state(args.state, args.d, args.spiral_width),
+        solver=_solver_config(args),
+        n_subsets=args.subsets,
     )
     rows = run_sweep(spec, jobs=args.jobs)
     _write_csv(args.out, CSV_COLUMNS, [vars(r) for r in rows])
@@ -299,11 +300,7 @@ def _cmd_metrics(args) -> int:
                 f"matrix dimension {rho.shape[0]} is not a perfect square; "
                 "cannot build a two-photon target"
             )
-        target = (
-            make_downconversion_state(d, args.spiral_width)
-            if args.target == "downconversion"
-            else make_max_entangled(d)
-        )
+        target = _make_state(args.target, d, args.spiral_width)
     m = summarize(rho, measurements=ms, target=target, rank_rel_tol=args.rank_tol)
     print(json.dumps(_metrics_to_dict(m), sort_keys=True))
     return EXIT_OK

@@ -7,21 +7,22 @@ subset solution sits from the structured set (solution minus its structural
 projection), sum those gaps into a displacement estimate, map it back onto
 the probabilities, and re-run the solver on the corrected system.
 
-The subset solves do not depend on each other or on the raw solve, so
-``reconstruct_corrected`` submits them to a ``workers.WorkerPool`` of one
-forked worker per usable CPU that BLAS threads leave free, and then runs the
-raw solve while the workers solve the subsets. The pool is the caller's when
-it hands one in (``run_sweep`` keeps one for all its cells), else one of its
-own, stopped once the gaps are in. Every subset runs the same arithmetic as
-an in-line solve, so the results are bit-identical. The raw and final solves
+The subset solves do not depend on each other or on the raw solve.
+``reconstruct_corrected`` is the one place that submits them: to a
+``workers.WorkerPool`` of one forked worker per usable CPU that BLAS threads
+leave free, before the raw solve, which then runs while the workers solve
+the subsets. The pool is the caller's when it hands one in (``run_sweep``
+keeps one from ``subset_pool`` for all its cells), else one of its own,
+stopped once the gaps are in. Every subset runs the same arithmetic as an
+in-line solve, so the results are bit-identical. The raw and final solves
 always run in the calling process, which also emits the warnings and sums
 the gaps in subset order.
 
-The outcome is one ``CorrectionDiagnostics``: ``estimate_delta_rho`` fills in
-the per-subset sizes, flags and gap norms and the summed displacement, and
-``reconstruct_corrected`` adds the clamp count and the raw report when the
-correction is applied, or the reason it was skipped, before attaching it to
-the report it returns.
+The outcome is one ``CorrectionDiagnostics``: ``estimate_delta_rho`` sums
+the subsets' outcomes into the per-subset sizes, flags and gap norms and the
+summed displacement, and ``reconstruct_corrected`` adds the clamp count and
+the raw report when the correction is applied, or the reason it was
+skipped, before attaching it to the report it returns.
 """
 
 from __future__ import annotations
@@ -38,13 +39,13 @@ from .errors import DegenerateIterateError, DegenerateSystemError
 from .linalg import mat, vec
 from .simulate import MeasurementSet, expectations, joint_vectors
 from .solver import ReconstructionConfig, ReconstructionReport, reconstruct
-from .workers import WorkerPool, ordered_map
+from .workers import WorkerPool
 
 __all__ = [
     "NoiseCorrectionConfig",
     "CorrectionDiagnostics",
     "partition",
-    "estimate_delta_rho",
+    "subset_pool",
     "correct_probabilities",
     "reconstruct_corrected",
 ]
@@ -131,22 +132,25 @@ class CorrectionDiagnostics:
 _MAX_SUBSETS = 8
 
 
-def default_subset_count(n_measurements: int, dim: int) -> int:
-    """Largest subset count ≤ 8 keeping every subset at least D measurements."""
-    n = min(_MAX_SUBSETS, n_measurements // dim)
-    if n < 2:
-        raise ValueError(
-            f"{n_measurements} measurements cannot form 2 subsets of at least "
-            f"{dim} each; noise correction is infeasible"
-        )
-    return n
+def _subset_count(n_subsets: int | None, n_measurements: int, dim: int) -> int:
+    """``n_subsets`` when given, else the largest count ≤ 8 keeping every
+    subset at least D measurements (below 2 when two such subsets do not
+    fit)."""
+    if n_subsets is not None:
+        return int(n_subsets)
+    return min(_MAX_SUBSETS, n_measurements // dim)
 
 
 def partition(ms: MeasurementSet, cfg: NoiseCorrectionConfig) -> list[MeasurementSet]:
     """Split a measurement set into disjoint subsets covering it exactly."""
     m = len(ms)
     dim = ms.d**2
-    n = int(cfg.n_subsets) if cfg.n_subsets is not None else default_subset_count(m, dim)
+    n = _subset_count(cfg.n_subsets, m, dim)
+    if n < 2:  # only the default count falls below 2
+        raise ValueError(
+            f"{m} measurements cannot form 2 subsets of at least "
+            f"{dim} each; noise correction is infeasible"
+        )
     if m // n < dim:
         raise ValueError(
             f"{m} measurements over {n} subsets leaves {m // n} per subset, "
@@ -218,47 +222,27 @@ def _subset_gap(sub: MeasurementSet, sub_cfg: ReconstructionConfig):
     return vec(rep.rho_pre_gamma) - vec(rep.rho)
 
 
-def _subset_pool(cfg: NoiseCorrectionConfig, n_measurements: int, dim: int) -> WorkerPool:
-    """A pool for the subsets of campaigns of up to ``n_measurements``
-    measurements of dimension ``dim``: one worker per subset of the largest,
-    as far as ``_subset_workers`` allows."""
-    n = cfg.n_subsets
-    if n is None:
-        n = min(_MAX_SUBSETS, n_measurements // dim)
-    return WorkerPool(_subset_workers(n), "subset")
+def subset_pool(n_subsets: int | None, n_measurements: int, dim: int) -> WorkerPool:
+    """A pool for the correction subsets of campaigns of up to
+    ``n_measurements`` measurements of dimension ``dim``, split into
+    ``n_subsets`` (None: the default count): one worker per subset of the
+    largest, as far as ``_subset_workers`` allows."""
+    return WorkerPool(_subset_workers(_subset_count(n_subsets, n_measurements, dim)), "subset")
 
 
-def _solve_subsets(
-    subsets: list[MeasurementSet], cfg: NoiseCorrectionConfig, pool: WorkerPool | None = None
-):
-    """``_subset_gap`` of every subset, in subset order, submitted now to
-    ``pool``; without one, to a pool of their own that starts when the first
-    gap is read."""
-    tasks = [(sub, _subset_config(cfg)) for sub in subsets]
-    if pool is None:
-        return ordered_map(_subset_gap, tasks, _subset_workers(len(tasks)), "subset")
-    return pool.map(_subset_gap, tasks)
+def estimate_delta_rho(subsets: list[MeasurementSet], gaps) -> CorrectionDiagnostics:
+    """Sum the subsets' structural gaps.
 
-
-def estimate_delta_rho(
-    subsets: list[MeasurementSet], cfg: NoiseCorrectionConfig, *, gaps=None
-) -> CorrectionDiagnostics:
-    """Reconstruct every subset and sum the structural gaps.
-
-    For subset i the gap is vec(solution) − vec(structural stage of the
-    solution); the pre-structural converged iterate is the subset solution.
-    Subsets that fail to converge (or degenerate) contribute nothing and are
-    flagged with a warning; any other error, such as an InvariantViolation,
-    propagates. The solves run in forked worker processes (see the module
-    docstring); a worker that dies or cannot start raises WorkerPoolError.
-    ``gaps`` holds the subsets' pending outcomes when the caller submitted
-    them already (``reconstruct_corrected`` does, before its raw solve).
-    Warnings, flags and the sum are made here, in subset order.
+    ``gaps`` holds each subset's ``_subset_gap`` outcome, in subset order:
+    vec(solution) − vec(structural stage of the solution), where the
+    pre-structural converged iterate is the subset solution, or the reason
+    the subset is omitted. It may be a pool's pending results, and then
+    reading it waits for the workers: an exception a solve raised, such as
+    an InvariantViolation, propagates, and a worker that died raises
+    WorkerPoolError. An omitted subset contributes nothing and is flagged
+    with a warning. Warnings, flags and the sum are made here, in subset
+    order.
     """
-    if len(subsets) < 2:
-        raise ValueError("need at least two subsets to estimate the displacement")
-    if gaps is None:
-        gaps = _solve_subsets(subsets, cfg)
     dim = subsets[0].d ** 2
     out = CorrectionDiagnostics(delta=np.zeros(dim * dim, dtype=complex))
     for sub, gap in zip(subsets, gaps):
@@ -313,7 +297,8 @@ def reconstruct_corrected(
     correction, corrected solve.
 
     The subsets go to ``pool`` (left open), or to a pool of this call's own,
-    before the raw solve, which then runs while they are solved.
+    before the raw solve, which then runs while they are solved. A worker
+    that dies or cannot start raises WorkerPoolError.
 
     The returned report is the corrected run with ``correction`` filled in,
     including the raw run's report. If partitioning is infeasible or every
@@ -326,15 +311,16 @@ def reconstruct_corrected(
         subsets = partition(ms, cfg)
     except ValueError as exc:
         subsets, diag = [], CorrectionDiagnostics(reason=str(exc))
+    sub_cfg = _subset_config(cfg)
     with (
         contextlib.nullcontext(pool)
         if pool is not None
-        else _subset_pool(cfg, len(ms), ms.d**2)
+        else subset_pool(cfg.n_subsets, len(ms), ms.d**2)
     ) as pool:
-        gaps = _solve_subsets(subsets, cfg, pool)
+        gaps = pool.map(_subset_gap, [(sub, sub_cfg) for sub in subsets])
         raw = reconstruct(ms, cfg.base, on_iteration=on_iteration)
         if subsets:
-            diag = estimate_delta_rho(subsets, cfg, gaps=gaps)
+            diag = estimate_delta_rho(subsets, gaps)
             if diag.n_omitted == diag.n_subsets:
                 diag.reason = "every subset failed to converge"
     if diag.n_omitted == diag.n_subsets:  # no subset contributed

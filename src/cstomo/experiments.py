@@ -8,7 +8,8 @@ default maximally entangled one). Cells are independent and own their seeded
 RNG streams, so ``run_sweep(jobs=N)`` (``cstomo sweep --jobs N``) runs them
 in a ``workers.WorkerPool`` of N forked worker processes, which solve their
 cells' correction subsets in-line. With ``jobs < 2`` the cells run in the
-calling process and share one subset pool, started once for the whole sweep.
+calling process, and each cell's ``reconstruct_corrected`` submits its
+subsets to one ``correction.subset_pool``, started once for the whole sweep.
 Either way the rows, and the ``on_row`` calls that stream them, come in
 (fraction, repeat) order whatever order the cells finish in, and a cell's row
 does not depend on where it ran (its wall-clock ``runtime_seconds`` aside).
@@ -23,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .correction import NoiseCorrectionConfig, _subset_pool, reconstruct_corrected
+from .correction import NoiseCorrectionConfig, reconstruct_corrected, subset_pool
 from .errors import WorkerPoolError
 from .metrics import fidelity_pure
 from .simulate import TwoPhotonState, make_max_entangled, simulate_measurements
@@ -60,7 +61,9 @@ class SweepSpec:
     fractions are of the informationally complete budget d⁴ (1.0 means d⁴
     random projective measurements) and must be sorted ascending in (0, 1].
     with_correction=True scores both the raw and the corrected
-    reconstruction; False runs raw only.
+    reconstruction; False runs raw only. Both solve with ``solver``; the
+    correction splits each campaign into ``n_subsets`` subsets (None: the
+    correction's default count), which must be at least 2 when given.
     """
 
     d: int
@@ -71,7 +74,7 @@ class SweepSpec:
     with_correction: bool = True
     state: TwoPhotonState | None = None
     solver: ReconstructionConfig = field(default_factory=ReconstructionConfig)
-    correction: NoiseCorrectionConfig | None = None
+    n_subsets: int | None = None
 
     def __post_init__(self):
         if not self.fractions:
@@ -87,6 +90,8 @@ class SweepSpec:
         self.repeats = int(self.repeats)
         if not float(self.mean_total_counts) > 0:
             raise ValueError("mean_total_counts must be positive")
+        if self.n_subsets is not None and int(self.n_subsets) < 2:
+            raise ValueError(f"n_subsets must be at least 2, got {self.n_subsets}")
 
     def n_measurements(self, fraction: float) -> int:
         return max(1, round(float(fraction) * self.d**4))
@@ -110,10 +115,6 @@ def cell_seed(base_seed: int, fraction_index: int, repeat_index: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def _correction_config(spec: SweepSpec) -> NoiseCorrectionConfig:
-    return spec.correction or NoiseCorrectionConfig(base=spec.solver)
-
-
 def run_sweep_cell(
     spec: SweepSpec, fraction_index: int, repeat_index: int, *, pool: WorkerPool | None = None
 ) -> SweepRow:
@@ -133,7 +134,8 @@ def run_sweep_cell(
         )
         start = time.perf_counter()
         if spec.with_correction:
-            rep = reconstruct_corrected(ms, _correction_config(spec), pool=pool)
+            cfg = NoiseCorrectionConfig(n_subsets=spec.n_subsets, base=spec.solver)
+            rep = reconstruct_corrected(ms, cfg, pool=pool)
             if rep.correction is not None and rep.correction.applied:
                 fid_corr = fidelity_pure(rep.rho, target)
                 fid_raw = fidelity_pure(rep.correction.raw_report.rho, target)
@@ -176,18 +178,18 @@ def run_sweep(spec: SweepSpec, jobs: int = 1, on_row=None) -> list[SweepRow]:
     A worker that dies or cannot start raises WorkerPoolError."""
     n_cells = len(spec.fractions) * spec.repeats
     cells = [(spec, *divmod(i, spec.repeats)) for i in range(n_cells)]
-    subset_pool = None
+    sub_pool = None
     if jobs < 2 and spec.with_correction:
         # the cells run here: one pool for all their subsets, sized for the
         # sweep's largest campaign
-        subset_pool = _subset_pool(
-            _correction_config(spec), spec.n_measurements(spec.fractions[-1]), spec.d**2
+        sub_pool = subset_pool(
+            spec.n_subsets, spec.n_measurements(spec.fractions[-1]), spec.d**2
         )
     rows = []
     with WorkerPool(min(jobs, n_cells), "sweep") as cell_pool, (
-        subset_pool or contextlib.nullcontext()
+        sub_pool or contextlib.nullcontext()
     ):
-        for row in cell_pool.map(functools.partial(run_sweep_cell, pool=subset_pool), cells):
+        for row in cell_pool.map(functools.partial(run_sweep_cell, pool=sub_pool), cells):
             rows.append(row)
             if on_row is not None:
                 on_row(row)

@@ -4,9 +4,10 @@ the sweep's cells.
 A task is a module-level function and its arguments, both pickled (a
 function pickles as its name). The workers are started with fork, so they
 inherit the loaded modules and the BLAS settings and run the same arithmetic
-as an in-line run. A pool outlives one map: ``run_sweep`` keeps one subset
-pool for all its cells, and ``reconstruct_corrected`` submits the subsets
-before its raw solve, so the two run at the same time. The workers start at
+as an in-line run. A pool outlives one map. ``reconstruct_corrected`` is
+the one place that submits the correction's subsets: to its caller's pool
+(``run_sweep`` keeps one for all its cells) or to one of its own, before its
+raw solve, so the two run at the same time. The workers start at
 the first map and all at once, before the pool's manager thread, so a live
 pool never forks again.
 
@@ -90,9 +91,3 @@ class WorkerPool:
             for future in futures:
                 future.cancel()
 
-
-def ordered_map(fn: Callable, tasks: list[tuple], workers: int, what: str) -> Iterator:
-    """``WorkerPool(workers, what).map(fn, tasks)`` through a pool of its
-    own, started at the first read and stopped after the last."""
-    with WorkerPool(workers, what) as pool:
-        yield from pool.map(fn, tasks)

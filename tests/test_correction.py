@@ -12,10 +12,9 @@ import pytest
 from cstomo.correction import (
     NoiseCorrectionConfig,
     _subset_config,
+    _subset_count,
     _subset_workers,
     correct_probabilities,
-    default_subset_count,
-    estimate_delta_rho,
     partition,
     reconstruct_corrected,
 )
@@ -44,10 +43,11 @@ class TestConfig:
             NoiseCorrectionConfig(subset_assignment="alphabetical")
 
     def test_default_subset_count(self):
-        assert default_subset_count(100, 9) == 8
-        assert default_subset_count(30, 9) == 3
+        assert _subset_count(None, 100, 9) == 8
+        assert _subset_count(None, 30, 9) == 3
+        assert _subset_count(5, 30, 9) == 5
         with pytest.raises(ValueError, match="infeasible"):
-            default_subset_count(17, 9)
+            partition(simulate_measurements(3, 17, seed=0), NoiseCorrectionConfig())
 
     @pytest.mark.parametrize("subset_tol, expected", [(None, 1e-2), (1e-4, 1e-4), (1e-1, 1e-2)])
     def test_subset_config_keeps_base_fields(self, subset_tol, expected):
@@ -101,15 +101,20 @@ class TestEstimateDeltaRho:
         # subsets of 30: deep lock onto the structured fixed point
         ms = simulate_measurements(3, 60, seed=4)
         cfg = d3_correction_config(n_subsets=2, subset_step_tol_rel=1e-9)
-        est = estimate_delta_rho(partition(ms, cfg), cfg)
+        est = reconstruct_corrected(ms, cfg).correction
         assert np.linalg.norm(est.delta) <= 1e-6
         assert est.subset_converged == [True, True]
 
     def test_single_subset_rejected(self):
-        ms = simulate_measurements(3, 60, seed=5)
-        subs = partition(ms, d3_correction_config(n_subsets=2))
-        with pytest.raises(ValueError, match="two subsets"):
-            estimate_delta_rho(subs[:1], d3_correction_config())
+        # 17 measurements of D=9 make one subset by default: no estimate
+        ms = simulate_measurements(3, 17, seed=5)
+        with pytest.warns(UserWarning, match="infeasible"):
+            est = reconstruct_corrected(ms, d3_correction_config()).correction
+        assert est.n_subsets == 0 and est.delta is None and not est.applied
+        assert est.reason == (
+            "17 measurements cannot form 2 subsets of at least 9 each; "
+            "noise correction is infeasible"
+        )
 
     def test_noisy_delta_nonzero_and_correction_helps(self):
         # demonstration instance: subsets large enough to lock (30 each) and
@@ -117,7 +122,7 @@ class TestEstimateDeltaRho:
         # the probability error, shrinking the residual at the true state
         ms = simulate_measurements(3, 60, seed=0, mean_total_counts=1e4)
         cfg = d3_correction_config(n_subsets=2, subset_step_tol_rel=1e-6)
-        est = estimate_delta_rho(partition(ms, cfg), cfg)
+        est = reconstruct_corrected(ms, cfg).correction
         assert np.linalg.norm(est.delta) > 1e-4
         corrected, _ = correct_probabilities(ms, est.delta)
         truth_vec = vec(state_to_density(ms.truth))
@@ -135,18 +140,24 @@ class TestEstimateDeltaRho:
             base=ReconstructionConfig(tau=0.7, k_max=1),
             subset_step_tol_rel=1e-12,
         )
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            est = estimate_delta_rho(partition(ms, cfg), cfg)
+        with pytest.warns(UserWarning) as caught:
+            est = reconstruct_corrected(ms, cfg).correction
         assert est.subset_converged == [False, False]
         assert est.n_omitted == 2
         assert np.linalg.norm(est.delta) == 0.0
-
+        assert [str(w.message) for w in caught][:2] == [
+            "subset did not converge within k_max=1; contribution omitted"
+        ] * 2
 
     def test_invariant_violation_propagates(self, monkeypatch):
         # a convention bug must surface, not become an omitted subset, also
-        # when a subset worker process raises it
-        def broken(ms, cfg):
+        # when a subset worker process raises it; the raw solve, in this
+        # process, succeeds
+        parent = os.getpid()
+
+        def broken(ms, cfg, **kwargs):
+            if os.getpid() == parent:
+                return reconstruct(ms, cfg, **kwargs)
             raise InvariantViolation(
                 f"projection 1 left constraint residual 1e-3 > 1e-9 (pid {os.getpid()})"
             )
@@ -155,10 +166,12 @@ class TestEstimateDeltaRho:
         cfg = d3_correction_config(n_subsets=2)
         monkeypatch.setattr("cstomo.correction.reconstruct", broken)
         monkeypatch.setattr("cstomo.correction._subset_workers", lambda n: 2)
+        before = set(multiprocessing.active_children())
         with pytest.raises(InvariantViolation) as info:
-            estimate_delta_rho(partition(ms, cfg), cfg)
+            reconstruct_corrected(ms, cfg)
         pid = int(re.search(r"pid (\d+)", str(info.value)).group(1))
-        assert pid != os.getpid()
+        assert pid != parent
+        assert set(multiprocessing.active_children()) == before
 
 
 class TestSubsetWorkers:
@@ -183,7 +196,7 @@ class TestSubsetWorkers:
         def estimate():
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
-                est = estimate_delta_rho(subsets, cfg)
+                est = reconstruct_corrected(ms, cfg).correction
             return est, [str(w.message) for w in caught]
 
         monkeypatch.setattr("cstomo.correction._subset_workers", lambda n: 1)
@@ -270,7 +283,7 @@ class TestSubsetWorkers:
             monkeypatch.setattr(multiprocessing, "parent_process", lambda: object())
         ms = simulate_measurements(3, 60, seed=4)
         cfg = d3_correction_config(n_subsets=2)
-        est = estimate_delta_rho(partition(ms, cfg), cfg)
+        est = reconstruct_corrected(ms, cfg).correction
         assert est.subset_converged == [True, True]
 
 

@@ -84,6 +84,19 @@ class TestRunSweep:
         ]
         assert seen == rows
 
+    def test_corrected_raw_fidelity_uses_the_solver(self):
+        # a non-default solver (tau=0.7) with a subset count: the corrected
+        # cells' raw solve is the raw-only sweep's
+        spec = small_spec(fractions=[0.4, 0.75], repeats=1, n_subsets=2)
+        corrected = run_sweep(spec)
+        raw_only = run_sweep(dataclasses.replace(spec, with_correction=False))
+        assert all(r.status == "ok" for r in corrected)
+        assert [r.fidelity_raw for r in corrected] == [r.fidelity_raw for r in raw_only]
+
+    def test_rejects_single_subset(self):
+        with pytest.raises(ValueError, match="at least 2"):
+            small_spec(n_subsets=1)
+
     def test_raw_only_mode(self):
         spec = small_spec(with_correction=False, repeats=1)
         rows = run_sweep(spec)
@@ -118,6 +131,10 @@ class TestSubsetPool:
         monkeypatch.setattr("cstomo.workers.ProcessPoolExecutor", CountingPool)
         return pools
 
+    @staticmethod
+    def timeless(rows):
+        return [repr(dataclasses.replace(r, runtime_seconds=0.0)) for r in rows]
+
     def test_one_pool_per_sweep(self, monkeypatch):
         spec = small_spec(**self.SPEC)
         monkeypatch.setattr("cstomo.correction._subset_workers", lambda n: 1)
@@ -130,10 +147,29 @@ class TestSubsetPool:
         assert set(multiprocessing.active_children()) == before
         assert all(r.status == "ok" and r.fidelity_corrected > 0 for r in pooled)
 
-        def timeless(rows):
-            return [repr(dataclasses.replace(r, runtime_seconds=0.0)) for r in rows]
+        assert self.timeless(pooled) == self.timeless(inline)
 
-        assert timeless(pooled) == timeless(inline)
+    def test_shared_pool_skips_a_cell_it_cannot_partition(self, monkeypatch):
+        # M=31 < 2·25 at fraction 0.05: the first cell maps no subsets on the
+        # shared pool, the next cell maps five
+        spec = small_spec(d=5, fractions=[0.05, 0.2], repeats=1, solver=ReconstructionConfig())
+
+        def run():
+            with pytest.warns(UserWarning, match="infeasible"):
+                return run_sweep(spec)
+
+        monkeypatch.setattr("cstomo.correction._subset_workers", lambda n: 1)
+        inline = run()
+        pools = self.count_pools(monkeypatch)
+        monkeypatch.setattr("cstomo.correction._subset_workers", lambda n: 2)
+        before = set(multiprocessing.active_children())
+        pooled = run()
+        assert pools == [2]
+        assert set(multiprocessing.active_children()) == before
+        assert [r.status for r in pooled] == ["ok", "ok"]
+        assert np.isnan(pooled[0].fidelity_corrected) and pooled[1].fidelity_corrected > 0
+
+        assert self.timeless(pooled) == self.timeless(inline)
 
     def test_no_child_left_when_on_row_raises(self, monkeypatch):
         pools = self.count_pools(monkeypatch)
