@@ -8,15 +8,20 @@ projection), sum those gaps into a displacement estimate, map it back onto
 the probabilities, and re-run the solver on the corrected system.
 
 The subset solves do not depend on each other or on the raw solve.
-``reconstruct_corrected`` is the one place that submits them: to a
-``workers.WorkerPool`` of one forked worker per usable CPU that BLAS threads
-leave free, before the raw solve, which then runs while the workers solve
-the subsets. The pool is the caller's when it hands one in (``run_sweep``
-keeps one from ``subset_pool`` for all its cells), else one of its own,
-stopped once the gaps are in. Every subset runs the same arithmetic as an
-in-line solve, so the results are bit-identical. The raw and final solves
-always run in the calling process, which also emits the warnings and sums
-the gaps in subset order.
+``submit_subsets`` is the one place that submits them: it partitions the
+campaign and maps ``_subset_gap`` over the subsets on a ``workers.WorkerPool``
+of one forked worker per usable CPU that BLAS threads leave free.
+``reconstruct_corrected`` reads the gaps. Called alone (``cstomo
+reconstruct``) it submits to a pool of its own, runs the raw solve while the
+workers solve the subsets, waits for their gaps, stops the pool and runs
+the final solve. An in-line sweep instead submits each cell's subsets itself,
+on the one pool it keeps from ``subset_pool``, a few cells ahead of the cell
+being solved, and hands them in: the workers solve the next cells' subsets
+while the calling process runs the current cell's solves (see
+``experiments``). Every subset runs the same arithmetic as an in-line solve
+wherever and whenever it runs, so the results are bit-identical. The raw and
+final solves always run in the calling process, which also emits the
+warnings and sums the gaps in subset order.
 
 The outcome is one ``CorrectionDiagnostics``: ``estimate_delta_rho`` sums
 the subsets' outcomes into the per-subset sizes, flags and gap norms and the
@@ -32,6 +37,7 @@ import dataclasses
 import os
 import warnings
 from dataclasses import dataclass, field
+from typing import Iterator
 
 import numpy as np
 
@@ -46,6 +52,8 @@ __all__ = [
     "CorrectionDiagnostics",
     "partition",
     "subset_pool",
+    "SubmittedSubsets",
+    "submit_subsets",
     "correct_probabilities",
     "reconstruct_corrected",
 ]
@@ -230,6 +238,30 @@ def subset_pool(n_subsets: int | None, n_measurements: int, dim: int) -> WorkerP
     return WorkerPool(_subset_workers(_subset_count(n_subsets, n_measurements, dim)), "subset")
 
 
+@dataclass(eq=False)
+class SubmittedSubsets:
+    """A campaign's correction subsets and their pending ``_subset_gap``
+    outcomes, in subset order; no subsets, and the reason, when the campaign
+    cannot be partitioned."""
+
+    subsets: list[MeasurementSet]
+    gaps: Iterator
+    reason: str = ""
+
+
+def submit_subsets(
+    ms: MeasurementSet, cfg: NoiseCorrectionConfig, pool: WorkerPool
+) -> SubmittedSubsets:
+    """Partition ``ms`` and submit its subsets' solves to ``pool``; the
+    gaps are read by the ``reconstruct_corrected`` call handed the result."""
+    try:
+        subsets = partition(ms, cfg)
+    except ValueError as exc:
+        return SubmittedSubsets([], iter(()), reason=str(exc))
+    sub_cfg = _subset_config(cfg)
+    return SubmittedSubsets(subsets, pool.map(_subset_gap, [(sub, sub_cfg) for sub in subsets]))
+
+
 def estimate_delta_rho(subsets: list[MeasurementSet], gaps) -> CorrectionDiagnostics:
     """Sum the subsets' structural gaps.
 
@@ -291,14 +323,16 @@ def reconstruct_corrected(
     cfg: NoiseCorrectionConfig | None = None,
     *,
     on_iteration=None,
-    pool: WorkerPool | None = None,
+    submitted: SubmittedSubsets | None = None,
 ) -> ReconstructionReport:
     """Full pipeline: raw solve, subset displacement estimate, probability
     correction, corrected solve.
 
-    The subsets go to ``pool`` (left open), or to a pool of this call's own,
-    before the raw solve, which then runs while they are solved. A worker
-    that dies or cannot start raises WorkerPoolError.
+    ``submitted`` is ``submit_subsets(ms, cfg, pool)`` made earlier on a
+    caller's pool; without it the subsets go to a pool of this call's own,
+    before the raw solve, which then runs while they are solved, and the
+    pool stops once the gaps are in. A worker that dies or cannot start
+    raises WorkerPoolError.
 
     The returned report is the corrected run with ``correction`` filled in,
     including the raw run's report. If partitioning is infeasible or every
@@ -307,22 +341,20 @@ def reconstruct_corrected(
     """
     if cfg is None:
         cfg = NoiseCorrectionConfig()
-    try:
-        subsets = partition(ms, cfg)
-    except ValueError as exc:
-        subsets, diag = [], CorrectionDiagnostics(reason=str(exc))
-    sub_cfg = _subset_config(cfg)
     with (
-        contextlib.nullcontext(pool)
-        if pool is not None
-        else subset_pool(cfg.n_subsets, len(ms), ms.d**2)
+        subset_pool(cfg.n_subsets, len(ms), ms.d**2)
+        if submitted is None
+        else contextlib.nullcontext()
     ) as pool:
-        gaps = pool.map(_subset_gap, [(sub, sub_cfg) for sub in subsets])
+        if submitted is None:
+            submitted = submit_subsets(ms, cfg, pool)
         raw = reconstruct(ms, cfg.base, on_iteration=on_iteration)
-        if subsets:
-            diag = estimate_delta_rho(subsets, gaps)
+        if submitted.subsets:
+            diag = estimate_delta_rho(submitted.subsets, submitted.gaps)
             if diag.n_omitted == diag.n_subsets:
                 diag.reason = "every subset failed to converge"
+        else:
+            diag = CorrectionDiagnostics(reason=submitted.reason)
     if diag.n_omitted == diag.n_subsets:  # no subset contributed
         warnings.warn(f"noise correction skipped: {diag.reason}")
         raw.correction = diag

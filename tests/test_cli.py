@@ -9,8 +9,11 @@ import numpy as np
 import pytest
 
 import cstomo
+import cstomo.experiments
 from cstomo.cli import main
+from cstomo.correction import _subset_gap
 from cstomo.errors import InvariantViolation
+from cstomo.experiments import cell_seed
 from cstomo.serialize import load_measurement_set
 from cstomo.simulate import make_max_entangled, state_to_density
 
@@ -23,6 +26,28 @@ def die(*args, **kwargs):
     # a worker killed mid-task (for example when memory runs out); defined
     # here, not in a test, because a task's function is pickled by name
     os._exit(1)
+
+
+# the seed whose subsets ``die_on_seed`` kills; forked workers see the value
+# set before the pool starts
+DIE_SEED = None
+
+
+def die_on_seed(sub, sub_cfg):
+    if sub.seed == DIE_SEED:
+        os._exit(1)
+    return _subset_gap(sub, sub_cfg)
+
+
+def strip_runtime(text):
+    """A sweep CSV with its wall-clock runtime_seconds column blanked."""
+    out = []
+    for i, ln in enumerate(text.strip().splitlines()):
+        cells = ln.split(",")
+        if i:
+            cells[6] = "_"
+        out.append(",".join(cells))
+    return "\n".join(out)
 
 
 class TestSimulateCommand:
@@ -235,6 +260,19 @@ class TestReconstructCommand:
         assert phases == ["raw"] * n_raw + ["corrected"] * doc["iterations"]
         assert texts[1] == texts[0]
 
+    @pytest.mark.filterwarnings("ignore:subset did not converge")
+    @pytest.mark.parametrize("seed", [5, 8])
+    def test_reports_identical_across_subset_worker_counts(self, tmp_path, monkeypatch, seed):
+        inp = self.make_input(tmp_path, n=60, noise=True, seed=seed)
+        for flags in ((), ("--no-correction",)):
+            reports = []
+            for workers in (1, 2):
+                monkeypatch.setattr("cstomo.correction._subset_workers", lambda n: workers)
+                out = tmp_path / f"r{workers}.json"
+                assert run("reconstruct", inp, "--out", out, "--tau", 0.7, *flags) == 0
+                reports.append(out.read_bytes())
+            assert reports[1] == reports[0]
+
 
 class TestMetricsCommand:
     def test_truth_matrix_fidelity_one(self, tmp_path, capsys):
@@ -290,19 +328,45 @@ class TestSweepCommand:
         rows_a = a.read_text().strip().splitlines()
         assert len(rows_a) == 1 + 2 * 2
         # identical except the wall-clock runtime column
-        def strip_runtime(text):
-            out = []
-            for i, ln in enumerate(text.strip().splitlines()):
-                cells = ln.split(",")
-                if i:
-                    cells[6] = "_"
-                out.append(",".join(cells))
-            return "\n".join(out)
         assert strip_runtime(a.read_text()) == strip_runtime(b.read_text())
         # summaries carry no timing at all: fully byte-identical
         assert (tmp_path / "a.csv.summary.csv").read_bytes() == \
             (tmp_path / "b.csv.summary.csv").read_bytes()
 
+
+    @pytest.mark.filterwarnings("ignore:noise correction skipped")
+    def test_outputs_identical_across_subset_worker_counts(self, tmp_path, monkeypatch):
+        # d=5: fraction 0.05 cannot be partitioned, and the last cell's
+        # campaign fails while it is started ahead of its turn
+        real = cstomo.experiments.simulate_measurements
+        fail_seed = cell_seed(0, 1, 1)
+
+        def simulate(*args, **kwargs):
+            if kwargs["seed"] == fail_seed:
+                raise ValueError("no campaign for this seed")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr("cstomo.experiments.simulate_measurements", simulate)
+        outputs = []
+        for workers in (1, 2):
+            monkeypatch.setattr("cstomo.correction._subset_workers", lambda n: workers)
+            out = tmp_path / f"sweep{workers}.csv"
+            assert run("sweep", "--d", 5, "--fractions", "0.05,0.2", "--repeats", 2,
+                       "--out", out) == 0
+            summary = tmp_path / f"sweep{workers}.csv.summary.csv"
+            outputs.append((strip_runtime(out.read_text()), summary.read_bytes()))
+        assert outputs[1] == outputs[0]
+        lines = outputs[0][0].splitlines()
+        assert lines[-1].endswith(",failed: no campaign for this seed")
+        assert all(ln.endswith(",ok") for ln in lines[1:-1])
+
+    def test_rejects_jobs_below_one(self, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        assert run("sweep", "--d", 3, "--fractions", "0.75", "--repeats", 1,
+                   "--tau", 0.7, "--jobs", -2, "--out", out) == 1
+        err = capsys.readouterr().err
+        assert err == "error: jobs must be at least 1, got -2\n"
+        assert not out.exists()
 
     def test_dead_worker_exit_code(self, tmp_path, capsys, monkeypatch):
         # a cell worker killed mid-run (for example when memory runs out)
@@ -327,6 +391,53 @@ class TestSweepCommand:
         assert err.startswith("error: a subset worker died") and err.count("\n") == 1
         assert not out.exists()
         assert set(multiprocessing.active_children()) == before
+
+    def test_dead_subset_worker_with_cells_queued_exit_code(self, tmp_path, capsys, monkeypatch):
+        # the second cell's subsets kill a worker while the cells after it
+        # are queued on the same pool
+        monkeypatch.setattr("cstomo.correction._subset_workers", lambda n: 2)
+        monkeypatch.setattr("cstomo.correction._subset_gap", die_on_seed)
+        monkeypatch.setitem(globals(), "DIE_SEED", cell_seed(0, 0, 1))
+        before = set(multiprocessing.active_children())
+        out = tmp_path / "sweep.csv"
+        assert run("sweep", "--d", 3, "--fractions", "0.75", "--repeats", 4,
+                   "--tau", 0.7, "--out", out) == 6
+        err = capsys.readouterr().err
+        assert err.startswith("error: a subset worker died") and err.count("\n") == 1
+        assert not out.exists()
+        assert set(multiprocessing.active_children()) == before
+
+    def test_failed_subset_worker_start_exit_code(self, tmp_path, capsys, monkeypatch):
+        # an in-line sweep's subset pool cannot start while the first cell
+        # starts the cells after it: the sweep stops, no row fails instead
+        real_fork = os.fork
+        forks = []
+
+        def fork_once():
+            forks.append(None)
+            if len(forks) > 1:
+                raise BlockingIOError(11, "Resource temporarily unavailable")
+            return real_fork()
+
+        monkeypatch.setattr("cstomo.correction._subset_workers", lambda n: 2)
+        monkeypatch.setattr(os, "fork", fork_once)
+        before = set(multiprocessing.active_children())
+        out = tmp_path / "sweep.csv"
+        try:
+            rc = run("sweep", "--d", 3, "--fractions", "0.75", "--repeats", 2,
+                     "--tau", 0.7, "--out", out)
+        finally:
+            stray = set(multiprocessing.active_children()) - before
+            for proc in stray:  # keep a failure here from hanging the test run
+                proc.kill()
+                proc.join(10)
+        assert rc == 6
+        err = capsys.readouterr().err
+        assert err.startswith("error: could not start subset workers")
+        assert err.count("\n") == 1
+        assert len(forks) == 2
+        assert not stray
+        assert not out.exists()
 
     def test_failed_worker_start_exit_code(self, tmp_path, capsys, monkeypatch):
         # the first worker forks, the second cannot: the first must not linger

@@ -1,10 +1,14 @@
 import dataclasses
 import multiprocessing
+import time
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
 
+import cstomo.experiments
+from cstomo.correction import _subset_gap
+from cstomo.errors import InvariantViolation
 from cstomo.experiments import (
     SweepSpec,
     cell_seed,
@@ -13,6 +17,22 @@ from cstomo.experiments import (
     summarize_sweep,
 )
 from cstomo.solver import ReconstructionConfig
+
+# a subset task's function is pickled by name, so the stand-ins for
+# ``correction._subset_gap`` below are module-level; forked workers see the
+# seed set here before the pool starts
+VIOLATE_SEED = None
+
+
+def violate_on_seed(sub, sub_cfg):
+    if sub.seed == VIOLATE_SEED:
+        raise InvariantViolation("iterate lost Hermiticity after projection 1")
+    return _subset_gap(sub, sub_cfg)
+
+
+def slow_gap(sub, sub_cfg):
+    time.sleep(0.1)
+    return _subset_gap(sub, sub_cfg)
 
 
 def small_spec(**kw):
@@ -92,6 +112,11 @@ class TestRunSweep:
         raw_only = run_sweep(dataclasses.replace(spec, with_correction=False))
         assert all(r.status == "ok" for r in corrected)
         assert [r.fidelity_raw for r in corrected] == [r.fidelity_raw for r in raw_only]
+
+    @pytest.mark.parametrize("jobs", [0, -2])
+    def test_rejects_jobs_below_one(self, jobs):
+        with pytest.raises(ValueError, match="jobs must be at least 1"):
+            run_sweep(small_spec(), jobs=jobs)
 
     def test_rejects_single_subset(self):
         with pytest.raises(ValueError, match="at least 2"):
@@ -185,3 +210,110 @@ class TestSubsetPool:
             run_sweep(small_spec(**self.SPEC), on_row=stop)
         assert len(seen) == 1 and pools == [2]
         assert set(multiprocessing.active_children()) == before
+
+
+class TestLookahead:
+    # d=5: fraction 0.05 (M=31) cannot be partitioned, 0.2 and 0.3 make
+    # 5 and 7 subsets
+    SPEC = dict(d=5, fractions=[0.05, 0.2, 0.3], repeats=2, solver=ReconstructionConfig())
+
+    count_pools = staticmethod(TestSubsetPool.count_pools)
+    timeless = staticmethod(TestSubsetPool.timeless)
+
+    @staticmethod
+    def sweep(monkeypatch, workers, spec, **kw):
+        monkeypatch.setattr("cstomo.correction._subset_workers", lambda n: workers)
+        before = set(multiprocessing.active_children())
+        rows = run_sweep(spec, **kw)
+        assert set(multiprocessing.active_children()) == before
+        return rows
+
+    @staticmethod
+    def record_simulations(monkeypatch, fail_seed=None):
+        seeds = []
+        real = cstomo.experiments.simulate_measurements
+
+        def simulate(*args, **kwargs):
+            seeds.append(kwargs["seed"])
+            if kwargs["seed"] == fail_seed:
+                raise ValueError("no campaign for this seed")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr("cstomo.experiments.simulate_measurements", simulate)
+        return seeds
+
+    @pytest.mark.filterwarnings("ignore:noise correction skipped")
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_cells_start_ahead_up_to_the_depth(self, monkeypatch, workers):
+        spec = small_spec(**self.SPEC)
+        seeds = self.record_simulations(monkeypatch)
+        started = []
+        self.sweep(monkeypatch, workers, spec, on_row=lambda row: started.append(len(seeds)))
+        depth = cstomo.experiments._LOOKAHEAD_PER_WORKER * workers if workers > 1 else 0
+        n = len(started)
+        assert started == [min(k + 1 + depth, n) for k in range(n)]
+        assert seeds == [cell_seed(spec.seed, *divmod(i, spec.repeats)) for i in range(n)]
+
+    def test_rows_match_across_worker_counts(self, monkeypatch):
+        spec = small_spec(**self.SPEC)
+        with pytest.warns(UserWarning, match="infeasible"):
+            inline = self.sweep(monkeypatch, 1, spec)
+        pools = self.count_pools(monkeypatch)
+        with pytest.warns(UserWarning, match="infeasible"):
+            pooled = self.sweep(monkeypatch, 2, spec)
+        assert pools == [2]
+        assert [np.isnan(r.fidelity_corrected) for r in pooled] == [True] * 2 + [False] * 4
+        assert all(r.status == "ok" for r in pooled)
+        assert self.timeless(pooled) == self.timeless(inline)
+
+    @pytest.mark.filterwarnings("ignore:noise correction skipped")
+    def test_failed_simulation_of_a_cell_started_ahead(self, monkeypatch):
+        # cell 3 is simulated during an earlier cell's call; its row fails
+        # in its place and cells 4 and 5 still run
+        spec = small_spec(**self.SPEC)
+        fail_seed = cell_seed(spec.seed, 1, 1)
+        runs = []
+        for workers in (1, 2):
+            seeds = self.record_simulations(monkeypatch, fail_seed)
+            out = []
+            rows = self.sweep(monkeypatch, workers, spec,
+                              on_row=lambda row: out.append(fail_seed in seeds))
+            runs.append(rows)
+        assert out.index(True) < 3  # started ahead of its turn
+        assert [r.status for r in rows] == ["ok"] * 3 + [
+            "failed: no campaign for this seed"] + ["ok"] * 2
+        assert self.timeless(runs[1]) == self.timeless(runs[0])
+
+    @pytest.mark.filterwarnings("ignore:noise correction skipped")
+    def test_invariant_violation_in_a_queued_subset_fails_only_its_cell(self, monkeypatch):
+        spec = small_spec(**self.SPEC)
+        monkeypatch.setattr("cstomo.correction._subset_gap", violate_on_seed)
+        monkeypatch.setitem(globals(), "VIOLATE_SEED", cell_seed(spec.seed, 2, 0))
+        runs = [self.sweep(monkeypatch, workers, spec) for workers in (1, 2)]
+        assert [r.status for r in runs[1]] == ["ok"] * 4 + [
+            "failed: iterate lost Hermiticity after projection 1", "ok"]
+        assert self.timeless(runs[1]) == self.timeless(runs[0])
+
+    def test_on_row_raising_cancels_the_queued_cells(self, monkeypatch):
+        spec = small_spec(d=5, fractions=[0.2, 0.3], repeats=2, solver=ReconstructionConfig())
+        futures = []
+
+        class RecordingPool(ProcessPoolExecutor):
+            def submit(self, *args, **kwargs):
+                futures.append(super().submit(*args, **kwargs))
+                return futures[-1]
+
+        monkeypatch.setattr("cstomo.workers.ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr("cstomo.correction._subset_gap", slow_gap)
+        monkeypatch.setattr("cstomo.correction._subset_workers", lambda n: 2)
+
+        def stop(row):
+            raise RuntimeError("stop")
+
+        before = set(multiprocessing.active_children())
+        with pytest.raises(RuntimeError, match="stop"):
+            run_sweep(spec, on_row=stop)
+        assert set(multiprocessing.active_children()) == before
+        assert len(futures) > 5  # the first cell's 5 subsets, then queued cells'
+        assert all(f.done() for f in futures)
+        assert any(f.cancelled() for f in futures[5:])
