@@ -2,11 +2,19 @@
 
 The solver alternates two stages until the step size stalls below tolerance:
 
-* a structural stage that enforces the expected characteristics of the
-  solution (eigenvalue thresholding for low rank, entrywise thresholding for
-  sparsity, trace normalization), and
+* the structural step Γ that enforces the expected characteristics of the
+  solution: eigenvalue thresholding for low rank, entrywise thresholding for
+  sparsity, trace normalization. It costs one eigendecomposition per
+  iteration, as in singular value thresholding; and
 * a projection stage that returns the iterate to the solution space
   {ρ : Tr[Â_i ρ] = p_i} of the measurements by one orthogonal projection.
+
+Γ's entrywise cut nearly always leaves some eigenvalues negative. Inside the
+loop that does not matter: the next projection leaves the PSD cone anyway,
+and Γ stays well defined (see ``_cut``). Only a matrix that leaves the loop
+gets the PSD repair: ``enforce_structure`` is Γ with the negative eigenvalues
+clipped before normalization, and it makes a report's ``rho``, and through
+it every correction subset's structural gap.
 
 Measurement convention: every Â_i = |w_i⟩⟨w_i| is rank 1, so the system is the
 M×D matrix W of joint vectors, Tr[Â_i ρ] = ⟨w_i|ρ|w_i⟩, the operators' Gram
@@ -33,7 +41,7 @@ import numpy as np
 
 from .errors import DegenerateIterateError, DegenerateSystemError, InvariantViolation
 from .linalg import eig_hermitian, frob_norm, hermiticity_error
-from .simulate import MeasurementSet, expectations, joint_vectors
+from .simulate import MeasurementSet, joint_vectors
 
 if TYPE_CHECKING:
     from .correction import CorrectionDiagnostics
@@ -136,9 +144,10 @@ class OrthoSystem:
 class ReconstructionReport:
     """Recovered matrix plus convergence diagnostics.
 
-    ``rho`` is the final iterate with the structural stage applied once more,
-    so it is Hermitian, PSD, trace 1; ``rho_pre_gamma`` (the wire-format name)
-    is the raw converged projection output, which still sits on the
+    ``rho`` is ``enforce_structure`` of the final iterate: Γ plus the PSD
+    repair, which is applied to reported matrices only, never inside the
+    loop. It is Hermitian, PSD, trace 1. ``rho_pre_gamma`` (the wire-format
+    name) is the raw converged projection output, which still sits on the
     measurement hyperplanes. ``per_iteration_residuals[k]`` is the worst
     |Tr[Â_i ρ] − p_i| over the kept rows after projection k+1;
     ``n_dropped_rows`` counts rows dropped as dependent on earlier ones.
@@ -292,19 +301,30 @@ def clip_to_psd(rho: np.ndarray) -> np.ndarray:
     return (v * w) @ v.conj().T
 
 
-def enforce_structure(rho: np.ndarray, cfg: ReconstructionConfig) -> np.ndarray:
-    """The combined structural stage: rank thresholding, then entrywise
-    sparsification, then trace normalization, in that order.
+def _cut(rho: np.ndarray, cfg: ReconstructionConfig) -> np.ndarray:
+    """Γ's two cuts: rank thresholding, then entrywise sparsification.
 
-    Zeroing individual entries of a PSD matrix can push a few eigenvalues
-    slightly negative; the result is projected back onto the PSD cone before
-    normalization so that every structural output is a valid density matrix
-    (Hermitian, PSD, trace 1).
+    The output's trace is positive whenever the rank cut keeps anything: the
+    kept spectrum is positive, so the rank-cut matrix is PSD and its largest
+    entry lies on its diagonal; the relative entrywise cut keeps that entry,
+    so the trace is at least it. Normalization needs no PSD repair first (an
+    absolute cut may zero every entry, and ``normalize_trace`` then raises).
     """
     out = threshold_eigs(rho, cfg.tau, cfg.threshold_mode)
-    out = threshold_elements(out, cfg.tau_ell, cfg.threshold_mode)
-    out = clip_to_psd(out)
-    return normalize_trace(out)
+    return threshold_elements(out, cfg.tau_ell, cfg.threshold_mode)
+
+
+def enforce_structure(rho: np.ndarray, cfg: ReconstructionConfig) -> np.ndarray:
+    """The structural step Γ (rank thresholding, then entrywise
+    sparsification, then trace normalization) with a PSD repair before the
+    normalization, for the matrices a report carries.
+
+    Zeroing individual entries of a PSD matrix can push eigenvalues
+    negative; they are clipped so that the output is a valid
+    density matrix (Hermitian, PSD, trace 1). The repair costs a second
+    eigendecomposition, so the iteration loop applies Γ without it.
+    """
+    return normalize_trace(clip_to_psd(_cut(rho, cfg)))
 
 
 def kaczmarz_sweep(x: np.ndarray, system: OrthoSystem) -> np.ndarray:
@@ -383,20 +403,21 @@ class MeasurementOperator:
         keep, low = _in_order_cholesky(np.abs(w.conj() @ w.T) ** 2)
         low_inv = _lower_inverse(low)
         self.w = w[keep]
+        self.w_conj = self.w.conj()
         self.probs = ms.probs[keep]
         self.gram_inv = low_inv.T @ low_inv
         self.n_dropped = len(ms) - len(keep)
 
     def residual(self, rho: np.ndarray) -> np.ndarray:
-        """p_i − Tr[Â_i ρ] over the kept rows."""
-        return self.probs - expectations(self.w, rho)
+        """p_i − Tr[Â_i ρ] = p_i − ⟨w_i|ρ|w_i⟩ over the kept rows."""
+        return self.probs - ((self.w_conj @ rho) * self.w).sum(axis=1).real
 
     def project(self, rho: np.ndarray) -> np.ndarray:
         """ρ + Σ_i c_i Â_i with G c = p − (Tr[Â_i ρ])_i: the matrix nearest ρ
         in Frobenius norm that meets every kept constraint. c is real, so a
         Hermitian ρ stays Hermitian."""
         c = self.gram_inv @ self.residual(rho)
-        return rho + (self.w.T * c) @ self.w.conj()
+        return rho + (self.w.T * c) @ self.w_conj
 
 
 def reconstruct(
@@ -407,12 +428,13 @@ def reconstruct(
 ) -> ReconstructionReport:
     """Run the full operation-projection loop on a measurement set.
 
-    Per iteration: structural stage, then the orthogonal projection onto the
-    measurement system's solution set, then stop once the Frobenius step
-    between consecutive iterates falls below step_tol_rel × (norm of the
-    current iterate). The reported ``rho`` has the structural stage applied
-    once more so it carries the desired characteristics; the raw projection
-    output is kept as ``rho_pre_gamma``.
+    Per iteration: the structural step Γ (one eigendecomposition, no PSD
+    repair), then the orthogonal projection onto the measurement system's
+    solution set, then stop once the Frobenius step between consecutive
+    iterates falls below step_tol_rel × (norm of the current iterate). The
+    reported ``rho`` is ``enforce_structure`` of the final iterate, Γ with the
+    PSD repair, so it carries the desired characteristics and is a valid
+    density matrix; the raw projection output is kept as ``rho_pre_gamma``.
 
     Two runtime invariants are checked after every projection and raise
     InvariantViolation on failure: the iterate stays Hermitian to 1e-9 and
@@ -434,7 +456,7 @@ def reconstruct(
     iterations = 0
 
     for k in range(1, cfg.k_max + 1):
-        cur = op.project(enforce_structure(prev, cfg))
+        cur = op.project(normalize_trace(_cut(prev, cfg)))
 
         herm_err = hermiticity_error(cur)
         if herm_err > 1e-9:

@@ -2,8 +2,8 @@
 the measured numbers (run with -s or -rA to see them).
 
 Criterion 3 runs the full d=7 fidelity-vs-fraction experiment and takes
-several minutes; criterion 4 (the d=17 stretch run) is opt-in via
-CSTOMO_STRETCH=1 since it needs about 4 minutes at one BLAS thread on two
+about a minute; criterion 4 (the d=17 stretch run) is opt-in via
+CSTOMO_STRETCH=1 since it needs about 2 minutes at one BLAS thread on two
 CPUs.
 """
 

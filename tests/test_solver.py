@@ -3,9 +3,11 @@ import json
 import numpy as np
 import pytest
 
+import cstomo.solver
 from cstomo.cli import main as cli_main
+from cstomo.correction import NoiseCorrectionConfig, _subset_gap, reconstruct_corrected
 from cstomo.errors import DegenerateIterateError, DegenerateSystemError
-from cstomo.linalg import frob_norm, hermiticity_error, mat, vec
+from cstomo.linalg import eig_hermitian, frob_norm, hermiticity_error, mat, vec
 from cstomo.metrics import fidelity_pure
 from cstomo.serialize import save_measurement_set
 from cstomo.simulate import (
@@ -425,6 +427,20 @@ class TestReconstruct:
         assert rep.iterations == 2
         assert not rep.converged
 
+    def test_one_eigendecomposition_per_iteration(self, monkeypatch):
+        # Γ in the loop costs one; the reported rho's PSD repair a second
+        calls = []
+
+        def counting(m):
+            calls.append(m)
+            return eig_hermitian(m)
+
+        monkeypatch.setattr(cstomo.solver, "eig_hermitian", counting)
+        ms = simulate_measurements(3, 36, seed=0, mean_total_counts=300)
+        rep = reconstruct(ms, ReconstructionConfig(tau=0.7))
+        assert rep.iterations > 1
+        assert len(calls) == rep.iterations + 2
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             ReconstructionConfig(tau=1.5)
@@ -436,3 +452,48 @@ class TestReconstruct:
             ReconstructionConfig(k_max=0)
         with pytest.raises(ValueError):
             ReconstructionConfig(threshold_mode="weird")
+
+
+class TestPsdRepairOnReportedMatrices:
+    """Γ in the loop is not repaired onto the PSD cone; every matrix that
+    leaves the loop is, through enforce_structure."""
+
+    CFG = ReconstructionConfig(tau=0.7)
+
+    @staticmethod
+    def assert_density(rho):
+        assert hermiticity_error(rho) <= 1e-12
+        assert np.linalg.eigvalsh(rho)[0] >= -1e-10
+        assert np.trace(rho).real == pytest.approx(1.0, abs=1e-10)
+        assert abs(np.trace(rho).imag) <= 1e-10
+
+    @pytest.fixture
+    def campaign(self):
+        return simulate_measurements(3, 60, seed=18, mean_total_counts=300)
+
+    def test_loop_gamma_leaves_the_psd_cone(self, campaign, monkeypatch):
+        lowest = []
+        project = MeasurementOperator.project
+
+        def recording(op, rho):
+            lowest.append(np.linalg.eigvalsh(rho)[0])
+            return project(op, rho)
+
+        monkeypatch.setattr(MeasurementOperator, "project", recording)
+        rep = reconstruct(campaign, self.CFG)
+        assert len(lowest) == rep.iterations
+        assert min(lowest) < -1e-10
+
+    def test_reported_rho_is_repaired(self, campaign):
+        # the corrected report and its raw report, the plain solve's report
+        rep = reconstruct_corrected(campaign, NoiseCorrectionConfig(base=self.CFG, n_subsets=2))
+        raw = rep.correction.raw_report
+        assert raw is not None
+        for r in (rep, raw):
+            self.assert_density(r.rho)
+            assert np.array_equal(r.rho, enforce_structure(r.rho_pre_gamma, self.CFG))
+
+    def test_subset_gap_is_against_the_repaired_rho(self, campaign):
+        pre = reconstruct(campaign, self.CFG).rho_pre_gamma
+        gap = _subset_gap(campaign, self.CFG)
+        assert np.array_equal(gap, vec(pre) - vec(enforce_structure(pre, self.CFG)))
