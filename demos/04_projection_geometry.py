@@ -22,7 +22,8 @@ dim = d * d
 print(f"{len(ms)} measurements on {dim}×{dim} density matrices "
       f"({dim**2} real unknowns); the operator keeps {op.w.shape[0]} joint "
       f"vectors of length {dim}")
-print(f"condition number of the Gram matrix: {np.linalg.cond(op.gram_inv):.2f}")
+# G = L·Lᵀ, so cond(G) = cond(L⁻¹)²
+print(f"condition number of the Gram matrix: {np.linalg.cond(op.low_inv) ** 2:.2f}")
 
 # start from the maximally mixed state and a random Hermitian matrix
 rng = np.random.default_rng(0)

@@ -316,7 +316,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (SchemaError, FileNotFoundError, ValueError) as exc:
+    except (SchemaError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     except DegenerateSystemError as exc:

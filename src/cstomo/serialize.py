@@ -102,12 +102,18 @@ def _bulk_cvecs(vectors: list, d: int) -> np.ndarray | None:
 
 
 def dump_json(obj: Any, path: str) -> None:
-    """Serialize deterministically and write atomically (temp file + rename)."""
+    """Serialize deterministically and write atomically (temp file + rename);
+    a failed write or rename removes the temp file."""
     text = json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
     tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    fh = open(tmp, "w", encoding="utf-8")
+    try:
+        with fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        os.remove(tmp)
+        raise
 
 
 def measurement_set_to_dict(ms: MeasurementSet, *, strip_truth: bool = False) -> dict:

@@ -19,9 +19,9 @@ it every correction subset's structural gap.
 Measurement convention: every Â_i = |w_i⟩⟨w_i| is rank 1, so the system is the
 M×D matrix W of joint vectors, Tr[Â_i ρ] = ⟨w_i|ρ|w_i⟩, the operators' Gram
 matrix is G = |W̄Wᵀ|⊙² (real, M×M) and the projection is ρ + Σ_i c_i Â_i with
-G c = p − (Tr[Â_i ρ])_i; no M×D⁴ matrix is formed. G⁻¹ = L⁻ᵀL⁻¹ is formed once
-per solve from the Cholesky factor L, whose inverse is taken by halves
-(about 2M³/3 flops in matrix products, a third of an LU-based inverse).
+G c = p − (Tr[Â_i ρ])_i; no M×D⁴ matrix is formed. Once per solve one recursion
+by halves factors G and inverts its Cholesky factor L (about 7M³/6 flops,
+nearly all in matrix products); a projection takes c = L⁻ᵀ(L⁻¹ r).
 The test-only reference
 ``measurement_rows`` → ``orthogonalize`` → ``kaczmarz_sweep`` computes the same
 projection from the Gram-Schmidt orthonormalized rows u = conj(vec(Â)), with
@@ -67,7 +67,7 @@ PIVOT_TOL = 1e-10
 # fraction of its original norm.
 _DROP_TOL = 1e-10
 
-# Below this many rows _lower_inverse hands its block to LAPACK.
+# Up to this many rows _factor_inverse factors and inverts a block in LAPACK.
 _INV_LEAF = 64
 
 # clip_to_psd leaves a matrix whose spectrum sits above -_PSD_FLOOR as it is:
@@ -348,64 +348,53 @@ def kaczmarz_sweep(x: np.ndarray, system: OrthoSystem) -> np.ndarray:
     return x
 
 
-def _in_order_cholesky(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Kept row indices of a Gram matrix and the lower Cholesky factor of
-    their block, dropping each row whose pivot against the rows kept before it
-    is below PIVOT_TOL: one LAPACK call unless a row drops, else each half in
-    turn, the second as its Schur complement against the first's kept rows."""
-    try:
-        low = np.linalg.cholesky(g)
-        if np.diagonal(low).min() ** 2 >= PIVOT_TOL:
-            return np.arange(len(g)), low
-    except np.linalg.LinAlgError:
-        pass
-    if len(g) == 1:
-        return np.arange(0), np.zeros((0, 0))
-    h = len(g) // 2
-    keep1, low1 = _in_order_cholesky(g[:h, :h])
-    x = np.linalg.solve(low1, g[keep1, h:])
-    keep2, low2 = _in_order_cholesky(g[h:, h:] - x.T @ x)
-    low = np.block([[low1, np.zeros((len(keep1), len(keep2)))], [x[:, keep2].T, low2]])
-    return np.concatenate([keep1, h + keep2]), low
-
-
-def _lower_inverse(low: np.ndarray) -> np.ndarray:
-    """Inverse of a lower-triangular matrix by halves: for L = [[A, 0], [C, B]]
-    it is [[A⁻¹, 0], [−B⁻¹·C·A⁻¹, B⁻¹]], with LAPACK's inverse below
-    _INV_LEAF rows. About 2n³/3 flops, nearly all in matrix products, against
-    about 2n³ for an LU-based inverse."""
-    n = len(low)
+def _factor_inverse(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Kept row indices of a Gram matrix and the inverse L⁻¹ of the lower
+    Cholesky factor of their block, dropping each row whose pivot against the
+    rows kept before it is below PIVOT_TOL. LAPACK factors and inverts a block
+    of up to _INV_LEAF rows that drops none; any other goes by halves
+    [[A, Bᵀ], [B, C]]: with X = B·L₁⁻ᵀ over A's kept rows, the second half is
+    the Schur complement C − XXᵀ and L⁻¹'s off-diagonal block is −L₂⁻¹·X·L₁⁻¹.
+    ``g`` is overwritten, and L⁻¹ is a view of its leading block."""
+    n = len(g)
     if n <= _INV_LEAF:
-        return np.linalg.inv(low)
+        try:
+            low = np.linalg.cholesky(g)
+            if np.diagonal(low).min() ** 2 >= PIVOT_TOL:
+                g[:] = np.linalg.inv(low)
+                return np.arange(n), g
+        except np.linalg.LinAlgError:
+            pass
+        if n == 1:
+            return np.arange(0), g[:0, :0]
     h = n // 2
-    a_inv = _lower_inverse(low[:h, :h])
-    b_inv = _lower_inverse(low[h:, h:])
-    out = np.zeros_like(low)
-    out[:h, :h] = a_inv
-    out[h:, h:] = b_inv
-    out[h:, :h] = -b_inv @ (low[h:, :h] @ a_inv)
-    return out
+    keep1, inv1 = _factor_inverse(g[:h, :h])
+    x = g[h:, keep1] @ inv1.T
+    g[h:, h:] -= x @ x.T
+    keep2, inv2 = _factor_inverse(g[h:, h:])
+    k1, k = len(keep1), len(keep1) + len(keep2)
+    g[k1:k, :k1] = -inv2 @ (x[keep2] @ inv1)
+    g[k1:k, k1:k] = inv2
+    g[:k1, k1:k] = 0.0
+    return np.concatenate([keep1, h + keep2]), g[:k, :k]
 
 
 class MeasurementOperator:
     """The orthogonal projection onto {ρ : Tr[Â_i ρ] = p_i}, built once per
-    solve: G = |W̄Wᵀ|⊙² is factored in input order, rows dependent on earlier
-    ones are dropped (``n_dropped``) and G⁻¹ = L⁻ᵀL⁻¹ of the kept rows is
-    formed from a blocked inverse of the lower factor L (about 2M³/3 flops,
-    against about 2M³ for an LU-based inverse), so a projection costs two
-    O(M·D²) products and one M×M matrix-vector product.
+    solve: one recursion factors G = |W̄Wᵀ|⊙² in input order, drops the rows
+    dependent on earlier ones (``n_dropped``) and inverts the lower Cholesky
+    factor L of the kept rows' block (``low_inv``), so a projection costs two
+    O(M·D²) products and two M×M matrix-vector products, c = L⁻ᵀ(L⁻¹ r).
     """
 
     def __init__(self, ms: MeasurementSet):
         if len(ms) == 0:
             raise DegenerateSystemError("measurement set is empty")
         w = joint_vectors(ms.signal, ms.idler)
-        keep, low = _in_order_cholesky(np.abs(w.conj() @ w.T) ** 2)
-        low_inv = _lower_inverse(low)
+        keep, self.low_inv = _factor_inverse(np.abs(w.conj() @ w.T) ** 2)
         self.w = w[keep]
         self.w_conj = self.w.conj()
         self.probs = ms.probs[keep]
-        self.gram_inv = low_inv.T @ low_inv
         self.n_dropped = len(ms) - len(keep)
 
     def residual(self, rho: np.ndarray) -> np.ndarray:
@@ -416,7 +405,7 @@ class MeasurementOperator:
         """ρ + Σ_i c_i Â_i with G c = p − (Tr[Â_i ρ])_i: the matrix nearest ρ
         in Frobenius norm that meets every kept constraint. c is real, so a
         Hermitian ρ stays Hermitian."""
-        c = self.gram_inv @ self.residual(rho)
+        c = self.low_inv.T @ (self.low_inv @ self.residual(rho))
         return rho + (self.w.T * c) @ self.w_conj
 
 

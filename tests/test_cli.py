@@ -479,3 +479,23 @@ class TestParser:
     def test_missing_input_file(self, tmp_path):
         assert run("reconstruct", tmp_path / "nope.json",
                    "--out", tmp_path / "r.json") == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["reconstruct", "{dir}", "--out", "{tmp}/r.json", "--no-correction"],
+        ["reconstruct", "{c}", "--out", "{dir}", "--tau", "0.7", "--no-correction"],
+        ["reconstruct", "{c}", "--out", "{tmp}/r.json", "--diagnostics", "{dir}", "--no-correction"],
+        ["metrics", "{dir}"],
+        ["simulate", "--d", "3", "--measurements", "12", "--out", "{dir}"],
+    ], ids=["reconstruct-input", "reconstruct-out", "reconstruct-diagnostics",
+            "metrics-matrix", "simulate-out"])
+    def test_directory_for_a_file_exits_1(self, tmp_path, capsys, argv):
+        campaign, directory = tmp_path / "c.json", tmp_path / "a-directory"
+        directory.mkdir()
+        assert run("simulate", "--d", 3, "--measurements", 12, "--out", campaign) == 0
+        capsys.readouterr()
+        paths = {"dir": directory, "tmp": tmp_path, "c": campaign}
+        rc = run(*[a.format(**paths) for a in argv])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error:") and "Traceback" not in err
+        assert not list(tmp_path.glob("*.tmp"))

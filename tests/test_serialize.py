@@ -273,3 +273,8 @@ class TestFormatting:
         text = path.read_text()
         assert text == '{"a":[1.5],"b":1}\n'
         assert not (tmp_path / "x.json.tmp").exists()
+
+    def test_dump_json_failed_rename_leaves_no_temp_file(self, tmp_path):
+        with pytest.raises(OSError):
+            dump_json({"a": 1}, str(tmp_path))  # a directory: the rename fails
+        assert not list(tmp_path.parent.glob("*.tmp"))

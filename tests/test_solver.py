@@ -20,10 +20,10 @@ from cstomo.simulate import (
     state_to_density,
 )
 from cstomo.solver import (
+    _INV_LEAF,
     MeasurementOperator,
-    _in_order_cholesky,
-    _lower_inverse,
     ReconstructionConfig,
+    _factor_inverse,
     clip_to_psd,
     enforce_structure,
     kaczmarz_sweep,
@@ -340,25 +340,48 @@ def gram_of(signal, idler):
     return np.abs(w.conj() @ w.T) ** 2
 
 
-class TestLowerInverse:
-    @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 130, 720])
-    def test_matches_lapack_inverse(self, n):
-        rng = np.random.default_rng(n)
-        low = np.linalg.cholesky(gram_of(*random_arms(7, n, rng)))
-        inv = _lower_inverse(low)
-        assert np.abs(low @ inv - np.eye(n)).max() <= 1e-12
-        assert np.abs(inv - np.linalg.inv(low)).max() <= 1e-12 * np.abs(inv).max()
+def gram_with_duplicate(n, at, of, seed):
+    """The Gram matrix of n random d=7 projectors with a copy of projector
+    ``of`` inserted at position ``at``."""
+    signal, idler = random_arms(7, n, np.random.default_rng(seed))
+    return gram_of(np.insert(signal, at, signal[of], axis=0), np.insert(idler, at, idler[of], axis=0))
 
-    def test_factor_from_drop_path(self):
-        rng = np.random.default_rng(5)
-        signal, idler = random_arms(7, 130, rng)
-        g = gram_of(np.insert(signal, 90, signal[20], axis=0), np.insert(idler, 90, idler[20], axis=0))
-        keep, low = _in_order_cholesky(g)
-        assert len(keep) == 130 and 90 not in keep
-        inv = _lower_inverse(low)
-        assert np.abs(low @ inv - np.eye(130)).max() <= 1e-12
-        g_inv = np.linalg.inv(g[np.ix_(keep, keep)])
-        assert np.abs(inv.T @ inv - g_inv).max() <= 1e-12 * np.abs(g_inv).max()
+
+def assert_whitens(g, keep, low_inv):
+    """L⁻¹ is lower triangular (up to the rounding of LAPACK's pivoted leaf
+    inverse) and L⁻¹·G_keep·L⁻ᵀ = I."""
+    assert np.abs(np.triu(low_inv, 1)).max(initial=0.0) <= 1e-12
+    g_keep = g[np.ix_(keep, keep)]
+    assert np.abs(low_inv @ g_keep @ low_inv.T - np.eye(len(keep))).max() <= 1e-12
+
+
+class TestFactorInverse:
+    @pytest.mark.parametrize("n", [1, 2, _INV_LEAF - 1, _INV_LEAF, _INV_LEAF + 1, 2 * _INV_LEAF + 1, 720])
+    def test_whitens_gram(self, n):
+        g = gram_of(*random_arms(7, n, np.random.default_rng(n)))
+        keep, low_inv = _factor_inverse(g.copy())
+        assert np.array_equal(keep, np.arange(n))
+        assert_whitens(g, keep, low_inv)
+
+    # (n, at, of, seed): a copy inside one LAPACK leaf, one whose original
+    # sits across the top split, and one that drops from the first half, so
+    # the second half's inverse moves up into the kept rows' block
+    @pytest.mark.parametrize("n,at,of,seed", [(60, 30, 12, 6), (130, 90, 20, 5), (200, 50, 10, 7)])
+    def test_duplicate_dropped_in_input_order(self, n, at, of, seed):
+        g = gram_with_duplicate(n, at, of, seed)
+        keep, low_inv = _factor_inverse(g.copy())
+        assert np.array_equal(keep, np.delete(np.arange(n + 1), at))
+        assert_whitens(g, keep, low_inv)
+
+    # d² × d² Hermitian operators span d⁴ real dimensions, so the in-order
+    # rule keeps the first d⁴ rows of a random campaign. A spanning set of
+    # random projectors is ill-conditioned (cond ~3e6 at d=3), hence the bound.
+    @pytest.mark.parametrize("d,n", [(1, 5), (2, 40), (3, 130)])
+    def test_rank_deficient_keeps_leading_rows(self, d, n):
+        g = gram_of(*random_arms(d, n, np.random.default_rng(d)))
+        keep, low_inv = _factor_inverse(g.copy())
+        assert np.array_equal(keep, np.arange(d**4))
+        assert np.abs(low_inv @ g[:d**4, :d**4] @ low_inv.T - np.eye(d**4)).max() <= 1e-9
 
 
 class TestReconstruct:
