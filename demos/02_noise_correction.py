@@ -23,8 +23,7 @@ print(f"d={d}, {len(ms)} measurements, Poisson noise with {ms.calibration:.0f} "
 
 cfg = NoiseCorrectionConfig(
     n_subsets=2,
-    base=ReconstructionConfig(tau=0.7),
-    subset_step_tol_rel=1e-6,
+    base=ReconstructionConfig(tau=0.7, step_tol_rel=1e-6),
 )
 report = reconstruct_corrected(ms, cfg)
 corr = report.correction

@@ -71,27 +71,19 @@ class NoiseCorrectionConfig:
         such subsets fit). Must be ≥ 2 when given.
     subset_assignment: "round-robin" (deterministic interleave) or
         "seeded-random" (shuffled by ``seed`` first).
-    base: solver configuration shared by the subset runs and the final runs.
-    subset_step_tol_rel: optional tighter convergence for the subset runs
-        (inherits the base tolerance when None). The structural gap each
-        subset contributes stabilizes well before deep convergence, so the
-        base tolerance is normally enough; tighten it when asserting that the
-        correction vanishes on noiseless data.
+    base: solver configuration of the raw, subset and final solves.
     """
 
     n_subsets: int | None = None
     subset_assignment: str = "round-robin"
     base: ReconstructionConfig = field(default_factory=ReconstructionConfig)
     seed: int = 0
-    subset_step_tol_rel: float | None = None
 
     def __post_init__(self):
         if self.n_subsets is not None and int(self.n_subsets) < 2:
             raise ValueError(f"n_subsets must be at least 2, got {self.n_subsets}")
         if self.subset_assignment not in SUBSET_ASSIGNMENTS:
             raise ValueError(f"subset_assignment must be one of {SUBSET_ASSIGNMENTS}")
-        if self.subset_step_tol_rel is not None and not self.subset_step_tol_rel > 0:
-            raise ValueError("subset_step_tol_rel must be positive")
 
 
 @dataclass(eq=False)
@@ -168,30 +160,16 @@ def partition(ms: MeasurementSet, cfg: NoiseCorrectionConfig) -> list[Measuremen
         order = np.arange(m)
     else:
         order = np.random.default_rng(cfg.seed).permutation(m)
-    subsets = []
-    for j in range(n):
-        idx = order[j::n]
-        subsets.append(
-            MeasurementSet(
-                d=ms.d,
-                signal=ms.signal[idx],
-                idler=ms.idler[idx],
-                probs=ms.probs[idx],
-                counts=None if ms.counts is None else ms.counts[idx],
-                seed=ms.seed,
-                calibration=ms.calibration,
-                truth=ms.truth,
-            )
+    return [
+        dataclasses.replace(
+            ms,
+            signal=ms.signal[idx],
+            idler=ms.idler[idx],
+            probs=ms.probs[idx],
+            counts=None if ms.counts is None else ms.counts[idx],
         )
-    return subsets
-
-
-def _subset_config(cfg: NoiseCorrectionConfig) -> ReconstructionConfig:
-    if cfg.subset_step_tol_rel is None:
-        return cfg.base
-    return dataclasses.replace(
-        cfg.base, step_tol_rel=min(cfg.base.step_tol_rel, cfg.subset_step_tol_rel)
-    )
+        for idx in (order[j::n] for j in range(n))
+    ]
 
 
 # variables that pin the BLAS thread count (OpenBLAS, MKL, OpenMP); the first
@@ -217,16 +195,16 @@ def _subset_workers(n_subsets: int) -> int:
     return min(n_subsets, max(1, cpus // blas_threads))
 
 
-def _subset_gap(sub: MeasurementSet, sub_cfg: ReconstructionConfig):
+def _subset_gap(sub: MeasurementSet, cfg: ReconstructionConfig):
     """Solve one subset. Returns its structural gap, or the reason it is
     omitted as text: the solve did not converge or raised a degenerate-system
     error."""
     try:
-        rep = reconstruct(sub, sub_cfg)
+        rep = reconstruct(sub, cfg)
     except (DegenerateSystemError, DegenerateIterateError) as exc:
         return f"reconstruction failed ({exc})"
     if not rep.converged:
-        return f"did not converge within k_max={sub_cfg.k_max}"
+        return f"did not converge within k_max={cfg.k_max}"
     return vec(rep.rho_pre_gamma) - vec(rep.rho)
 
 
@@ -258,8 +236,7 @@ def submit_subsets(
         subsets = partition(ms, cfg)
     except ValueError as exc:
         return SubmittedSubsets([], iter(()), reason=str(exc))
-    sub_cfg = _subset_config(cfg)
-    return SubmittedSubsets(subsets, pool.map(_subset_gap, [(sub, sub_cfg) for sub in subsets]))
+    return SubmittedSubsets(subsets, pool.map(_subset_gap, [(sub, cfg.base) for sub in subsets]))
 
 
 def estimate_delta_rho(subsets: list[MeasurementSet], gaps) -> CorrectionDiagnostics:
@@ -303,19 +280,7 @@ def correct_probabilities(
     raw = ms.probs - expectations(joint_vectors(ms.signal, ms.idler), delta_mat)
     corrected = np.clip(raw, 0.0, 1.0)
     n_clamped = int(np.count_nonzero(raw != corrected))
-    return (
-        MeasurementSet(
-            d=ms.d,
-            signal=ms.signal,
-            idler=ms.idler,
-            probs=corrected,
-            counts=ms.counts,
-            seed=ms.seed,
-            calibration=ms.calibration,
-            truth=ms.truth,
-        ),
-        n_clamped,
-    )
+    return dataclasses.replace(ms, probs=corrected), n_clamped
 
 
 def reconstruct_corrected(

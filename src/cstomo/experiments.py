@@ -10,9 +10,11 @@ in a ``workers.WorkerPool`` of N forked worker processes, which solve their
 cells' correction subsets in-line. With ``jobs`` 1 the cells run in the
 calling process, and their correction subsets go to one
 ``correction.subset_pool``, started once for the whole sweep. That pool is
-kept fed across cells: each cell's ``run_sweep_cell`` call first starts the
-w cells after its own (simulates each campaign and submits its subsets), then
-runs its own raw solve, waits for its gaps and runs its final solve, so the
+kept fed across cells by one generator, ``_started_cells``, that starts each
+cell (simulates its campaign and submits its subsets) w cells ahead of its
+turn. The cells run in order, and each ``run_sweep_cell`` call draws its own
+cell from the generator, which first starts the cell w after it; the call
+then runs its raw solve, waits for its gaps and runs its final solve, so the
 workers go on to the next cells' subsets instead of idling. The look-ahead
 depth w is ``_LOOKAHEAD_PER_WORKER`` per worker process of the pool, and 0
 when the pool runs in-line; it bounds the campaigns and gap vectors held at
@@ -28,10 +30,12 @@ aside).
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import functools
 import time
 from dataclasses import dataclass, field
+from typing import Iterator
 
 import numpy as np
 
@@ -151,48 +155,35 @@ def cell_seed(base_seed: int, fraction_index: int, repeat_index: int) -> int:
 _LOOKAHEAD_PER_WORKER = 2
 
 
-class _StartedCells:
-    """The cells of an in-line corrected sweep started ahead of their turn,
-    owned by ``run_sweep``: campaign simulated and correction subsets
-    submitted to the sweep's one subset pool. Each ``run_sweep_cell`` call
-    takes its own cell and first starts the ``depth`` cells after it, so the
-    workers solve those cells' subsets while the calling process runs the
-    cell's raw and final solves. The depth is ``_LOOKAHEAD_PER_WORKER`` per
-    worker process, 0 when the pool runs in-line."""
-
-    def __init__(self, spec: SweepSpec, pool: WorkerPool):
-        self.spec = spec
-        self.pool = pool
-        self.depth = _LOOKAHEAD_PER_WORKER * pool.processes
-        self._started: dict[int, tuple | Exception] = {}
-        self._next = 0  # the first cell not started yet
-
-    def take(self, cell: int, state: TwoPhotonState, cfg: NoiseCorrectionConfig):
-        """Start the cells up to ``depth`` after ``cell``, from ``cell`` on,
-        and return ``cell``'s campaign and submitted subsets. An error that
-        starting a cell raised, other than a WorkerPoolError, is raised
-        here, by the call for that cell."""
-        n_cells = len(self.spec.fractions) * self.spec.repeats
-        for i in range(max(self._next, cell), min(cell + self.depth + 1, n_cells)):
-            try:
-                ms = _campaign(self.spec, *divmod(i, self.spec.repeats), state)
-                self._started[i] = (ms, submit_subsets(ms, cfg, self.pool))
-            except WorkerPoolError:
-                raise
-            except Exception as exc:
-                self._started[i] = exc
-            self._next = i + 1
-        started = self._started.pop(cell)
-        if isinstance(started, Exception):
-            raise started
-        return started
+def _started_cells(spec: SweepSpec, pool: WorkerPool) -> Iterator:
+    """The cells of an in-line corrected sweep, in order: each cell's
+    campaign and ``SubmittedSubsets``, or the error that starting it raised.
+    Drawing a cell first starts the cells up to ``_LOOKAHEAD_PER_WORKER``
+    per worker process of ``pool`` after it. The in-line map runs the cells
+    in order, so each ``run_sweep_cell`` call draws its own, and the
+    generator's work runs inside that call. A WorkerPoolError propagates."""
+    cfg = NoiseCorrectionConfig(n_subsets=spec.n_subsets, base=spec.solver)
+    depth = _LOOKAHEAD_PER_WORKER * pool.processes
+    started = collections.deque()
+    for cell in range(len(spec.fractions) * spec.repeats):
+        try:
+            ms = _campaign(spec, *divmod(cell, spec.repeats))
+            started.append((ms, submit_subsets(ms, cfg, pool)))
+        except WorkerPoolError:
+            raise
+        except Exception as exc:
+            started.append(exc)
+        if len(started) > depth:
+            yield started.popleft()
+    while started:
+        yield started.popleft()
 
 
-def _campaign(spec: SweepSpec, fraction_index: int, repeat_index: int, state: TwoPhotonState):
+def _campaign(spec: SweepSpec, fraction_index: int, repeat_index: int):
     return simulate_measurements(
         spec.d,
         spec.n_measurements(spec.fractions[fraction_index]),
-        state=state,
+        state=spec.state,
         seed=cell_seed(spec.seed, fraction_index, repeat_index),
         mean_total_counts=spec.mean_total_counts,
     )
@@ -203,22 +194,24 @@ def run_sweep_cell(
     fraction_index: int,
     repeat_index: int,
     *,
-    started: _StartedCells | None = None,
+    started: Iterator | None = None,
 ) -> SweepRow:
-    """Simulate and reconstruct one (fraction, repeat) cell; an in-line
-    sweep hands in the cells it has ``started``. An error fails the cell's
-    row, except a WorkerPoolError, which propagates."""
+    """Simulate and reconstruct one (fraction, repeat) cell. An in-line
+    corrected sweep hands in its ``_started_cells``, and the call draws its
+    cell's campaign and submitted subsets from it. An error fails the
+    cell's row, except a WorkerPoolError, which propagates."""
     fraction = spec.fractions[fraction_index]
     seed = cell_seed(spec.seed, fraction_index, repeat_index)
     target = make_max_entangled(spec.d)
-    state = spec.state if spec.state is not None else target
     cfg = NoiseCorrectionConfig(n_subsets=spec.n_subsets, base=spec.solver)
     try:
         if started is not None:
-            cell = fraction_index * spec.repeats + repeat_index
-            ms, submitted = started.take(cell, state, cfg)
+            cell = next(started)
+            if isinstance(cell, Exception):
+                raise cell
+            ms, submitted = cell
         else:
-            ms, submitted = _campaign(spec, fraction_index, repeat_index, state), None
+            ms, submitted = _campaign(spec, fraction_index, repeat_index), None
         start = time.perf_counter()
         if spec.with_correction:
             rep = reconstruct_corrected(ms, cfg, submitted=submitted)
@@ -274,7 +267,7 @@ def run_sweep(spec: SweepSpec, jobs: int = 1, on_row=None) -> list[SweepRow]:
         sub_pool = subset_pool(
             spec.n_subsets, spec.n_measurements(spec.fractions[-1]), spec.d**2
         )
-        started = _StartedCells(spec, sub_pool)
+        started = _started_cells(spec, sub_pool)
     rows = []
     with WorkerPool(min(jobs, n_cells), "sweep") as cell_pool, (
         sub_pool or contextlib.nullcontext()

@@ -219,13 +219,18 @@ def save_measurement_set(ms: MeasurementSet, path: str, *, strip_truth: bool = F
     dump_json(measurement_set_to_dict(ms, strip_truth=strip_truth), path)
 
 
-def load_measurement_set(path: str) -> MeasurementSet:
+def _load_json(path: str):
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            doc = json.load(fh)
+            return json.load(fh)
         except json.JSONDecodeError as exc:
             raise SchemaError(f"{path}: not valid JSON ({exc})") from exc
-    return measurement_set_from_dict(doc)
+        except RecursionError as exc:  # the decoder recurses once per level
+            raise SchemaError(f"{path}: not valid JSON (nested too deeply)") from exc
+
+
+def load_measurement_set(path: str) -> MeasurementSet:
+    return measurement_set_from_dict(_load_json(path))
 
 
 def _metrics_to_dict(metrics: MetricsSummary) -> dict:
@@ -304,11 +309,7 @@ def _parse_cmat(rows: Any, what: str) -> np.ndarray:
 def load_matrix(path: str) -> np.ndarray:
     """Load a complex square matrix from either a report JSON (its 'rho'
     entry) or a bare nested [[re,im]] array file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"{path}: not valid JSON ({exc})") from exc
+    doc = _load_json(path)
     if isinstance(doc, dict):
         if "rho" not in doc:
             raise SchemaError(f"{path}: object has no 'rho' entry")

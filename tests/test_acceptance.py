@@ -359,7 +359,7 @@ class TestCriterion5InvariantSuite:
 
     def test_noise_correction_noop_on_noiseless_sparse_inputs(self):
         cfg = NoiseCorrectionConfig(
-            n_subsets=2, base=D3_SOLVER, subset_step_tol_rel=1e-9
+            n_subsets=2, base=ReconstructionConfig(tau=0.7, step_tol_rel=1e-9)
         )
         worst = 0.0
         for seed in self.SEEDS:

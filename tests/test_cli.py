@@ -499,3 +499,16 @@ class TestParser:
         assert rc == 1
         assert err.startswith("error:") and "Traceback" not in err
         assert not list(tmp_path.glob("*.tmp"))
+
+    @pytest.mark.parametrize("command", [["reconstruct", "--out", "{tmp}/r.json"], ["metrics"]],
+                             ids=["reconstruct", "metrics"])
+    def test_deeply_nested_json_exits_1(self, tmp_path, capsys, command):
+        # the JSON decoder recurses once per level; 10^5 levels exceed the
+        # interpreter's default recursion limit
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 10**5, encoding="utf-8")
+        rc = run(command[0], deep, *[a.format(tmp=tmp_path) for a in command[1:]])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error:") and "not valid JSON" in err and "Traceback" not in err
+        assert not (tmp_path / "r.json").exists()

@@ -11,7 +11,6 @@ import pytest
 
 from cstomo.correction import (
     NoiseCorrectionConfig,
-    _subset_config,
     _subset_count,
     _subset_workers,
     correct_probabilities,
@@ -49,16 +48,6 @@ class TestConfig:
         with pytest.raises(ValueError, match="infeasible"):
             partition(simulate_measurements(3, 17, seed=0), NoiseCorrectionConfig())
 
-    @pytest.mark.parametrize("subset_tol, expected", [(None, 1e-2), (1e-4, 1e-4), (1e-1, 1e-2)])
-    def test_subset_config_keeps_base_fields(self, subset_tol, expected):
-        base = ReconstructionConfig(
-            tau=0.6, tau_ell=5.0, step_tol_rel=1e-2, k_max=7, threshold_mode="absolute"
-        )
-        sub = _subset_config(NoiseCorrectionConfig(base=base, subset_step_tol_rel=subset_tol))
-        for f in dataclasses.fields(base):
-            want = expected if f.name == "step_tol_rel" else getattr(base, f.name)
-            assert getattr(sub, f.name) == want, f.name
-
 
 class TestPartition:
     def test_round_robin_sizes(self):
@@ -90,6 +79,30 @@ class TestPartition:
         b = partition(ms, cfg)
         assert np.array_equal(a[0].probs, b[0].probs)
 
+    @pytest.mark.parametrize("counts", [1e4, None])
+    def test_new_sets_keep_the_campaign(self, counts):
+        # every subset and the corrected set carry the campaign's metadata;
+        # only the per-measurement arrays are sliced or replaced
+        ms = simulate_measurements(3, 40, seed=19, mean_total_counts=counts)
+        assert (ms.counts is None) == (counts is None)
+        for j, sub in enumerate(partition(ms, d3_correction_config(n_subsets=2))):
+            assert (sub.d, sub.seed, sub.calibration) == (ms.d, ms.seed, ms.calibration)
+            assert sub.truth is ms.truth
+            for name in ("signal", "idler", "probs", "counts"):
+                whole = getattr(ms, name)
+                want = None if whole is None else whole[j::2]
+                assert np.array_equal(getattr(sub, name), want), name
+        corrected, _ = correct_probabilities(ms, vec(np.eye(9, dtype=complex) / 900))
+        assert not np.array_equal(corrected.probs, ms.probs)
+        for f in dataclasses.fields(ms):
+            if f.name == "probs":
+                continue
+            got, want = getattr(corrected, f.name), getattr(ms, f.name)
+            if isinstance(want, np.ndarray):
+                assert np.array_equal(got, want), f.name
+            else:
+                assert got is want or got == want, f.name
+
     def test_too_few_measurements(self):
         ms = simulate_measurements(3, 20, seed=3)
         with pytest.raises(ValueError, match="floor|infeasible"):
@@ -100,7 +113,9 @@ class TestEstimateDeltaRho:
     def test_noiseless_sparse_state_gives_tiny_delta(self):
         # subsets of 30: deep lock onto the structured fixed point
         ms = simulate_measurements(3, 60, seed=4)
-        cfg = d3_correction_config(n_subsets=2, subset_step_tol_rel=1e-9)
+        cfg = d3_correction_config(
+            n_subsets=2, base=ReconstructionConfig(tau=0.7, step_tol_rel=1e-9)
+        )
         est = reconstruct_corrected(ms, cfg).correction
         assert np.linalg.norm(est.delta) <= 1e-6
         assert est.subset_converged == [True, True]
@@ -121,7 +136,9 @@ class TestEstimateDeltaRho:
         # moderate shot noise; the estimated displacement then cancels part of
         # the probability error, shrinking the residual at the true state
         ms = simulate_measurements(3, 60, seed=0, mean_total_counts=1e4)
-        cfg = d3_correction_config(n_subsets=2, subset_step_tol_rel=1e-6)
+        cfg = d3_correction_config(
+            n_subsets=2, base=ReconstructionConfig(tau=0.7, step_tol_rel=1e-6)
+        )
         est = reconstruct_corrected(ms, cfg).correction
         assert np.linalg.norm(est.delta) > 1e-4
         corrected, _ = correct_probabilities(ms, est.delta)
@@ -137,8 +154,7 @@ class TestEstimateDeltaRho:
         ms = simulate_measurements(3, 60, seed=7, mean_total_counts=500.0)
         cfg = d3_correction_config(
             n_subsets=2,
-            base=ReconstructionConfig(tau=0.7, k_max=1),
-            subset_step_tol_rel=1e-12,
+            base=ReconstructionConfig(tau=0.7, step_tol_rel=1e-12, k_max=1),
         )
         with pytest.warns(UserWarning) as caught:
             est = reconstruct_corrected(ms, cfg).correction
@@ -342,7 +358,9 @@ class TestCorrectProbabilities:
 class TestReconstructCorrected:
     def test_noiseless_correction_is_noop(self):
         ms = simulate_measurements(3, 60, seed=15)
-        cfg = d3_correction_config(n_subsets=2, subset_step_tol_rel=1e-9)
+        cfg = d3_correction_config(
+            n_subsets=2, base=ReconstructionConfig(tau=0.7, step_tol_rel=1e-9)
+        )
         corrected = reconstruct_corrected(ms, cfg)
         raw = corrected.correction.raw_report
         assert corrected.correction.applied
