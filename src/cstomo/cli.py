@@ -80,6 +80,12 @@ def _solver_config(args) -> ReconstructionConfig:
     )
 
 
+def _add_subsets_flag(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--subsets", type=int, default=1,
+                   help="number of correction subsets (default 1: the raw solve's own "
+                        "structural gap; N >= 2 solves N disjoint subsets apart)")
+
+
 def _add_state_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--state", choices=("max-entangled", "downconversion"),
                    default="max-entangled",
@@ -123,9 +129,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="report JSON path")
     _add_solver_flags(p)
     p.add_argument("--no-correction", action="store_true",
-                   help="skip the subset-based noise correction")
-    p.add_argument("--subsets", type=int, default=None,
-                   help="number of correction subsets (default: auto)")
+                   help="skip the noise correction: one raw solve")
+    _add_subsets_flag(p)
     p.add_argument("--subset-assignment", choices=("round-robin", "seeded-random"),
                    default="round-robin")
     p.add_argument("--correction-seed", type=int, default=0,
@@ -143,8 +148,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mean-total-counts", type=float, default=5e4)
     _add_state_flags(p)
     _add_solver_flags(p)
-    p.add_argument("--no-correction", action="store_true")
-    p.add_argument("--subsets", type=int, default=None)
+    p.add_argument("--no-correction", action="store_true",
+                   help="score the raw solve only")
+    _add_subsets_flag(p)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--jobs", type=int, default=1, help="parallel worker processes")
     p.add_argument("--out", required=True, help="per-cell CSV path")

@@ -1,33 +1,40 @@
-"""Shot-noise compensation via disjoint measurement subsets.
+"""Shot-noise compensation from structural gaps.
 
 Noisy probabilities push the solution space away from the true state. The
 correction estimates that displacement without leaving the linear setting:
-reconstruct each measurement subset independently, measure how far each
+reconstruct one or more disjoint measurement subsets, measure how far each
 subset solution sits from the structured set (solution minus its structural
 projection), sum those gaps into a displacement estimate, map it back onto
 the probabilities, and re-run the solver on the corrected system.
 
-The subset solves do not depend on each other or on the raw solve.
+By default there is one subset, the whole campaign, whose solve is the raw
+solve: ``reconstruct_corrected`` takes the raw report's own gap and makes
+exactly two solves, raw then final, with no partition and no worker
+process.
+
+With ``n_subsets`` N ≥ 2 the campaign is partitioned and the subset solves,
+which do not depend on each other or on the raw solve, run apart from it.
 ``submit_subsets`` is the one place that submits them: it partitions the
 campaign and maps ``_subset_gap`` over the subsets on a ``workers.WorkerPool``
 of one forked worker per usable CPU that BLAS threads leave free.
 ``reconstruct_corrected`` reads the gaps. Called alone (``cstomo
-reconstruct``) it submits to a pool of its own, runs the raw solve while the
-workers solve the subsets, waits for their gaps, stops the pool and runs
-the final solve. An in-line sweep instead submits each cell's subsets itself,
-on the one pool it keeps from ``subset_pool``, a few cells ahead of the cell
-being solved, and hands them in: the workers solve the next cells' subsets
-while the calling process runs the current cell's solves (see
-``experiments``). Every subset runs the same arithmetic as an in-line solve
-wherever and whenever it runs, so the results are bit-identical. The raw and
-final solves always run in the calling process, which also emits the
-warnings and sums the gaps in subset order.
+reconstruct --subsets N``) it submits to a pool of its own, runs the raw
+solve while the workers solve the subsets, waits for their gaps, stops the
+pool and runs the final solve. An in-line sweep instead submits each cell's
+subsets itself, on the one pool it keeps from ``subset_pool``, a few cells
+ahead of the cell being solved, and hands them in: the workers solve the
+next cells' subsets while the calling process runs the current cell's
+solves (see ``experiments``). Every subset runs the same arithmetic as an
+in-line solve wherever and whenever it runs, so the results are
+bit-identical. The raw and final solves always run in the calling process,
+which also emits the warnings and sums the gaps in subset order.
 
-The outcome is one ``CorrectionDiagnostics``: ``estimate_delta_rho`` sums
-the subsets' outcomes into the per-subset sizes, flags and gap norms and the
-summed displacement, and ``reconstruct_corrected`` adds the clamp count and
-the raw report when the correction is applied, or the reason it was
-skipped, before attaching it to the report it returns.
+Either way the outcome is one ``CorrectionDiagnostics``:
+``estimate_delta_rho`` sums the subsets' outcomes into the per-subset sizes,
+flags and gap norms and the summed displacement, and
+``reconstruct_corrected`` adds the clamp count and the raw report when the
+correction is applied, or the reason it was skipped, before attaching it to
+the report it returns.
 """
 
 from __future__ import annotations
@@ -65,23 +72,24 @@ SUBSET_ASSIGNMENTS = ("round-robin", "seeded-random")
 class NoiseCorrectionConfig:
     """Correction knobs.
 
-    n_subsets: number of disjoint subsets; None picks min(8, M // D) so every
-        subset keeps at least max(D, M/8) measurements, a floor that keeps
-        each subset solvable for near-pure states (raises when fewer than two
-        such subsets fit). Must be ≥ 2 when given.
+    n_subsets: number of disjoint subsets, at least 1. The default 1 is the
+        whole campaign, whose gap is the raw solve's own. N ≥ 2 partitions
+        the campaign and solves each subset apart; every subset must keep at
+        least D measurements, a floor that keeps it solvable for near-pure
+        states.
     subset_assignment: "round-robin" (deterministic interleave) or
         "seeded-random" (shuffled by ``seed`` first).
     base: solver configuration of the raw, subset and final solves.
     """
 
-    n_subsets: int | None = None
+    n_subsets: int = 1
     subset_assignment: str = "round-robin"
     base: ReconstructionConfig = field(default_factory=ReconstructionConfig)
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_subsets is not None and int(self.n_subsets) < 2:
-            raise ValueError(f"n_subsets must be at least 2, got {self.n_subsets}")
+        if int(self.n_subsets) < 1:
+            raise ValueError(f"n_subsets must be at least 1, got {self.n_subsets}")
         if self.subset_assignment not in SUBSET_ASSIGNMENTS:
             raise ValueError(f"subset_assignment must be one of {SUBSET_ASSIGNMENTS}")
 
@@ -128,29 +136,11 @@ class CorrectionDiagnostics:
         return 0.0 if self.delta is None else float(np.linalg.norm(self.delta))
 
 
-# the most subsets the default partition makes
-_MAX_SUBSETS = 8
-
-
-def _subset_count(n_subsets: int | None, n_measurements: int, dim: int) -> int:
-    """``n_subsets`` when given, else the largest count ≤ 8 keeping every
-    subset at least D measurements (below 2 when two such subsets do not
-    fit)."""
-    if n_subsets is not None:
-        return int(n_subsets)
-    return min(_MAX_SUBSETS, n_measurements // dim)
-
-
 def partition(ms: MeasurementSet, cfg: NoiseCorrectionConfig) -> list[MeasurementSet]:
     """Split a measurement set into disjoint subsets covering it exactly."""
     m = len(ms)
     dim = ms.d**2
-    n = _subset_count(cfg.n_subsets, m, dim)
-    if n < 2:  # only the default count falls below 2
-        raise ValueError(
-            f"{m} measurements cannot form 2 subsets of at least "
-            f"{dim} each; noise correction is infeasible"
-        )
+    n = int(cfg.n_subsets)
     if m // n < dim:
         raise ValueError(
             f"{m} measurements over {n} subsets leaves {m // n} per subset, "
@@ -195,32 +185,36 @@ def _subset_workers(n_subsets: int) -> int:
     return min(n_subsets, max(1, cpus // blas_threads))
 
 
-def _subset_gap(sub: MeasurementSet, cfg: ReconstructionConfig):
-    """Solve one subset. Returns its structural gap, or the reason it is
-    omitted as text: the solve did not converge or raised a degenerate-system
-    error."""
-    try:
-        rep = reconstruct(sub, cfg)
-    except (DegenerateSystemError, DegenerateIterateError) as exc:
-        return f"reconstruction failed ({exc})"
+def _gap(rep: ReconstructionReport, cfg: ReconstructionConfig):
+    """A solve's structural gap, or the reason it is omitted as text: the
+    solve did not converge."""
     if not rep.converged:
         return f"did not converge within k_max={cfg.k_max}"
     return vec(rep.rho_pre_gamma) - vec(rep.rho)
 
 
-def subset_pool(n_subsets: int | None, n_measurements: int, dim: int) -> WorkerPool:
-    """A pool for the correction subsets of campaigns of up to
-    ``n_measurements`` measurements of dimension ``dim``, split into
-    ``n_subsets`` (None: the default count): one worker per subset of the
-    largest, as far as ``_subset_workers`` allows."""
-    return WorkerPool(_subset_workers(_subset_count(n_subsets, n_measurements, dim)), "subset")
+def _subset_gap(sub: MeasurementSet, cfg: ReconstructionConfig):
+    """Solve one subset. Returns its ``_gap``, or the reason it is omitted
+    as text: the solve did not converge or raised a degenerate-system
+    error."""
+    try:
+        rep = reconstruct(sub, cfg)
+    except (DegenerateSystemError, DegenerateIterateError) as exc:
+        return f"reconstruction failed ({exc})"
+    return _gap(rep, cfg)
+
+
+def subset_pool(n_subsets: int) -> WorkerPool:
+    """A pool for correction subsets split ``n_subsets`` ways: one worker
+    per subset, as far as ``_subset_workers`` allows."""
+    return WorkerPool(_subset_workers(n_subsets), "subset")
 
 
 @dataclass(eq=False)
 class SubmittedSubsets:
-    """A campaign's correction subsets and their pending ``_subset_gap``
-    outcomes, in subset order; no subsets, and the reason, when the campaign
-    cannot be partitioned."""
+    """A campaign's correction subsets and their ``_gap`` outcomes, in
+    subset order, pending when the subsets are solved apart; no subsets, and
+    the reason, when the campaign cannot be partitioned."""
 
     subsets: list[MeasurementSet]
     gaps: Iterator
@@ -242,7 +236,7 @@ def submit_subsets(
 def estimate_delta_rho(subsets: list[MeasurementSet], gaps) -> CorrectionDiagnostics:
     """Sum the subsets' structural gaps.
 
-    ``gaps`` holds each subset's ``_subset_gap`` outcome, in subset order:
+    ``gaps`` holds each subset's ``_gap`` outcome, in subset order:
     vec(solution) − vec(structural stage of the solution), where the
     pre-structural converged iterate is the subset solution, or the reason
     the subset is omitted. It may be a pool's pending results, and then
@@ -290,14 +284,15 @@ def reconstruct_corrected(
     on_iteration=None,
     submitted: SubmittedSubsets | None = None,
 ) -> ReconstructionReport:
-    """Full pipeline: raw solve, subset displacement estimate, probability
-    correction, corrected solve.
+    """Full pipeline: raw solve, structural-gap displacement estimate,
+    probability correction, corrected solve.
 
-    ``submitted`` is ``submit_subsets(ms, cfg, pool)`` made earlier on a
-    caller's pool; without it the subsets go to a pool of this call's own,
-    before the raw solve, which then runs while they are solved, and the
-    pool stops once the gaps are in. A worker that dies or cannot start
-    raises WorkerPoolError.
+    With one subset (the default) the estimate is the raw solve's own gap.
+    With N ≥ 2, ``submitted`` is ``submit_subsets(ms, cfg, pool)`` made
+    earlier on a caller's pool; without it the subsets go to a pool of this
+    call's own, before the raw solve, which then runs while they are solved,
+    and the pool stops once the gaps are in. A worker that dies or cannot
+    start raises WorkerPoolError.
 
     The returned report is the corrected run with ``correction`` filled in,
     including the raw run's report. If partitioning is infeasible or every
@@ -306,14 +301,12 @@ def reconstruct_corrected(
     """
     if cfg is None:
         cfg = NoiseCorrectionConfig()
-    with (
-        subset_pool(cfg.n_subsets, len(ms), ms.d**2)
-        if submitted is None
-        else contextlib.nullcontext()
-    ) as pool:
-        if submitted is None:
-            submitted = submit_subsets(ms, cfg, pool)
+    with contextlib.ExitStack() as stack:
+        if submitted is None and cfg.n_subsets > 1:
+            submitted = submit_subsets(ms, cfg, stack.enter_context(subset_pool(cfg.n_subsets)))
         raw = reconstruct(ms, cfg.base, on_iteration=on_iteration)
+        if submitted is None:  # the one subset is the campaign, solved just now
+            submitted = SubmittedSubsets([ms], iter([_gap(raw, cfg.base)]))
         if submitted.subsets:
             diag = estimate_delta_rho(submitted.subsets, submitted.gaps)
             if diag.n_omitted == diag.n_subsets:

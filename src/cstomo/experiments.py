@@ -6,21 +6,26 @@ scores fidelity against the maximally entangled target state (the benchmark
 metric; it coincides with fidelity-to-truth when the simulated state is the
 default maximally entangled one). Cells are independent and own their seeded
 RNG streams, so ``run_sweep(jobs=N)`` (``cstomo sweep --jobs N``) runs them
-in a ``workers.WorkerPool`` of N forked worker processes, which solve their
-cells' correction subsets in-line. With ``jobs`` 1 the cells run in the
-calling process, and their correction subsets go to one
-``correction.subset_pool``, started once for the whole sweep. That pool is
-kept fed across cells by one generator, ``_started_cells``, that starts each
-cell (simulates its campaign and submits its subsets) w cells ahead of its
-turn. The cells run in order, and each ``run_sweep_cell`` call draws its own
-cell from the generator, which first starts the cell w after it; the call
-then runs its raw solve, waits for its gaps and runs its final solve, so the
-workers go on to the next cells' subsets instead of idling. The look-ahead
-depth w is ``_LOOKAHEAD_PER_WORKER`` per worker process of the pool, and 0
-when the pool runs in-line; it bounds the campaigns and gap vectors held at
-once to w cells' worth (w × subsets × D² complex numbers). An error in
-starting a cell ahead fails that cell's row, in its place, and a worker that
-dies stops the sweep.
+in a ``workers.WorkerPool`` of N forked worker processes. With ``jobs`` 1
+the cells run in the calling process.
+
+The default correction takes each cell's displacement from its raw solve's
+own structural gap, so a corrected cell is two solves in the process that
+runs it, and nothing is queued ahead. With ``n_subsets`` ≥ 2 the cell
+workers of ``jobs`` N solve their cells' correction subsets in-line, and an
+in-line sweep sends them to one ``correction.subset_pool``, started once for
+the whole sweep. That pool is kept fed across cells by one generator,
+``_started_cells``, that starts each cell (simulates its campaign and
+submits its subsets) w cells ahead of its turn. The cells run in order, and
+each ``run_sweep_cell`` call draws its own cell from the generator, which
+first starts the cell w after it; the call then runs its raw solve, waits
+for its gaps and runs its final solve, so the workers go on to the next
+cells' subsets instead of idling. The look-ahead depth w is
+``_LOOKAHEAD_PER_WORKER`` per worker process of the pool, and 0 when the
+pool runs in-line; it bounds the campaigns and gap vectors held at once to
+w cells' worth (w × subsets × D² complex numbers). An error in starting a
+cell ahead fails that cell's row, in its place, and a worker that dies
+stops the sweep.
 
 Either way the rows, and the ``on_row`` calls that stream them, come in
 (fraction, repeat) order whatever order the cells finish in, and a cell's row
@@ -82,8 +87,8 @@ class SweepSpec:
     random projective measurements) and must be sorted ascending in (0, 1].
     with_correction=True scores both the raw and the corrected
     reconstruction; False runs raw only. Both solve with ``solver``; the
-    correction splits each campaign into ``n_subsets`` subsets (None: the
-    correction's default count), which must be at least 2 when given.
+    correction splits each campaign into ``n_subsets`` ≥ 1 subsets (the
+    default 1: the raw solve's own structural gap).
     """
 
     d: int
@@ -94,7 +99,7 @@ class SweepSpec:
     with_correction: bool = True
     state: TwoPhotonState | None = None
     solver: ReconstructionConfig = field(default_factory=ReconstructionConfig)
-    n_subsets: int | None = None
+    n_subsets: int = 1
 
     def __post_init__(self):
         if not self.fractions:
@@ -110,8 +115,8 @@ class SweepSpec:
         self.repeats = int(self.repeats)
         if not float(self.mean_total_counts) > 0:
             raise ValueError("mean_total_counts must be positive")
-        if self.n_subsets is not None and int(self.n_subsets) < 2:
-            raise ValueError(f"n_subsets must be at least 2, got {self.n_subsets}")
+        if int(self.n_subsets) < 1:
+            raise ValueError(f"n_subsets must be at least 1, got {self.n_subsets}")
 
     def n_measurements(self, fraction: float) -> int:
         return max(1, round(float(fraction) * self.d**4))
@@ -121,13 +126,14 @@ class SweepSpec:
 class SweepRow:
     """One cell's outcome. ``runtime_seconds`` is the wall time of the
     cell's reconstruction and scoring in the process that runs the cell,
-    without the simulation of its campaign. For a cell of an in-line
-    corrected sweep that is its raw solve, the wait for its subsets' gaps
-    and its final solve: the subsets were submitted before it started, and
-    any the workers solved while earlier cells ran are not in it, nor is the
-    starting of later cells. Elsewhere (``jobs`` N, or ``run_sweep_cell``
-    called alone) it also covers partitioning the campaign and solving its
-    subsets. It is 0.0 for a failed cell."""
+    without the simulation of its campaign. Under the default correction
+    that is its raw and final solves. With ``n_subsets`` N ≥ 2, for a cell
+    of an in-line corrected sweep it is its raw solve, the wait for its
+    subsets' gaps and its final solve: the subsets were submitted before it
+    started, and any the workers solved while earlier cells ran are not in
+    it, nor is the starting of later cells; elsewhere (``jobs`` N, or
+    ``run_sweep_cell`` called alone) it also covers partitioning the
+    campaign and solving its subsets. It is 0.0 for a failed cell."""
 
     fraction: float
     repeat: int
@@ -261,12 +267,9 @@ def run_sweep(spec: SweepSpec, jobs: int = 1, on_row=None) -> list[SweepRow]:
     n_cells = len(spec.fractions) * spec.repeats
     cells = [(spec, *divmod(i, spec.repeats)) for i in range(n_cells)]
     sub_pool = started = None
-    if jobs < 2 and spec.with_correction:
-        # the cells run here: one pool for all their subsets, sized for the
-        # sweep's largest campaign
-        sub_pool = subset_pool(
-            spec.n_subsets, spec.n_measurements(spec.fractions[-1]), spec.d**2
-        )
+    if jobs < 2 and spec.with_correction and spec.n_subsets > 1:
+        # the cells run here: one pool for all their subsets
+        sub_pool = subset_pool(spec.n_subsets)
         started = _started_cells(spec, sub_pool)
     rows = []
     with WorkerPool(min(jobs, n_cells), "sweep") as cell_pool, (

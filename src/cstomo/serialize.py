@@ -16,6 +16,7 @@ first offence.
 from __future__ import annotations
 
 import json
+import math
 import os
 from itertools import chain
 from operator import itemgetter
@@ -199,14 +200,22 @@ def measurement_set_from_dict(doc: Any) -> MeasurementSet:
             if not isinstance(truth, dict) or "coeffs" not in truth:
                 raise SchemaError("measurement set: truth must be an object with 'coeffs'")
             truth = TwoPhotonState(_pairs_to_cvec(truth["coeffs"], "truth.coeffs", d))
+        seed = doc.get("seed")
+        if seed is not None and not _all_of([seed], int):
+            raise SchemaError("measurement set: seed must be an integer")
+        calibration = doc.get("calibration")
+        if calibration is not None and not (
+            _all_of([calibration], (int, float)) and math.isfinite(calibration)
+        ):
+            raise SchemaError("measurement set: calibration must be a finite number")
         return MeasurementSet(
             d=d,
             signal=signal,
             idler=idler,
             probs=np.asarray(raw_probs, dtype=float),
             counts=None if counts is None else np.asarray(counts, dtype=np.int64),
-            seed=doc.get("seed"),
-            calibration=doc.get("calibration"),
+            seed=seed,
+            calibration=calibration,
             truth=truth,
         )
     except SchemaError:

@@ -1,5 +1,7 @@
 """A pool of forked worker processes for the correction's subset solves and
-the sweep's cells.
+the sweep's cells. Only a correction of ``n_subsets`` N ≥ 2 has subset
+solves to hand out: the default one takes the raw solve's own gap and
+starts no pool.
 
 A task is a module-level function and its arguments, both pickled (a
 function pickles as its name). The workers are started with fork, so they

@@ -2,9 +2,8 @@
 the measured numbers (run with -s or -rA to see them).
 
 Criterion 3 runs the full d=7 fidelity-vs-fraction experiment and takes
-about a minute; criterion 4 (the d=17 stretch run) is opt-in via
-CSTOMO_STRETCH=1 since it needs about 2 minutes at one BLAS thread on two
-CPUs.
+about 10 s; criterion 4 (the d=17 stretch run) is opt-in via
+CSTOMO_STRETCH=1 since it needs about 20 s at one BLAS thread on two CPUs.
 """
 
 import os
@@ -358,21 +357,23 @@ class TestCriterion5InvariantSuite:
         print("ACCEPTANCE 5d (fidelity closed-form consistency 1e-10, 100 seeds): PASS")
 
     def test_noise_correction_noop_on_noiseless_sparse_inputs(self):
-        cfg = NoiseCorrectionConfig(
-            n_subsets=2, base=ReconstructionConfig(tau=0.7, step_tol_rel=1e-9)
-        )
-        worst = 0.0
-        for seed in self.SEEDS:
-            ms = simulate_measurements(3, 60, seed=seed)
-            corrected = reconstruct_corrected(ms, cfg)
-            raw = corrected.correction.raw_report
-            assert corrected.correction.applied
-            gap = frob_norm(corrected.rho - raw.rho)
-            worst = max(worst, gap)
-            assert gap <= 1e-6
+        # the default estimator (the raw solve's own gap) and two subsets
+        base = ReconstructionConfig(tau=0.7, step_tol_rel=1e-9)
+        worst = {}
+        for n_subsets in (1, 2):
+            cfg = NoiseCorrectionConfig(n_subsets=n_subsets, base=base)
+            worst[n_subsets] = 0.0
+            for seed in self.SEEDS:
+                ms = simulate_measurements(3, 60, seed=seed)
+                corrected = reconstruct_corrected(ms, cfg)
+                raw = corrected.correction.raw_report
+                assert corrected.correction.applied
+                gap = frob_norm(corrected.rho - raw.rho)
+                worst[n_subsets] = max(worst[n_subsets], gap)
+                assert gap <= 1e-6
         print(
             f"ACCEPTANCE 5e (noiseless correction no-op <= 1e-6, 100 seeds): "
-            f"PASS: worst {worst:.2e}"
+            f"PASS: worst {worst[1]:.2e} (default), {worst[2]:.2e} (2 subsets)"
         )
 
 

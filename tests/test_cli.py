@@ -129,6 +129,36 @@ class TestReconstructCommand:
         assert "raw" in doc["correction"]
         assert "fidelity" in doc["correction"]["raw"]["metrics"]
 
+    def test_default_correction_is_the_raw_solves_own_gap(self, tmp_path, monkeypatch):
+        # one subset, the whole campaign: no subset worker starts
+        monkeypatch.setattr("cstomo.correction._subset_workers", lambda n: 2)
+        monkeypatch.setattr("cstomo.correction._subset_gap", die)
+        inp = self.make_input(tmp_path, n=60, noise=True)
+        out = tmp_path / "report.json"
+        assert run("reconstruct", inp, "--out", out, "--tau", 0.7) == 0
+        corr = json.loads(out.read_text())["correction"]
+        assert corr["applied"] is True
+        assert (corr["n_subsets"], corr["subset_sizes"], corr["subset_converged"]) == (
+            1, [60], [True])
+
+    @pytest.mark.parametrize("key, value", [
+        ("seed", ["x"]), ("seed", "abc"), ("seed", {"a": 1}), ("seed", 1.5), ("seed", True),
+        ("calibration", "300"), ("calibration", True), ("calibration", [1.0]),
+        ("calibration", float("inf")),
+    ])
+    def test_mistyped_optional_key_exits_1(self, tmp_path, capsys, key, value):
+        inp = self.make_input(tmp_path, noise=True)
+        doc = json.loads(inp.read_text())
+        doc[key] = value
+        inp.write_text(json.dumps(doc))
+        out = tmp_path / "report.json"
+        capsys.readouterr()
+        assert run("reconstruct", inp, "--out", out, "--tau", 0.7, "--no-correction") == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: measurement set: {key} must be")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
     def test_schema_error_no_partial_output(self, tmp_path, capsys):
         inp = self.make_input(tmp_path)
         doc = json.loads(inp.read_text())
@@ -178,7 +208,7 @@ class TestReconstructCommand:
         monkeypatch.setattr("cstomo.correction._subset_gap", die)
         inp = self.make_input(tmp_path, noise=True)
         out = tmp_path / "r.json"
-        assert run("reconstruct", inp, "--out", out, "--tau", 0.7) == 6
+        assert run("reconstruct", inp, "--out", out, "--tau", 0.7, "--subsets", 2) == 6
         err = capsys.readouterr().err
         assert err.startswith("error: a subset worker died") and err.count("\n") == 1
         assert not out.exists()
@@ -199,7 +229,8 @@ class TestReconstructCommand:
         before = set(multiprocessing.active_children())
         inp = self.make_input(tmp_path, noise=True)
         try:
-            rc = run("reconstruct", inp, "--out", tmp_path / "r.json", "--tau", 0.7)
+            rc = run("reconstruct", inp, "--out", tmp_path / "r.json", "--tau", 0.7,
+                     "--subsets", 2)
         finally:
             stray = set(multiprocessing.active_children()) - before
             for proc in stray:  # keep a failure here from hanging the test run
@@ -264,7 +295,7 @@ class TestReconstructCommand:
     @pytest.mark.parametrize("seed", [5, 8])
     def test_reports_identical_across_subset_worker_counts(self, tmp_path, monkeypatch, seed):
         inp = self.make_input(tmp_path, n=60, noise=True, seed=seed)
-        for flags in ((), ("--no-correction",)):
+        for flags in ((), ("--subsets", 6), ("--no-correction",)):
             reports = []
             for workers in (1, 2):
                 monkeypatch.setattr("cstomo.correction._subset_workers", lambda n: workers)
@@ -336,7 +367,7 @@ class TestSweepCommand:
 
     @pytest.mark.filterwarnings("ignore:noise correction skipped")
     def test_outputs_identical_across_subset_worker_counts(self, tmp_path, monkeypatch):
-        # d=5: fraction 0.05 cannot be partitioned, and the last cell's
+        # d=5, 5 subsets: fraction 0.05 cannot be partitioned, and the last cell's
         # campaign fails while it is started ahead of its turn
         real = cstomo.experiments.simulate_measurements
         fail_seed = cell_seed(0, 1, 1)
@@ -352,7 +383,7 @@ class TestSweepCommand:
             monkeypatch.setattr("cstomo.correction._subset_workers", lambda n: workers)
             out = tmp_path / f"sweep{workers}.csv"
             assert run("sweep", "--d", 5, "--fractions", "0.05,0.2", "--repeats", 2,
-                       "--out", out) == 0
+                       "--subsets", 5, "--out", out) == 0
             summary = tmp_path / f"sweep{workers}.csv.summary.csv"
             outputs.append((strip_runtime(out.read_text()), summary.read_bytes()))
         assert outputs[1] == outputs[0]
@@ -386,7 +417,7 @@ class TestSweepCommand:
         before = set(multiprocessing.active_children())
         out = tmp_path / "sweep.csv"
         assert run("sweep", "--d", 3, "--fractions", "0.75", "--repeats", 2,
-                   "--tau", 0.7, "--out", out) == 6
+                   "--tau", 0.7, "--subsets", 2, "--out", out) == 6
         err = capsys.readouterr().err
         assert err.startswith("error: a subset worker died") and err.count("\n") == 1
         assert not out.exists()
@@ -401,7 +432,7 @@ class TestSweepCommand:
         before = set(multiprocessing.active_children())
         out = tmp_path / "sweep.csv"
         assert run("sweep", "--d", 3, "--fractions", "0.75", "--repeats", 4,
-                   "--tau", 0.7, "--out", out) == 6
+                   "--tau", 0.7, "--subsets", 2, "--out", out) == 6
         err = capsys.readouterr().err
         assert err.startswith("error: a subset worker died") and err.count("\n") == 1
         assert not out.exists()
@@ -425,7 +456,7 @@ class TestSweepCommand:
         out = tmp_path / "sweep.csv"
         try:
             rc = run("sweep", "--d", 3, "--fractions", "0.75", "--repeats", 2,
-                     "--tau", 0.7, "--out", out)
+                     "--tau", 0.7, "--subsets", 2, "--out", out)
         finally:
             stray = set(multiprocessing.active_children()) - before
             for proc in stray:  # keep a failure here from hanging the test run

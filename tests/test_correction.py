@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 
 from cstomo.correction import (
+    CorrectionDiagnostics,
     NoiseCorrectionConfig,
-    _subset_count,
     _subset_workers,
     correct_probabilities,
     partition,
@@ -33,20 +33,22 @@ def d3_correction_config(**kw):
 
 
 class TestConfig:
-    def test_rejects_single_subset(self):
-        with pytest.raises(ValueError, match="at least 2"):
-            NoiseCorrectionConfig(n_subsets=1)
+    def test_rejects_no_subsets(self):
+        with pytest.raises(ValueError, match="at least 1"):
+            NoiseCorrectionConfig(n_subsets=0)
 
     def test_rejects_unknown_assignment(self):
         with pytest.raises(ValueError, match="assignment"):
             NoiseCorrectionConfig(subset_assignment="alphabetical")
 
     def test_default_subset_count(self):
-        assert _subset_count(None, 100, 9) == 8
-        assert _subset_count(None, 30, 9) == 3
-        assert _subset_count(5, 30, 9) == 5
-        with pytest.raises(ValueError, match="infeasible"):
-            partition(simulate_measurements(3, 17, seed=0), NoiseCorrectionConfig())
+        # one subset, the whole campaign, by default; two subsets of 17
+        # measurements fall below the floor of D=9 each
+        ms = simulate_measurements(3, 17, seed=0)
+        assert NoiseCorrectionConfig().n_subsets == 1
+        assert [len(s) for s in partition(ms, NoiseCorrectionConfig())] == [17]
+        with pytest.raises(ValueError, match="floor"):
+            partition(ms, NoiseCorrectionConfig(n_subsets=2))
 
 
 class TestPartition:
@@ -120,16 +122,24 @@ class TestEstimateDeltaRho:
         assert np.linalg.norm(est.delta) <= 1e-6
         assert est.subset_converged == [True, True]
 
-    def test_single_subset_rejected(self):
-        # 17 measurements of D=9 make one subset by default: no estimate
+    def test_partition_below_floor_gives_no_estimate(self):
+        # 17 measurements of D=9 cannot form 2 subsets of 9: no estimate
         ms = simulate_measurements(3, 17, seed=5)
-        with pytest.warns(UserWarning, match="infeasible"):
-            est = reconstruct_corrected(ms, d3_correction_config()).correction
+        with pytest.warns(UserWarning, match="floor"):
+            est = reconstruct_corrected(ms, d3_correction_config(n_subsets=2)).correction
         assert est.n_subsets == 0 and est.delta is None and not est.applied
         assert est.reason == (
-            "17 measurements cannot form 2 subsets of at least 9 each; "
-            "noise correction is infeasible"
+            "17 measurements over 2 subsets leaves 8 per subset, below the floor of D=9"
         )
+
+    def test_default_corrects_a_campaign_too_small_to_partition(self):
+        # the same campaign under the default: one subset of all 17
+        ms = simulate_measurements(3, 17, seed=5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            est = reconstruct_corrected(ms, d3_correction_config()).correction
+        assert est.applied and est.reason == ""
+        assert est.subset_sizes == [17] and est.subset_converged == [True]
 
     def test_noisy_delta_nonzero_and_correction_helps(self):
         # demonstration instance: subsets large enough to lock (30 each) and
@@ -377,7 +387,7 @@ class TestReconstructCorrected:
     def test_fallback_when_partition_infeasible(self):
         ms = simulate_measurements(3, 12, seed=17)  # cannot form 2 subsets of 9
         with pytest.warns(UserWarning, match="skipped"):
-            rep = reconstruct_corrected(ms, d3_correction_config())
+            rep = reconstruct_corrected(ms, d3_correction_config(n_subsets=2))
         assert rep.correction is not None
         assert not rep.correction.applied
         assert rep.correction.reason
@@ -424,3 +434,68 @@ class TestReconstructCorrected:
         assert len(c.subset_delta_norms) == 2
         assert c.raw_report is not None
         assert c.delta_norm >= 0.0
+
+
+class TestOwnGap:
+    """The default: one subset, the whole campaign, whose gap is the raw
+    solve's own."""
+
+    def test_two_solves_and_no_child_process(self, monkeypatch):
+        class NoPool:
+            def __init__(self, *args, **kwargs):
+                raise AssertionError("a pool was started")
+
+        solves = []
+
+        def counting(ms, cfg, **kwargs):
+            solves.append(len(ms))
+            return reconstruct(ms, cfg, **kwargs)
+
+        monkeypatch.setattr("cstomo.workers.ProcessPoolExecutor", NoPool)
+        monkeypatch.setattr("cstomo.correction._subset_workers", lambda n: 2)
+        monkeypatch.setattr("cstomo.correction.reconstruct", counting)
+        ms = simulate_measurements(3, 60, seed=16, mean_total_counts=2e3)
+        before = set(multiprocessing.active_children())
+        rep = reconstruct_corrected(ms, d3_correction_config())
+        assert rep.correction.applied
+        assert solves == [60, 60]
+        assert set(multiprocessing.active_children()) == before
+
+    @pytest.mark.parametrize("d, m, counts", [(3, 60, 2e3), (5, 200, 300.0)])
+    def test_equals_the_one_subset_estimator_by_hand(self, d, m, counts):
+        ms = simulate_measurements(d, m, seed=21, mean_total_counts=counts)
+        cfg = d3_correction_config() if d == 3 else NoiseCorrectionConfig()
+        (sub,) = partition(ms, dataclasses.replace(cfg, n_subsets=1))
+        sub_rep = reconstruct(sub, cfg.base)
+        assert sub_rep.converged
+        gap = vec(sub_rep.rho_pre_gamma) - vec(sub_rep.rho)
+        corrected_ms, n_clamped = correct_probabilities(ms, gap)
+        want = reconstruct(corrected_ms, cfg.base)
+        want.correction = CorrectionDiagnostics(
+            subset_sizes=[m],
+            subset_converged=[True],
+            subset_delta_norms=[float(np.linalg.norm(gap))],
+            delta=gap,
+            n_clamped=n_clamped,
+            raw_report=reconstruct(ms, cfg.base),
+        )
+
+        got = reconstruct_corrected(ms, cfg)
+        assert np.array_equal(got.correction.delta, gap)
+        assert json.dumps(report_to_dict(got, d=d), sort_keys=True) == json.dumps(
+            report_to_dict(want, d=d), sort_keys=True
+        )
+        assert report_to_dict(got, d=d)["correction"]["subset_sizes"] == [m]
+
+    def test_skipped_when_the_raw_solve_does_not_converge(self):
+        ms = simulate_measurements(3, 60, seed=7, mean_total_counts=500.0)
+        cfg = d3_correction_config(base=ReconstructionConfig(tau=0.7, k_max=1))
+        with pytest.warns(UserWarning) as caught:
+            rep = reconstruct_corrected(ms, cfg)
+        assert [str(w.message) for w in caught] == [
+            "subset did not converge within k_max=1; contribution omitted",
+            "noise correction skipped: every subset failed to converge",
+        ]
+        assert np.array_equal(rep.rho, reconstruct(ms, cfg.base).rho)
+        c = rep.correction
+        assert not c.applied and c.subset_sizes == [60] and c.subset_converged == [False]

@@ -118,9 +118,9 @@ class TestRunSweep:
         with pytest.raises(ValueError, match="jobs must be at least 1"):
             run_sweep(small_spec(), jobs=jobs)
 
-    def test_rejects_single_subset(self):
-        with pytest.raises(ValueError, match="at least 2"):
-            small_spec(n_subsets=1)
+    def test_rejects_no_subsets(self):
+        with pytest.raises(ValueError, match="at least 1"):
+            small_spec(n_subsets=0)
 
     def test_raw_only_mode(self):
         spec = small_spec(with_correction=False, repeats=1)
@@ -140,9 +140,34 @@ class TestRunSweep:
             assert e["fidelity_raw_std"] == pytest.approx(np.std(vals, ddof=1))
 
 
+class TestDefaultCorrection:
+    def test_in_line_sweep_starts_no_pool_and_queues_nothing(self, monkeypatch):
+        # the default correction's gap is each cell's raw solve's own: the
+        # cells are simulated in their turn and nothing forks
+        class NoPool:
+            def __init__(self, *args, **kwargs):
+                raise AssertionError("a pool was started")
+
+        def no_queue(*args, **kwargs):
+            raise AssertionError("cells were started ahead")
+
+        monkeypatch.setattr("cstomo.workers.ProcessPoolExecutor", NoPool)
+        monkeypatch.setattr("cstomo.correction._subset_workers", lambda n: 2)
+        monkeypatch.setattr("cstomo.experiments._started_cells", no_queue)
+        seeds = TestLookahead.record_simulations(monkeypatch)
+        spec = small_spec(d=5, fractions=[0.05, 0.2], repeats=2, solver=ReconstructionConfig())
+        simulated = []
+        before = set(multiprocessing.active_children())
+        rows = run_sweep(spec, on_row=lambda row: simulated.append(len(seeds)))
+        assert set(multiprocessing.active_children()) == before
+        assert simulated == [1, 2, 3, 4]
+        assert all(r.status == "ok" and r.fidelity_corrected > 0 for r in rows)
+
+
 class TestSubsetPool:
-    # d=5, 5 and 7 subsets per cell: an in-line sweep shares one pool for them
-    SPEC = dict(d=5, fractions=[0.2, 0.3], repeats=1, solver=ReconstructionConfig())
+    # d=5, 5 subsets per cell: an in-line sweep shares one pool for them
+    SPEC = dict(d=5, fractions=[0.2, 0.3], repeats=1, solver=ReconstructionConfig(),
+                n_subsets=5)
 
     @staticmethod
     def count_pools(monkeypatch):
@@ -175,12 +200,13 @@ class TestSubsetPool:
         assert self.timeless(pooled) == self.timeless(inline)
 
     def test_shared_pool_skips_a_cell_it_cannot_partition(self, monkeypatch):
-        # M=31 < 2·25 at fraction 0.05: the first cell maps no subsets on the
+        # M=31 < 5·25 at fraction 0.05: the first cell maps no subsets on the
         # shared pool, the next cell maps five
-        spec = small_spec(d=5, fractions=[0.05, 0.2], repeats=1, solver=ReconstructionConfig())
+        spec = small_spec(d=5, fractions=[0.05, 0.2], repeats=1, solver=ReconstructionConfig(),
+                          n_subsets=5)
 
         def run():
-            with pytest.warns(UserWarning, match="infeasible"):
+            with pytest.warns(UserWarning, match="floor"):
                 return run_sweep(spec)
 
         monkeypatch.setattr("cstomo.correction._subset_workers", lambda n: 1)
@@ -213,9 +239,10 @@ class TestSubsetPool:
 
 
 class TestLookahead:
-    # d=5: fraction 0.05 (M=31) cannot be partitioned, 0.2 and 0.3 make
-    # 5 and 7 subsets
-    SPEC = dict(d=5, fractions=[0.05, 0.2, 0.3], repeats=2, solver=ReconstructionConfig())
+    # d=5, 5 subsets: fraction 0.05 (M=31) cannot be partitioned, 0.2 and
+    # 0.3 can
+    SPEC = dict(d=5, fractions=[0.05, 0.2, 0.3], repeats=2, solver=ReconstructionConfig(),
+                n_subsets=5)
 
     count_pools = staticmethod(TestSubsetPool.count_pools)
     timeless = staticmethod(TestSubsetPool.timeless)
@@ -256,10 +283,10 @@ class TestLookahead:
 
     def test_rows_match_across_worker_counts(self, monkeypatch):
         spec = small_spec(**self.SPEC)
-        with pytest.warns(UserWarning, match="infeasible"):
+        with pytest.warns(UserWarning, match="floor"):
             inline = self.sweep(monkeypatch, 1, spec)
         pools = self.count_pools(monkeypatch)
-        with pytest.warns(UserWarning, match="infeasible"):
+        with pytest.warns(UserWarning, match="floor"):
             pooled = self.sweep(monkeypatch, 2, spec)
         assert pools == [2]
         assert [np.isnan(r.fidelity_corrected) for r in pooled] == [True] * 2 + [False] * 4
@@ -295,7 +322,8 @@ class TestLookahead:
         assert self.timeless(runs[1]) == self.timeless(runs[0])
 
     def test_on_row_raising_cancels_the_queued_cells(self, monkeypatch):
-        spec = small_spec(d=5, fractions=[0.2, 0.3], repeats=2, solver=ReconstructionConfig())
+        spec = small_spec(d=5, fractions=[0.2, 0.3], repeats=2, solver=ReconstructionConfig(),
+                          n_subsets=5)
         futures = []
 
         class RecordingPool(ProcessPoolExecutor):
