@@ -12,6 +12,12 @@ solve: ``reconstruct_corrected`` takes the raw report's own gap and makes
 exactly two solves, raw then final, with no partition and no worker
 process.
 
+The raw and final solves measure with the same projectors, so they share
+one ``MeasurementOperator``: the raw solve factors the campaign's Gram
+matrix, and the final solve reuses that factorization with the corrected
+probabilities, which gives the same bits as factoring it again. Correction
+subsets have projectors of their own and build their own operators.
+
 With ``n_subsets`` N ≥ 2 the campaign is partitioned and the subset solves,
 which do not depend on each other or on the raw solve, run apart from it.
 ``submit_subsets`` is the one place that submits them: it partitions the
@@ -51,7 +57,12 @@ import numpy as np
 from .errors import DegenerateIterateError, DegenerateSystemError
 from .linalg import mat, vec
 from .simulate import MeasurementSet, expectations, joint_vectors
-from .solver import ReconstructionConfig, ReconstructionReport, reconstruct
+from .solver import (
+    MeasurementOperator,
+    ReconstructionConfig,
+    ReconstructionReport,
+    reconstruct,
+)
 from .workers import WorkerPool
 
 __all__ = [
@@ -301,10 +312,13 @@ def reconstruct_corrected(
     """
     if cfg is None:
         cfg = NoiseCorrectionConfig()
+    # one factorization for both solves: the raw solve builds it, the final
+    # solve reuses it with the corrected probabilities
+    op = MeasurementOperator(ms)
     with contextlib.ExitStack() as stack:
         if submitted is None and cfg.n_subsets > 1:
             submitted = submit_subsets(ms, cfg, stack.enter_context(subset_pool(cfg.n_subsets)))
-        raw = reconstruct(ms, cfg.base, on_iteration=on_iteration)
+        raw = reconstruct(ms, cfg.base, on_iteration=on_iteration, operator=op)
         if submitted is None:  # the one subset is the campaign, solved just now
             submitted = SubmittedSubsets([ms], iter([_gap(raw, cfg.base)]))
         if submitted.subsets:
@@ -319,7 +333,7 @@ def reconstruct_corrected(
         return raw
 
     corrected_ms, diag.n_clamped = correct_probabilities(ms, diag.delta)
-    out = reconstruct(corrected_ms, cfg.base, on_iteration=on_iteration)
+    out = reconstruct(corrected_ms, cfg.base, on_iteration=on_iteration, operator=op)
     diag.raw_report = raw
     out.correction = diag
     return out

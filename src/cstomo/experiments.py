@@ -113,8 +113,8 @@ class SweepSpec:
         if int(self.repeats) < 1:
             raise ValueError("repeats must be at least 1")
         self.repeats = int(self.repeats)
-        if not float(self.mean_total_counts) > 0:
-            raise ValueError("mean_total_counts must be positive")
+        if not 0 < float(self.mean_total_counts) < np.inf:
+            raise ValueError("mean_total_counts must be positive and finite")
         if int(self.n_subsets) < 1:
             raise ValueError(f"n_subsets must be at least 1, got {self.n_subsets}")
 

@@ -220,8 +220,8 @@ def expectations(w: np.ndarray, rho: np.ndarray) -> np.ndarray:
 def counts_to_probs(counts, mean_total_counts: float) -> np.ndarray:
     """Normalize raw counts by the calibration constant, clamped to [0, 1]."""
     mean_total_counts = float(mean_total_counts)
-    if not mean_total_counts > 0:
-        raise ValueError("mean_total_counts must be positive")
+    if not 0 < mean_total_counts < np.inf:
+        raise ValueError("mean_total_counts must be positive and finite")
     return np.clip(np.asarray(counts, dtype=float) / mean_total_counts, 0.0, 1.0)
 
 
@@ -265,8 +265,8 @@ def simulate_measurements(
         probs, counts, calibration = ideal, None, None
     else:
         calibration = float(mean_total_counts)
-        if not calibration > 0:
-            raise ValueError("mean_total_counts must be positive")
+        if not 0 < calibration < np.inf:
+            raise ValueError("mean_total_counts must be positive and finite")
         counts = rng.poisson(ideal * calibration).astype(np.int64)
         probs = counts_to_probs(counts, calibration)
     return MeasurementSet(

@@ -3,7 +3,7 @@ the measured numbers (run with -s or -rA to see them).
 
 Criterion 3 runs the full d=7 fidelity-vs-fraction experiment and takes
 about 10 s; criterion 4 (the d=17 stretch run) is opt-in via
-CSTOMO_STRETCH=1 since it needs about 20 s at one BLAS thread on two CPUs.
+CSTOMO_STRETCH=1 since it needs 16-20 s at one BLAS thread on two CPUs.
 """
 
 import os

@@ -72,6 +72,14 @@ class TestSimulateCommand:
         run("simulate", "--d", 3, "--measurements", 5, "--strip-truth", "--out", out)
         assert load_measurement_set(str(out)).truth is None
 
+    @pytest.mark.parametrize("counts", ["inf", "nan"])
+    def test_rejects_non_finite_counts(self, tmp_path, capsys, counts):
+        out = tmp_path / "x.json"
+        assert run("simulate", "--d", 3, "--measurements", 10, "--noise", "poisson",
+                   "--mean-total-counts", counts, "--out", out) == 1
+        assert capsys.readouterr().err == "error: mean_total_counts must be positive and finite\n"
+        assert not out.exists()
+
     def test_rejects_zero_measurements(self, tmp_path, capsys):
         assert run("simulate", "--d", 3, "--measurements", 0,
                    "--out", tmp_path / "x.json") == 1
@@ -157,6 +165,17 @@ class TestReconstructCommand:
         err = capsys.readouterr().err
         assert err.startswith(f"error: measurement set: {key} must be")
         assert err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("rank_tol", ["-1", "nan", "2", "inf"])
+    def test_rank_tol_outside_unit_interval_exits_1(self, tmp_path, capsys, rank_tol):
+        inp = self.make_input(tmp_path)
+        out = tmp_path / "report.json"
+        capsys.readouterr()
+        assert run("reconstruct", inp, "--out", out, "--tau", 0.7, "--no-correction",
+                   "--rank-tol", rank_tol) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: rank tolerance must lie in (0, 1], got {float(rank_tol)}\n"
         assert not out.exists()
 
     def test_schema_error_no_partial_output(self, tmp_path, capsys):
@@ -335,6 +354,16 @@ class TestMetricsCommand:
         mat_path.write_text(json.dumps([[[0, 0], [1, 0]], [[0, 0], [0, 0]]]))
         assert run("metrics", mat_path) == 1
 
+    @pytest.mark.parametrize("rank_tol", ["-1", "nan", "2", "inf"])
+    def test_rank_tol_outside_unit_interval_exits_1(self, tmp_path, capsys, rank_tol):
+        mat_path = tmp_path / "mixed.json"
+        mat_path.write_text(json.dumps([[[0.5, 0], [0, 0]], [[0, 0], [0.5, 0]]]))
+        capsys.readouterr()
+        assert run("metrics", mat_path, "--rank-tol", rank_tol) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: rank tolerance must lie in (0, 1], got {float(rank_tol)}\n"
+
 
 class TestSweepCommand:
     def test_single_cell_csv(self, tmp_path):
@@ -390,6 +419,19 @@ class TestSweepCommand:
         lines = outputs[0][0].splitlines()
         assert lines[-1].endswith(",failed: no campaign for this seed")
         assert all(ln.endswith(",ok") for ln in lines[1:-1])
+
+    @pytest.mark.parametrize("counts", ["inf", "nan", "0"])
+    def test_rejects_non_finite_counts_before_any_cell(self, tmp_path, capsys, monkeypatch,
+                                                        counts):
+        simulated = []
+        monkeypatch.setattr("cstomo.experiments.simulate_measurements",
+                            lambda *args, **kwargs: simulated.append(kwargs["seed"]))
+        out = tmp_path / "sweep.csv"
+        assert run("sweep", "--d", 3, "--fractions", "0.75", "--repeats", 1,
+                   "--mean-total-counts", counts, "--out", out) == 1
+        err = capsys.readouterr().err
+        assert err == "error: mean_total_counts must be positive and finite\n"
+        assert simulated == [] and not out.exists()
 
     def test_rejects_jobs_below_one(self, tmp_path, capsys):
         out = tmp_path / "sweep.csv"

@@ -202,10 +202,10 @@ class TestEstimateDeltaRho:
 
 class TestSubsetWorkers:
     def test_pool_gives_the_same_bits(self, monkeypatch):
-        # d=5, 4 subsets of 50; subset 3 needs 261 iterations, so k_max=100
-        # omits it while the other three converge
+        # d=5, 4 subsets of 50, which need 107, 495, 91 and 275 iterations,
+        # so k_max=200 omits subsets 1 and 3 while the other two converge
         ms = simulate_measurements(5, 200, seed=0, mean_total_counts=300)
-        cfg = NoiseCorrectionConfig(n_subsets=4, base=ReconstructionConfig(k_max=100))
+        cfg = NoiseCorrectionConfig(n_subsets=4, base=ReconstructionConfig(k_max=200))
         subsets = partition(ms, cfg)
         delta = np.zeros(25 * 25, dtype=complex)
         converged, norms = [], []
@@ -217,7 +217,7 @@ class TestSubsetWorkers:
                 gap = vec(rep.rho_pre_gamma) - vec(rep.rho)
                 delta += gap
                 norms[-1] = float(np.linalg.norm(gap))
-        assert converged == [True, True, True, False]
+        assert converged == [True, False, True, False]
 
         def estimate():
             with warnings.catch_warnings(record=True) as caught:
@@ -243,8 +243,8 @@ class TestSubsetWorkers:
         assert np.array_equal(est.subset_delta_norms, norms, equal_nan=True)
         assert pool_warnings == inline_warnings
         assert pool_warnings == [
-            "subset did not converge within k_max=100; contribution omitted"
-        ]
+            "subset did not converge within k_max=200; contribution omitted"
+        ] * 2
 
     def test_overlap_gives_the_same_report(self, monkeypatch):
         # the raw solve runs while two workers solve the subsets
@@ -434,6 +434,36 @@ class TestReconstructCorrected:
         assert len(c.subset_delta_norms) == 2
         assert c.raw_report is not None
         assert c.delta_norm >= 0.0
+
+
+class TestOneOperatorPerCampaign:
+    """The raw and final solves share one factorization of the campaign's
+    Gram matrix; correction subsets build their own."""
+
+    def test_default_op_factors_once(self, monkeypatch, factorizations):
+        ms = simulate_measurements(5, 200, seed=22, mean_total_counts=300)
+        got = reconstruct_corrected(ms)
+        assert got.correction.applied
+        assert factorizations == [200]
+
+        # the same report, bit for bit, as solves that each build their own
+        def fresh(ms, cfg, **kwargs):
+            kwargs.pop("operator")
+            return reconstruct(ms, cfg, **kwargs)
+
+        monkeypatch.setattr("cstomo.correction.reconstruct", fresh)
+        want = reconstruct_corrected(ms)
+        assert factorizations == [200, 200, 200]
+        assert json.dumps(report_to_dict(got, d=5), sort_keys=True) == json.dumps(
+            report_to_dict(want, d=5), sort_keys=True
+        )
+
+    def test_subsets_build_their_own(self, monkeypatch, factorizations):
+        monkeypatch.setattr("cstomo.correction._subset_workers", lambda n: 1)
+        ms = simulate_measurements(3, 60, seed=16, mean_total_counts=2e3)
+        rep = reconstruct_corrected(ms, d3_correction_config(n_subsets=2))
+        assert rep.correction.applied
+        assert sorted(factorizations) == [30, 30, 60]
 
 
 class TestOwnGap:

@@ -53,6 +53,11 @@ class TestSweepSpec:
         with pytest.raises(ValueError, match="at least one"):
             small_spec(fractions=[])
 
+    @pytest.mark.parametrize("counts", [0.0, float("inf"), float("nan")])
+    def test_counts_validation(self, counts):
+        with pytest.raises(ValueError, match="must be positive and finite"):
+            small_spec(mean_total_counts=counts)
+
     def test_budget_arithmetic(self):
         spec = small_spec()
         assert spec.n_measurements(1.0) == 81

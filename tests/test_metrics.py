@@ -100,6 +100,14 @@ class TestEffectiveRank:
     def test_zero_matrix(self):
         assert effective_rank(np.zeros((3, 3))) == 0
 
+    def test_tolerance_one_counts_the_top_eigenvalue(self):
+        assert effective_rank(np.diag([1.0, 1.0, 0.5]), rel_tol=1.0) == 2
+
+    @pytest.mark.parametrize("rel_tol", [-1.0, 0.0, 2.0, float("nan"), float("inf")])
+    def test_rejects_tolerance_outside_unit_interval(self, rel_tol):
+        with pytest.raises(ValueError, match=r"rank tolerance must lie in \(0, 1\]"):
+            effective_rank(np.eye(3), rel_tol=rel_tol)
+
 
 class TestResidual:
     def test_exact_solution(self):

@@ -289,6 +289,11 @@ class TestCounts:
         with pytest.raises(ValueError, match="positive"):
             counts_to_probs([1], 0.0)
 
+    @pytest.mark.parametrize("calibration", [float("inf"), float("nan")])
+    def test_counts_to_probs_rejects_non_finite_calibration(self, calibration):
+        with pytest.raises(ValueError, match="positive and finite"):
+            counts_to_probs([1], calibration)
+
 
 class TestSimulateMeasurements:
     def test_noiseless_probs_are_ideal(self):
@@ -316,3 +321,8 @@ class TestSimulateMeasurements:
     def test_rejects_zero_measurements(self):
         with pytest.raises(ValueError, match="at least one"):
             simulate_measurements(3, 0, seed=0)
+
+    @pytest.mark.parametrize("counts", [0.0, -1.0, float("inf"), float("nan")])
+    def test_rejects_bad_mean_total_counts(self, counts):
+        with pytest.raises(ValueError, match="must be positive and finite"):
+            simulate_measurements(3, 5, seed=0, mean_total_counts=counts)

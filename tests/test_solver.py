@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -9,7 +10,7 @@ from cstomo.correction import NoiseCorrectionConfig, _subset_gap, reconstruct_co
 from cstomo.errors import DegenerateIterateError, DegenerateSystemError
 from cstomo.linalg import eig_hermitian, frob_norm, hermiticity_error, mat, vec
 from cstomo.metrics import fidelity_pure
-from cstomo.serialize import save_measurement_set
+from cstomo.serialize import report_to_dict, save_measurement_set
 from cstomo.simulate import (
     MeasurementSet,
     expectations,
@@ -335,6 +336,43 @@ class TestMeasurementOperator:
         assert json.loads(out.read_text())["n_dropped_rows"] == 1
 
 
+class TestSharedOperator:
+    """``reconstruct(..., operator=op)`` reuses op's factorization."""
+
+    def test_same_bits_as_a_fresh_operator(self):
+        ms = simulate_measurements(5, 150, seed=11, mean_total_counts=300)
+        other = dataclasses.replace(ms, probs=np.clip(ms.probs * 0.9 + 0.01, 0.0, 1.0))
+        op = MeasurementOperator(ms)
+        shared = reconstruct(other, operator=op)
+        fresh = reconstruct(other)
+        assert json.dumps(report_to_dict(shared, d=5), sort_keys=True) == json.dumps(
+            report_to_dict(fresh, d=5), sort_keys=True
+        )
+        # the operator keeps the probabilities it was made with
+        assert np.array_equal(op.probs, ms.probs)
+
+    def test_factorization_made_once(self, factorizations):
+        ms = simulate_measurements(3, 40, seed=12)
+        op = MeasurementOperator(ms)
+        assert factorizations == []  # made on first use, inside the solve
+        reconstruct(ms, ReconstructionConfig(tau=0.7), operator=op)
+        reconstruct(dataclasses.replace(ms, probs=ms.probs * 0.5),
+                    ReconstructionConfig(tau=0.7), operator=op)
+        assert factorizations == [40]
+
+    @pytest.mark.parametrize("change", ["other projectors", "fewer", "other d"])
+    def test_mismatched_operator_raises(self, change):
+        ms = simulate_measurements(3, 40, seed=13)
+        other = {
+            "other projectors": simulate_measurements(3, 40, seed=14),
+            "fewer": dataclasses.replace(ms, signal=ms.signal[:39], idler=ms.idler[:39],
+                                         probs=ms.probs[:39]),
+            "other d": simulate_measurements(5, 40, seed=13),
+        }[change]
+        with pytest.raises(ValueError, match="projectors are not the operator's"):
+            reconstruct(other, ReconstructionConfig(tau=0.7), operator=MeasurementOperator(ms))
+
+
 def gram_of(signal, idler):
     w = joint_vectors(signal, idler)
     return np.abs(w.conj() @ w.T) ** 2
@@ -463,6 +501,53 @@ class TestReconstruct:
         rep = reconstruct(ms, ReconstructionConfig(tau=0.7))
         assert rep.iterations > 1
         assert len(calls) == rep.iterations + 2
+
+    def test_first_iteration_is_the_plain_step(self):
+        # before the first iteration x_{k-1} = x_k = I/D, so the extrapolated
+        # point is the start itself
+        ms = simulate_measurements(5, 150, seed=9, mean_total_counts=300)
+        cfg = ReconstructionConfig()
+        start = np.eye(25, dtype=complex) / 25
+        cut = threshold_elements(threshold_eigs(start, cfg.tau), cfg.tau_ell)
+        first = MeasurementOperator(ms).project(normalize_trace(cut))
+        rep = reconstruct(ms, cfg)
+        assert rep.per_iteration_steps[0] == frob_norm(first - start)
+
+    def test_gamma_acts_on_the_extrapolated_point(self, monkeypatch):
+        cut_inputs, iterates = [], [np.eye(9, dtype=complex) / 9]
+        cut, project = cstomo.solver._cut, MeasurementOperator.project
+
+        def recording_cut(rho, cfg):
+            cut_inputs.append(rho)
+            return cut(rho, cfg)
+
+        def recording_project(op, rho):
+            iterates.append(project(op, rho))
+            return iterates[-1]
+
+        monkeypatch.setattr(cstomo.solver, "_cut", recording_cut)
+        monkeypatch.setattr(MeasurementOperator, "project", recording_project)
+        ms = simulate_measurements(3, 36, seed=0, mean_total_counts=300)
+        rep = reconstruct(ms, ReconstructionConfig(tau=0.7))
+        assert cstomo.solver.MOMENTUM == 0.5
+        assert rep.iterations > 2 and len(iterates) == rep.iterations + 1
+        assert np.array_equal(cut_inputs[0], iterates[0])
+        for k in range(1, rep.iterations):
+            x, before = iterates[k], iterates[k - 1]
+            assert np.array_equal(cut_inputs[k], x + 0.5 * (x - before))
+        # the stopping rule and the reported matrices use the iterates
+        assert rep.per_iteration_steps[-1] == frob_norm(iterates[-1] - iterates[-2])
+        assert np.array_equal(rep.rho_pre_gamma, iterates[-1])
+
+    @pytest.mark.parametrize("seed", range(7000, 7010))
+    def test_noiseless_d7_recovery_at_one_and_a_half_pure_state_budgets(self, seed):
+        # M = 1.5·(2D−1) = 146; without the heavy-ball step seeds 7000, 7006
+        # and 7007 settle on a wrong fixed point (0.397, 0.528, 0.367)
+        state = make_max_entangled(7)
+        ms = simulate_measurements(7, 146, state=state, seed=seed)
+        rep = reconstruct(ms)
+        assert rep.converged
+        assert fidelity_pure(rep.rho, state) >= 0.999
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
