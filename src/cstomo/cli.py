@@ -7,9 +7,8 @@ campaign to JSON, ``reconstruct`` recovers a density matrix from one,
 1 input or I/O error, 2 a usage error (an unknown command or flag, or a bad
 flag value, reported by argparse), 3 non-convergence, 4 degenerate
 measurement system, 5 a solver invariant violated (a bug, not bad input),
-6 a worker process died or could not be started (for example killed when
-memory ran out): one solving the correction's subsets, or a
-``sweep --jobs N`` worker.
+6 a ``sweep --jobs N`` worker process died or could not be started (for
+example killed when memory ran out).
 """
 
 from __future__ import annotations
@@ -31,7 +30,7 @@ from .errors import (
 )
 from .experiments import CSV_COLUMNS, SUMMARY_COLUMNS, SweepSpec, run_sweep, summarize_sweep
 from .linalg import check_hermitian
-from .metrics import summarize
+from .metrics import check_rank_tol, summarize
 from .serialize import (
     _metrics_to_dict,
     format_float,
@@ -83,7 +82,8 @@ def _solver_config(args) -> ReconstructionConfig:
 def _add_subsets_flag(p: argparse.ArgumentParser) -> None:
     p.add_argument("--subsets", type=int, default=1,
                    help="number of correction subsets (default 1: the raw solve's own "
-                        "structural gap; N >= 2 solves N disjoint subsets apart)")
+                        "structural gap; N >= 2 sums the gaps of N disjoint subsets, "
+                        "each solved after the raw solve)")
 
 
 def _add_state_flags(p: argparse.ArgumentParser) -> None:
@@ -131,10 +131,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-correction", action="store_true",
                    help="skip the noise correction: one raw solve")
     _add_subsets_flag(p)
-    p.add_argument("--subset-assignment", choices=("round-robin", "seeded-random"),
-                   default="round-robin")
-    p.add_argument("--correction-seed", type=int, default=0,
-                   help="seed for seeded-random subset assignment")
     p.add_argument("--diagnostics", default=None,
                    help="stream per-iteration diagnostics to this CSV path")
     p.add_argument("--rank-tol", type=float, default=1e-3,
@@ -206,6 +202,7 @@ class _DiagnosticsWriter:
 
 
 def _cmd_reconstruct(args) -> int:
+    check_rank_tol(args.rank_tol)  # before the solves, which it would outlast
     ms = load_measurement_set(args.input)
     cfg = _solver_config(args)
 
@@ -219,12 +216,7 @@ def _cmd_reconstruct(args) -> int:
         if args.no_correction:
             report = reconstruct(ms, cfg, on_iteration=on_iteration)
         else:
-            corr_cfg = NoiseCorrectionConfig(
-                n_subsets=args.subsets,
-                subset_assignment=args.subset_assignment,
-                base=cfg,
-                seed=args.correction_seed,
-            )
+            corr_cfg = NoiseCorrectionConfig(n_subsets=args.subsets, base=cfg)
             report = reconstruct_corrected(ms, corr_cfg, on_iteration=on_iteration)
     finally:
         if diag_fh is not None:

@@ -9,8 +9,7 @@ the probabilities, and re-run the solver on the corrected system.
 
 By default there is one subset, the whole campaign, whose solve is the raw
 solve: ``reconstruct_corrected`` takes the raw report's own gap and makes
-exactly two solves, raw then final, with no partition and no worker
-process.
+exactly two solves, raw then final.
 
 The raw and final solves measure with the same projectors, so they share
 one ``MeasurementOperator``: the raw solve factors the campaign's Gram
@@ -18,22 +17,11 @@ matrix, and the final solve reuses that factorization with the corrected
 probabilities, which gives the same bits as factoring it again. Correction
 subsets have projectors of their own and build their own operators.
 
-With ``n_subsets`` N ≥ 2 the campaign is partitioned and the subset solves,
-which do not depend on each other or on the raw solve, run apart from it.
-``submit_subsets`` is the one place that submits them: it partitions the
-campaign and maps ``_subset_gap`` over the subsets on a ``workers.WorkerPool``
-of one forked worker per usable CPU that BLAS threads leave free.
-``reconstruct_corrected`` reads the gaps. Called alone (``cstomo
-reconstruct --subsets N``) it submits to a pool of its own, runs the raw
-solve while the workers solve the subsets, waits for their gaps, stops the
-pool and runs the final solve. An in-line sweep instead submits each cell's
-subsets itself, on the one pool it keeps from ``subset_pool``, a few cells
-ahead of the cell being solved, and hands them in: the workers solve the
-next cells' subsets while the calling process runs the current cell's
-solves (see ``experiments``). Every subset runs the same arithmetic as an
-in-line solve wherever and whenever it runs, so the results are
-bit-identical. The raw and final solves always run in the calling process,
-which also emits the warnings and sums the gaps in subset order.
+With ``n_subsets`` N ≥ 2 the campaign is partitioned round-robin and each
+subset is solved after the raw solve, one after another, in the calling
+process: the subset gaps are a lazy generator that ``estimate_delta_rho``
+reads in subset order, so each subset solve runs inside it, and an
+exception one raises, such as an InvariantViolation, propagates from it.
 
 Either way the outcome is one ``CorrectionDiagnostics``:
 ``estimate_delta_rho`` sums the subsets' outcomes into the per-subset sizes,
@@ -45,12 +33,9 @@ the report it returns.
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
-import os
 import warnings
 from dataclasses import dataclass, field
-from typing import Iterator
 
 import numpy as np
 
@@ -63,21 +48,14 @@ from .solver import (
     ReconstructionReport,
     reconstruct,
 )
-from .workers import WorkerPool
 
 __all__ = [
     "NoiseCorrectionConfig",
     "CorrectionDiagnostics",
     "partition",
-    "subset_pool",
-    "SubmittedSubsets",
-    "submit_subsets",
     "correct_probabilities",
     "reconstruct_corrected",
 ]
-
-SUBSET_ASSIGNMENTS = ("round-robin", "seeded-random")
-
 
 @dataclass
 class NoiseCorrectionConfig:
@@ -85,24 +63,18 @@ class NoiseCorrectionConfig:
 
     n_subsets: number of disjoint subsets, at least 1. The default 1 is the
         whole campaign, whose gap is the raw solve's own. N ≥ 2 partitions
-        the campaign and solves each subset apart; every subset must keep at
-        least D measurements, a floor that keeps it solvable for near-pure
-        states.
-    subset_assignment: "round-robin" (deterministic interleave) or
-        "seeded-random" (shuffled by ``seed`` first).
+        the campaign round-robin and solves each subset apart; every subset
+        must keep at least D measurements, a floor that keeps it solvable
+        for near-pure states.
     base: solver configuration of the raw, subset and final solves.
     """
 
     n_subsets: int = 1
-    subset_assignment: str = "round-robin"
     base: ReconstructionConfig = field(default_factory=ReconstructionConfig)
-    seed: int = 0
 
     def __post_init__(self):
         if int(self.n_subsets) < 1:
             raise ValueError(f"n_subsets must be at least 1, got {self.n_subsets}")
-        if self.subset_assignment not in SUBSET_ASSIGNMENTS:
-            raise ValueError(f"subset_assignment must be one of {SUBSET_ASSIGNMENTS}")
 
 
 @dataclass(eq=False)
@@ -148,7 +120,8 @@ class CorrectionDiagnostics:
 
 
 def partition(ms: MeasurementSet, cfg: NoiseCorrectionConfig) -> list[MeasurementSet]:
-    """Split a measurement set into disjoint subsets covering it exactly."""
+    """Split a measurement set round-robin into disjoint subsets covering
+    it exactly: subset j holds measurements j, j + N, j + 2N, ..."""
     m = len(ms)
     dim = ms.d**2
     n = int(cfg.n_subsets)
@@ -157,10 +130,6 @@ def partition(ms: MeasurementSet, cfg: NoiseCorrectionConfig) -> list[Measuremen
             f"{m} measurements over {n} subsets leaves {m // n} per subset, "
             f"below the floor of D={dim}"
         )
-    if cfg.subset_assignment == "round-robin":
-        order = np.arange(m)
-    else:
-        order = np.random.default_rng(cfg.seed).permutation(m)
     return [
         dataclasses.replace(
             ms,
@@ -169,31 +138,8 @@ def partition(ms: MeasurementSet, cfg: NoiseCorrectionConfig) -> list[Measuremen
             probs=ms.probs[idx],
             counts=None if ms.counts is None else ms.counts[idx],
         )
-        for idx in (order[j::n] for j in range(n))
+        for idx in (np.arange(j, m, n) for j in range(n))
     ]
-
-
-# variables that pin the BLAS thread count (OpenBLAS, MKL, OpenMP); the first
-# one set is taken
-_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS")
-
-
-def _subset_workers(n_subsets: int) -> int:
-    """Worker processes for the subset solves: the usable CPUs divided by
-    the BLAS threads each solve runs. BLAS runs one thread per CPU unless a
-    variable pins it, and then the solves stay in-line: on 2 CPUs, two
-    workers at 2 BLAS threads each made a corrected d=7 op 5 times slower."""
-    if hasattr(os, "sched_getaffinity"):
-        cpus = len(os.sched_getaffinity(0))
-    else:
-        cpus = os.cpu_count() or 1
-    blas_threads = cpus
-    for var in _BLAS_THREAD_VARS:
-        value = os.environ.get(var, "")
-        if value.isdigit() and int(value) > 0:
-            blas_threads = int(value)
-            break
-    return min(n_subsets, max(1, cpus // blas_threads))
 
 
 def _gap(rep: ReconstructionReport, cfg: ReconstructionConfig):
@@ -215,47 +161,17 @@ def _subset_gap(sub: MeasurementSet, cfg: ReconstructionConfig):
     return _gap(rep, cfg)
 
 
-def subset_pool(n_subsets: int) -> WorkerPool:
-    """A pool for correction subsets split ``n_subsets`` ways: one worker
-    per subset, as far as ``_subset_workers`` allows."""
-    return WorkerPool(_subset_workers(n_subsets), "subset")
-
-
-@dataclass(eq=False)
-class SubmittedSubsets:
-    """A campaign's correction subsets and their ``_gap`` outcomes, in
-    subset order, pending when the subsets are solved apart; no subsets, and
-    the reason, when the campaign cannot be partitioned."""
-
-    subsets: list[MeasurementSet]
-    gaps: Iterator
-    reason: str = ""
-
-
-def submit_subsets(
-    ms: MeasurementSet, cfg: NoiseCorrectionConfig, pool: WorkerPool
-) -> SubmittedSubsets:
-    """Partition ``ms`` and submit its subsets' solves to ``pool``; the
-    gaps are read by the ``reconstruct_corrected`` call handed the result."""
-    try:
-        subsets = partition(ms, cfg)
-    except ValueError as exc:
-        return SubmittedSubsets([], iter(()), reason=str(exc))
-    return SubmittedSubsets(subsets, pool.map(_subset_gap, [(sub, cfg.base) for sub in subsets]))
-
-
 def estimate_delta_rho(subsets: list[MeasurementSet], gaps) -> CorrectionDiagnostics:
     """Sum the subsets' structural gaps.
 
     ``gaps`` holds each subset's ``_gap`` outcome, in subset order:
     vec(solution) − vec(structural stage of the solution), where the
     pre-structural converged iterate is the subset solution, or the reason
-    the subset is omitted. It may be a pool's pending results, and then
-    reading it waits for the workers: an exception a solve raised, such as
-    an InvariantViolation, propagates, and a worker that died raises
-    WorkerPoolError. An omitted subset contributes nothing and is flagged
-    with a warning. Warnings, flags and the sum are made here, in subset
-    order.
+    the subset is omitted. It may be a generator that solves each subset as
+    it is read; an exception a solve raises, such as an InvariantViolation,
+    then propagates from here. An omitted subset contributes nothing and is
+    flagged with a warning. Warnings, flags and the sum are made here, in
+    subset order.
     """
     dim = subsets[0].d ** 2
     out = CorrectionDiagnostics(delta=np.zeros(dim * dim, dtype=complex))
@@ -293,17 +209,13 @@ def reconstruct_corrected(
     cfg: NoiseCorrectionConfig | None = None,
     *,
     on_iteration=None,
-    submitted: SubmittedSubsets | None = None,
 ) -> ReconstructionReport:
     """Full pipeline: raw solve, structural-gap displacement estimate,
     probability correction, corrected solve.
 
     With one subset (the default) the estimate is the raw solve's own gap.
-    With N ≥ 2, ``submitted`` is ``submit_subsets(ms, cfg, pool)`` made
-    earlier on a caller's pool; without it the subsets go to a pool of this
-    call's own, before the raw solve, which then runs while they are solved,
-    and the pool stops once the gaps are in. A worker that dies or cannot
-    start raises WorkerPoolError.
+    With N ≥ 2 the subsets are solved after the raw solve, in subset order,
+    as ``estimate_delta_rho`` reads their gaps.
 
     The returned report is the corrected run with ``correction`` filled in,
     including the raw run's report. If partitioning is infeasible or every
@@ -315,19 +227,19 @@ def reconstruct_corrected(
     # one factorization for both solves: the raw solve builds it, the final
     # solve reuses it with the corrected probabilities
     op = MeasurementOperator(ms)
-    with contextlib.ExitStack() as stack:
-        if submitted is None and cfg.n_subsets > 1:
-            submitted = submit_subsets(ms, cfg, stack.enter_context(subset_pool(cfg.n_subsets)))
-        raw = reconstruct(ms, cfg.base, on_iteration=on_iteration, operator=op)
-        if submitted is None:  # the one subset is the campaign, solved just now
-            submitted = SubmittedSubsets([ms], iter([_gap(raw, cfg.base)]))
-        if submitted.subsets:
-            diag = estimate_delta_rho(submitted.subsets, submitted.gaps)
-            if diag.n_omitted == diag.n_subsets:
-                diag.reason = "every subset failed to converge"
+    raw = reconstruct(ms, cfg.base, on_iteration=on_iteration, operator=op)
+    if cfg.n_subsets == 1:  # the one subset is the campaign, solved just now
+        diag = estimate_delta_rho([ms], [_gap(raw, cfg.base)])
+    else:
+        try:
+            subsets = partition(ms, cfg)
+        except ValueError as exc:
+            diag = CorrectionDiagnostics(reason=str(exc))
         else:
-            diag = CorrectionDiagnostics(reason=submitted.reason)
+            diag = estimate_delta_rho(subsets, (_subset_gap(sub, cfg.base) for sub in subsets))
     if diag.n_omitted == diag.n_subsets:  # no subset contributed
+        if diag.n_subsets:
+            diag.reason = "every subset failed to converge"
         warnings.warn(f"noise correction skipped: {diag.reason}")
         raw.correction = diag
         return raw

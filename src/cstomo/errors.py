@@ -17,8 +17,8 @@ class InvariantViolation(RuntimeError):
 
 
 class WorkerPoolError(RuntimeError):
-    """Raised when a worker process dies or cannot be started: one solving
-    correction subsets, or a sweep cell worker."""
+    """Raised when a ``sweep --jobs N`` cell worker process dies or cannot
+    be started."""
 
 
 class SchemaError(ValueError):

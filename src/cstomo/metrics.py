@@ -70,11 +70,17 @@ def purity(rho: np.ndarray) -> float:
     return float(hs_inner(rho, rho).real)
 
 
+def check_rank_tol(rel_tol: float) -> None:
+    """A ValueError unless the relative rank cut lies in (0, 1], which NaN
+    does not."""
+    if not 0.0 < rel_tol <= 1.0:
+        raise ValueError(f"rank tolerance must lie in (0, 1], got {rel_tol}")
+
+
 def effective_rank(rho: np.ndarray, rel_tol: float = 1e-3) -> int:
     """Number of eigenvalues at or above rel_tol × (largest eigenvalue);
     rel_tol must lie in (0, 1]."""
-    if not 0.0 < rel_tol <= 1.0:
-        raise ValueError(f"rank tolerance must lie in (0, 1], got {rel_tol}")
+    check_rank_tol(rel_tol)
     w = np.linalg.eigvalsh(hermitian_part(np.asarray(rho)))
     lam_max = float(w[-1])
     if lam_max <= 0.0:

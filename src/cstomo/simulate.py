@@ -35,6 +35,21 @@ __all__ = [
 
 _NORM_TOL = 1e-12
 
+# numpy's Poisson sampler rejects means above about 9.2e18 ("lam value too
+# large"); a campaign's largest mean is the calibration itself (at p = 1)
+MAX_MEAN_TOTAL_COUNTS = 1e18
+
+
+def check_mean_total_counts(mean_total_counts) -> float:
+    """The calibration as a float; a ValueError unless it lies in
+    (0, MAX_MEAN_TOTAL_COUNTS], which NaN does not."""
+    value = float(mean_total_counts)
+    if not 0 < value <= MAX_MEAN_TOTAL_COUNTS:
+        raise ValueError(
+            f"mean_total_counts must be positive and finite, at most {MAX_MEAN_TOTAL_COUNTS:g}"
+        )
+    return value
+
 
 def _check_mode_count(d: int, require_odd: bool = False) -> int:
     d = int(d)
@@ -219,9 +234,7 @@ def expectations(w: np.ndarray, rho: np.ndarray) -> np.ndarray:
 
 def counts_to_probs(counts, mean_total_counts: float) -> np.ndarray:
     """Normalize raw counts by the calibration constant, clamped to [0, 1]."""
-    mean_total_counts = float(mean_total_counts)
-    if not 0 < mean_total_counts < np.inf:
-        raise ValueError("mean_total_counts must be positive and finite")
+    mean_total_counts = check_mean_total_counts(mean_total_counts)
     return np.clip(np.asarray(counts, dtype=float) / mean_total_counts, 0.0, 1.0)
 
 
@@ -264,9 +277,7 @@ def simulate_measurements(
     if mean_total_counts is None:
         probs, counts, calibration = ideal, None, None
     else:
-        calibration = float(mean_total_counts)
-        if not 0 < calibration < np.inf:
-            raise ValueError("mean_total_counts must be positive and finite")
+        calibration = check_mean_total_counts(mean_total_counts)
         counts = rng.poisson(ideal * calibration).astype(np.int64)
         probs = counts_to_probs(counts, calibration)
     return MeasurementSet(

@@ -1,25 +1,15 @@
-"""A pool of forked worker processes for the correction's subset solves and
-the sweep's cells. Only a correction of ``n_subsets`` N ≥ 2 has subset
-solves to hand out: the default one takes the raw solve's own gap and
-starts no pool.
+"""A pool of forked worker processes for the cells of ``sweep --jobs N``
+(``experiments.run_sweep(jobs=N)``); nothing else in cstomo starts a
+process.
 
 A task is a module-level function and its arguments, both pickled (a
 function pickles as its name). The workers are started with fork, so they
 inherit the loaded modules and the BLAS settings and run the same arithmetic
-as an in-line run. A pool outlives one map, and its maps queue behind one
-another: the workers take the tasks in the order they were submitted.
-``correction.submit_subsets`` is the one place that submits the
-correction's subsets: to a ``reconstruct_corrected`` call's own pool before
-its raw solve, so the two run at the same time, or to the one pool an
-in-line ``run_sweep`` keeps for all its cells, up to a few cells ahead of
-the cell being solved, so the workers always have the next cells' subsets
-queued. The look-ahead depth is derived from ``WorkerPool.processes``. The
-workers start at the first map and all at once, before the pool's manager
-thread, so a live pool never forks again.
+as an in-line run. The workers start at the first map and all at once,
+before the pool's manager thread, so a live pool never forks again.
 
 A pool runs its maps in-line with fewer than two workers, on a platform
-without fork, and inside a process that is itself a multiprocessing worker,
-so the subsets of a sweep cell never start a pool of their own.
+without fork, and inside a process that is itself a multiprocessing worker.
 """
 
 from __future__ import annotations
@@ -47,11 +37,6 @@ class WorkerPool:
             and multiprocessing.parent_process() is None
         )
         self._executor: ProcessPoolExecutor | None = None
-
-    @property
-    def processes(self) -> int:
-        """The worker processes that run the maps; 0 when they run in-line."""
-        return self._workers if self._forked else 0
 
     def __enter__(self) -> WorkerPool:
         return self

@@ -21,3 +21,14 @@ def factorizations(monkeypatch):
 
     monkeypatch.setattr(cstomo.solver, "_factor_inverse", counting)
     return sizes
+
+
+class _NoPool:
+    def __init__(self, *args, **kwargs):
+        raise AssertionError("a pool was started")
+
+
+@pytest.fixture
+def no_pool(monkeypatch):
+    """Fail the test if a worker pool starts."""
+    monkeypatch.setattr("cstomo.workers.ProcessPoolExecutor", _NoPool)

@@ -9,13 +9,13 @@ import numpy as np
 import pytest
 
 import cstomo
-import cstomo.experiments
 from cstomo.cli import main
-from cstomo.correction import _subset_gap
 from cstomo.errors import InvariantViolation
-from cstomo.experiments import cell_seed
 from cstomo.serialize import load_measurement_set
 from cstomo.simulate import make_max_entangled, state_to_density
+
+
+COUNTS_ERROR = "error: mean_total_counts must be positive and finite, at most 1e+18\n"
 
 
 def run(*argv):
@@ -28,15 +28,8 @@ def die(*args, **kwargs):
     os._exit(1)
 
 
-# the seed whose subsets ``die_on_seed`` kills; forked workers see the value
-# set before the pool starts
-DIE_SEED = None
-
-
-def die_on_seed(sub, sub_cfg):
-    if sub.seed == DIE_SEED:
-        os._exit(1)
-    return _subset_gap(sub, sub_cfg)
+def no_solve(*args, **kwargs):
+    raise AssertionError("a solve ran")
 
 
 def strip_runtime(text):
@@ -72,12 +65,12 @@ class TestSimulateCommand:
         run("simulate", "--d", 3, "--measurements", 5, "--strip-truth", "--out", out)
         assert load_measurement_set(str(out)).truth is None
 
-    @pytest.mark.parametrize("counts", ["inf", "nan"])
+    @pytest.mark.parametrize("counts", ["inf", "nan", "1e30"])
     def test_rejects_non_finite_counts(self, tmp_path, capsys, counts):
         out = tmp_path / "x.json"
         assert run("simulate", "--d", 3, "--measurements", 10, "--noise", "poisson",
                    "--mean-total-counts", counts, "--out", out) == 1
-        assert capsys.readouterr().err == "error: mean_total_counts must be positive and finite\n"
+        assert capsys.readouterr().err == COUNTS_ERROR
         assert not out.exists()
 
     def test_rejects_zero_measurements(self, tmp_path, capsys):
@@ -138,9 +131,8 @@ class TestReconstructCommand:
         assert "fidelity" in doc["correction"]["raw"]["metrics"]
 
     def test_default_correction_is_the_raw_solves_own_gap(self, tmp_path, monkeypatch):
-        # one subset, the whole campaign: no subset worker starts
-        monkeypatch.setattr("cstomo.correction._subset_workers", lambda n: 2)
-        monkeypatch.setattr("cstomo.correction._subset_gap", die)
+        # one subset, the whole campaign: no subset solve runs
+        monkeypatch.setattr("cstomo.correction._subset_gap", no_solve)
         inp = self.make_input(tmp_path, n=60, noise=True)
         out = tmp_path / "report.json"
         assert run("reconstruct", inp, "--out", out, "--tau", 0.7) == 0
@@ -168,9 +160,14 @@ class TestReconstructCommand:
         assert not out.exists()
 
     @pytest.mark.parametrize("rank_tol", ["-1", "nan", "2", "inf"])
-    def test_rank_tol_outside_unit_interval_exits_1(self, tmp_path, capsys, rank_tol):
+    def test_rank_tol_outside_unit_interval_exits_1(self, tmp_path, capsys, monkeypatch,
+                                                      rank_tol):
+        # checked before the campaign is loaded, so no solve runs
         inp = self.make_input(tmp_path)
         out = tmp_path / "report.json"
+        monkeypatch.setattr("cstomo.cli.load_measurement_set", no_solve)
+        monkeypatch.setattr("cstomo.cli.reconstruct", no_solve)
+        monkeypatch.setattr("cstomo.cli.reconstruct_corrected", no_solve)
         capsys.readouterr()
         assert run("reconstruct", inp, "--out", out, "--tau", 0.7, "--no-correction",
                    "--rank-tol", rank_tol) == 1
@@ -221,46 +218,31 @@ class TestReconstructCommand:
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
 
-    def test_dead_subset_worker_exit_code(self, tmp_path, capsys, monkeypatch):
-        # a worker killed mid-solve (for example when memory runs out)
-        monkeypatch.setattr("cstomo.correction._subset_workers", lambda n: 2)
-        monkeypatch.setattr("cstomo.correction._subset_gap", die)
-        inp = self.make_input(tmp_path, noise=True)
+    def test_invariant_violation_in_a_subset_exit_code(self, tmp_path, capsys, monkeypatch):
+        def broken(sub, sub_cfg):
+            raise InvariantViolation("iterate lost Hermiticity after projection 1")
+
+        monkeypatch.setattr("cstomo.correction._subset_gap", broken)
+        inp = self.make_input(tmp_path, n=60, noise=True)
         out = tmp_path / "r.json"
-        assert run("reconstruct", inp, "--out", out, "--tau", 0.7, "--subsets", 2) == 6
+        capsys.readouterr()
+        assert run("reconstruct", inp, "--out", out, "--tau", 0.7, "--subsets", 2) == 5
         err = capsys.readouterr().err
-        assert err.startswith("error: a subset worker died") and err.count("\n") == 1
+        assert err == "error: solver invariant violated: iterate lost Hermiticity after " \
+                      "projection 1\n"
         assert not out.exists()
 
-    def test_failed_worker_start_exit_code(self, tmp_path, capsys, monkeypatch):
-        # the first worker forks, the second cannot: the first must not linger
-        real_fork = os.fork
-        forks = []
+    def test_subsets_start_no_process(self, tmp_path, monkeypatch, no_pool):
+        def no_fork():
+            raise AssertionError("a process was forked")
 
-        def fork_once():
-            forks.append(None)
-            if len(forks) > 1:
-                raise BlockingIOError(11, "Resource temporarily unavailable")
-            return real_fork()
-
-        monkeypatch.setattr("cstomo.correction._subset_workers", lambda n: 2)
-        monkeypatch.setattr(os, "fork", fork_once)
+        inp = self.make_input(tmp_path, n=60, noise=True)
+        monkeypatch.setattr(os, "fork", no_fork)
         before = set(multiprocessing.active_children())
-        inp = self.make_input(tmp_path, noise=True)
-        try:
-            rc = run("reconstruct", inp, "--out", tmp_path / "r.json", "--tau", 0.7,
-                     "--subsets", 2)
-        finally:
-            stray = set(multiprocessing.active_children()) - before
-            for proc in stray:  # keep a failure here from hanging the test run
-                proc.kill()
-                proc.join(10)
-        assert rc == 6
-        err = capsys.readouterr().err
-        assert err.startswith("error: could not start subset workers")
-        assert err.count("\n") == 1
-        assert len(forks) == 2
-        assert not stray
+        out = tmp_path / "r.json"
+        assert run("reconstruct", inp, "--out", out, "--tau", 0.7, "--subsets", 2) == 0
+        assert set(multiprocessing.active_children()) == before
+        assert json.loads(out.read_text())["correction"]["n_subsets"] == 2
 
     def test_byte_identical_reruns(self, tmp_path):
         inp = self.make_input(tmp_path, n=60, noise=True)
@@ -293,35 +275,16 @@ class TestReconstructCommand:
         phases = {ln.split(",")[0] for ln in lines[1:]}
         assert phases == {"raw", "corrected"}
 
-    def test_diagnostics_raw_rows_first_with_subset_workers(self, tmp_path, monkeypatch):
-        # the raw solve runs while workers solve the subsets: its rows still
-        # all come first, and the rows are the in-line run's
+    def test_diagnostics_raw_rows_then_corrected_rows_with_subsets(self, tmp_path):
+        # the subset solves between them write no rows
         inp = self.make_input(tmp_path, n=60, noise=True)
-        texts = []
-        for workers in (1, 2):
-            monkeypatch.setattr("cstomo.correction._subset_workers", lambda n: workers)
-            diag, out = tmp_path / f"diag{workers}.csv", tmp_path / f"r{workers}.json"
-            assert run("reconstruct", inp, "--out", out, "--tau", 0.7,
-                       "--subsets", 2, "--diagnostics", diag) == 0
-            texts.append(diag.read_text())
+        diag, out = tmp_path / "diag.csv", tmp_path / "r.json"
+        assert run("reconstruct", inp, "--out", out, "--tau", 0.7,
+                   "--subsets", 2, "--diagnostics", diag) == 0
         doc = json.loads(out.read_text())
-        phases = [ln.split(",")[0] for ln in texts[1].strip().splitlines()[1:]]
+        phases = [ln.split(",")[0] for ln in diag.read_text().strip().splitlines()[1:]]
         n_raw = doc["correction"]["raw"]["iterations"]
         assert phases == ["raw"] * n_raw + ["corrected"] * doc["iterations"]
-        assert texts[1] == texts[0]
-
-    @pytest.mark.filterwarnings("ignore:subset did not converge")
-    @pytest.mark.parametrize("seed", [5, 8])
-    def test_reports_identical_across_subset_worker_counts(self, tmp_path, monkeypatch, seed):
-        inp = self.make_input(tmp_path, n=60, noise=True, seed=seed)
-        for flags in ((), ("--subsets", 6), ("--no-correction",)):
-            reports = []
-            for workers in (1, 2):
-                monkeypatch.setattr("cstomo.correction._subset_workers", lambda n: workers)
-                out = tmp_path / f"r{workers}.json"
-                assert run("reconstruct", inp, "--out", out, "--tau", 0.7, *flags) == 0
-                reports.append(out.read_bytes())
-            assert reports[1] == reports[0]
 
 
 class TestMetricsCommand:
@@ -394,33 +357,7 @@ class TestSweepCommand:
             (tmp_path / "b.csv.summary.csv").read_bytes()
 
 
-    @pytest.mark.filterwarnings("ignore:noise correction skipped")
-    def test_outputs_identical_across_subset_worker_counts(self, tmp_path, monkeypatch):
-        # d=5, 5 subsets: fraction 0.05 cannot be partitioned, and the last cell's
-        # campaign fails while it is started ahead of its turn
-        real = cstomo.experiments.simulate_measurements
-        fail_seed = cell_seed(0, 1, 1)
-
-        def simulate(*args, **kwargs):
-            if kwargs["seed"] == fail_seed:
-                raise ValueError("no campaign for this seed")
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr("cstomo.experiments.simulate_measurements", simulate)
-        outputs = []
-        for workers in (1, 2):
-            monkeypatch.setattr("cstomo.correction._subset_workers", lambda n: workers)
-            out = tmp_path / f"sweep{workers}.csv"
-            assert run("sweep", "--d", 5, "--fractions", "0.05,0.2", "--repeats", 2,
-                       "--subsets", 5, "--out", out) == 0
-            summary = tmp_path / f"sweep{workers}.csv.summary.csv"
-            outputs.append((strip_runtime(out.read_text()), summary.read_bytes()))
-        assert outputs[1] == outputs[0]
-        lines = outputs[0][0].splitlines()
-        assert lines[-1].endswith(",failed: no campaign for this seed")
-        assert all(ln.endswith(",ok") for ln in lines[1:-1])
-
-    @pytest.mark.parametrize("counts", ["inf", "nan", "0"])
+    @pytest.mark.parametrize("counts", ["inf", "nan", "0", "1e30"])
     def test_rejects_non_finite_counts_before_any_cell(self, tmp_path, capsys, monkeypatch,
                                                         counts):
         simulated = []
@@ -430,7 +367,7 @@ class TestSweepCommand:
         assert run("sweep", "--d", 3, "--fractions", "0.75", "--repeats", 1,
                    "--mean-total-counts", counts, "--out", out) == 1
         err = capsys.readouterr().err
-        assert err == "error: mean_total_counts must be positive and finite\n"
+        assert err == COUNTS_ERROR
         assert simulated == [] and not out.exists()
 
     def test_rejects_jobs_below_one(self, tmp_path, capsys):
@@ -449,67 +386,6 @@ class TestSweepCommand:
                    "--tau", 0.7, "--jobs", 2, "--out", out) == 6
         err = capsys.readouterr().err
         assert err.startswith("error: a sweep worker died") and err.count("\n") == 1
-        assert not out.exists()
-
-    def test_dead_subset_worker_exit_code(self, tmp_path, capsys, monkeypatch):
-        # a subset worker of an in-line sweep killed mid-solve stops the
-        # sweep: the pool it shares with the later cells is gone
-        monkeypatch.setattr("cstomo.correction._subset_workers", lambda n: 2)
-        monkeypatch.setattr("cstomo.correction._subset_gap", die)
-        before = set(multiprocessing.active_children())
-        out = tmp_path / "sweep.csv"
-        assert run("sweep", "--d", 3, "--fractions", "0.75", "--repeats", 2,
-                   "--tau", 0.7, "--subsets", 2, "--out", out) == 6
-        err = capsys.readouterr().err
-        assert err.startswith("error: a subset worker died") and err.count("\n") == 1
-        assert not out.exists()
-        assert set(multiprocessing.active_children()) == before
-
-    def test_dead_subset_worker_with_cells_queued_exit_code(self, tmp_path, capsys, monkeypatch):
-        # the second cell's subsets kill a worker while the cells after it
-        # are queued on the same pool
-        monkeypatch.setattr("cstomo.correction._subset_workers", lambda n: 2)
-        monkeypatch.setattr("cstomo.correction._subset_gap", die_on_seed)
-        monkeypatch.setitem(globals(), "DIE_SEED", cell_seed(0, 0, 1))
-        before = set(multiprocessing.active_children())
-        out = tmp_path / "sweep.csv"
-        assert run("sweep", "--d", 3, "--fractions", "0.75", "--repeats", 4,
-                   "--tau", 0.7, "--subsets", 2, "--out", out) == 6
-        err = capsys.readouterr().err
-        assert err.startswith("error: a subset worker died") and err.count("\n") == 1
-        assert not out.exists()
-        assert set(multiprocessing.active_children()) == before
-
-    def test_failed_subset_worker_start_exit_code(self, tmp_path, capsys, monkeypatch):
-        # an in-line sweep's subset pool cannot start while the first cell
-        # starts the cells after it: the sweep stops, no row fails instead
-        real_fork = os.fork
-        forks = []
-
-        def fork_once():
-            forks.append(None)
-            if len(forks) > 1:
-                raise BlockingIOError(11, "Resource temporarily unavailable")
-            return real_fork()
-
-        monkeypatch.setattr("cstomo.correction._subset_workers", lambda n: 2)
-        monkeypatch.setattr(os, "fork", fork_once)
-        before = set(multiprocessing.active_children())
-        out = tmp_path / "sweep.csv"
-        try:
-            rc = run("sweep", "--d", 3, "--fractions", "0.75", "--repeats", 2,
-                     "--tau", 0.7, "--subsets", 2, "--out", out)
-        finally:
-            stray = set(multiprocessing.active_children()) - before
-            for proc in stray:  # keep a failure here from hanging the test run
-                proc.kill()
-                proc.join(10)
-        assert rc == 6
-        err = capsys.readouterr().err
-        assert err.startswith("error: could not start subset workers")
-        assert err.count("\n") == 1
-        assert len(forks) == 2
-        assert not stray
         assert not out.exists()
 
     def test_failed_worker_start_exit_code(self, tmp_path, capsys, monkeypatch):

@@ -1,18 +1,15 @@
 import dataclasses
 import json
 import multiprocessing
-import os
-import re
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
 
+import cstomo.correction
 from cstomo.correction import (
     CorrectionDiagnostics,
     NoiseCorrectionConfig,
-    _subset_workers,
     correct_probabilities,
     partition,
     reconstruct_corrected,
@@ -37,10 +34,6 @@ class TestConfig:
         with pytest.raises(ValueError, match="at least 1"):
             NoiseCorrectionConfig(n_subsets=0)
 
-    def test_rejects_unknown_assignment(self):
-        with pytest.raises(ValueError, match="assignment"):
-            NoiseCorrectionConfig(subset_assignment="alphabetical")
-
     def test_default_subset_count(self):
         # one subset, the whole campaign, by default; two subsets of 17
         # measurements fall below the floor of D=9 each
@@ -59,27 +52,17 @@ class TestPartition:
 
     def test_disjoint_exact_cover(self):
         ms = simulate_measurements(3, 40, seed=1, mean_total_counts=1e4)
-        for assignment in ("round-robin", "seeded-random"):
-            subs = partition(
-                ms, d3_correction_config(n_subsets=2, subset_assignment=assignment)
-            )
-            all_probs = np.concatenate([s.probs for s in subs])
-            assert sorted(all_probs.tolist()) == sorted(ms.probs.tolist())
-            assert sum(len(s) for s in subs) == len(ms)
-            seen = set()
-            for s in subs:
-                for sig, idl in zip(s.signal, s.idler):
-                    key = sig.tobytes() + idl.tobytes()
-                    assert key not in seen
-                    seen.add(key)
-            assert len(seen) == len(ms)
-
-    def test_seeded_random_deterministic(self):
-        ms = simulate_measurements(3, 40, seed=2)
-        cfg = d3_correction_config(n_subsets=2, subset_assignment="seeded-random", seed=7)
-        a = partition(ms, cfg)
-        b = partition(ms, cfg)
-        assert np.array_equal(a[0].probs, b[0].probs)
+        subs = partition(ms, d3_correction_config(n_subsets=2))
+        all_probs = np.concatenate([s.probs for s in subs])
+        assert sorted(all_probs.tolist()) == sorted(ms.probs.tolist())
+        assert sum(len(s) for s in subs) == len(ms)
+        seen = set()
+        for s in subs:
+            for sig, idl in zip(s.signal, s.idler):
+                key = sig.tobytes() + idl.tobytes()
+                assert key not in seen
+                seen.add(key)
+        assert len(seen) == len(ms)
 
     @pytest.mark.parametrize("counts", [1e4, None])
     def test_new_sets_keep_the_campaign(self, counts):
@@ -176,40 +159,35 @@ class TestEstimateDeltaRho:
         ] * 2
 
     def test_invariant_violation_propagates(self, monkeypatch):
-        # a convention bug must surface, not become an omitted subset, also
-        # when a subset worker process raises it; the raw solve, in this
-        # process, succeeds
-        parent = os.getpid()
+        # a convention bug in a subset solve must surface, not become an
+        # omitted subset; the raw solve, the first, succeeds
+        solves = []
 
         def broken(ms, cfg, **kwargs):
-            if os.getpid() == parent:
+            solves.append(len(ms))
+            if len(solves) == 1:
                 return reconstruct(ms, cfg, **kwargs)
-            raise InvariantViolation(
-                f"projection 1 left constraint residual 1e-3 > 1e-9 (pid {os.getpid()})"
-            )
+            raise InvariantViolation("projection 1 left constraint residual 1e-3 > 1e-9")
 
         ms = simulate_measurements(3, 60, seed=0, mean_total_counts=1e4)
-        cfg = d3_correction_config(n_subsets=2)
         monkeypatch.setattr("cstomo.correction.reconstruct", broken)
-        monkeypatch.setattr("cstomo.correction._subset_workers", lambda n: 2)
-        before = set(multiprocessing.active_children())
-        with pytest.raises(InvariantViolation) as info:
-            reconstruct_corrected(ms, cfg)
-        pid = int(re.search(r"pid (\d+)", str(info.value)).group(1))
-        assert pid != parent
-        assert set(multiprocessing.active_children()) == before
+        with pytest.raises(InvariantViolation, match="constraint residual"):
+            reconstruct_corrected(ms, d3_correction_config(n_subsets=2))
+        assert solves == [60, 30]
 
 
-class TestSubsetWorkers:
-    def test_pool_gives_the_same_bits(self, monkeypatch):
+class TestSubsetsInLine:
+    """With N ≥ 2 the subsets are solved in the calling process, after the
+    raw solve, as ``estimate_delta_rho`` reads their gaps."""
+
+    def test_same_bits_as_the_subset_solves_by_hand(self):
         # d=5, 4 subsets of 50, which need 107, 495, 91 and 275 iterations,
         # so k_max=200 omits subsets 1 and 3 while the other two converge
         ms = simulate_measurements(5, 200, seed=0, mean_total_counts=300)
         cfg = NoiseCorrectionConfig(n_subsets=4, base=ReconstructionConfig(k_max=200))
-        subsets = partition(ms, cfg)
         delta = np.zeros(25 * 25, dtype=complex)
         converged, norms = [], []
-        for sub in subsets:
+        for sub in partition(ms, cfg):
             rep = reconstruct(sub, cfg.base)
             converged.append(rep.converged)
             norms.append(float("nan"))
@@ -219,98 +197,43 @@ class TestSubsetWorkers:
                 norms[-1] = float(np.linalg.norm(gap))
         assert converged == [True, False, True, False]
 
-        def estimate():
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                est = reconstruct_corrected(ms, cfg).correction
-            return est, [str(w.message) for w in caught]
-
-        monkeypatch.setattr("cstomo.correction._subset_workers", lambda n: 1)
-        _, inline_warnings = estimate()
-        pools = []
-
-        class CountingPool(ProcessPoolExecutor):
-            def __init__(self, *args, **kwargs):
-                pools.append(kwargs["max_workers"])
-                super().__init__(*args, **kwargs)
-
-        monkeypatch.setattr("cstomo.workers.ProcessPoolExecutor", CountingPool)
-        monkeypatch.setattr("cstomo.correction._subset_workers", lambda n: 2)
-        est, pool_warnings = estimate()
-        assert pools == [2]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            est = reconstruct_corrected(ms, cfg).correction
         assert np.array_equal(est.delta, delta)
         assert est.subset_converged == converged
         assert np.array_equal(est.subset_delta_norms, norms, equal_nan=True)
-        assert pool_warnings == inline_warnings
-        assert pool_warnings == [
+        assert [str(w.message) for w in caught] == [
             "subset did not converge within k_max=200; contribution omitted"
         ] * 2
 
-    def test_overlap_gives_the_same_report(self, monkeypatch):
-        # the raw solve runs while two workers solve the subsets
-        ms = simulate_measurements(5, 200, seed=0, mean_total_counts=300)
-        cfg = NoiseCorrectionConfig(n_subsets=4, base=ReconstructionConfig(k_max=100))
+    def test_subsets_solve_after_the_raw_solve_inside_the_estimate(self, monkeypatch,
+                                                                   no_pool):
+        events = []
+        real_reconstruct = cstomo.correction.reconstruct
+        real_estimate = cstomo.correction.estimate_delta_rho
 
-        def report():
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                rep = reconstruct_corrected(ms, cfg)
-            assert rep.correction.applied
-            return json.dumps(report_to_dict(rep, d=5), sort_keys=True)
+        def solve(ms, cfg, **kwargs):
+            events.append(("solve", len(ms)))
+            return real_reconstruct(ms, cfg, **kwargs)
 
-        monkeypatch.setattr("cstomo.correction._subset_workers", lambda n: 1)
-        inline = report()
-        pools = []
+        def estimate(subsets, gaps):
+            events.append("estimate")
+            try:
+                return real_estimate(subsets, gaps)
+            finally:
+                events.append("estimated")
 
-        class CountingPool(ProcessPoolExecutor):
-            def __init__(self, *args, **kwargs):
-                pools.append(kwargs["max_workers"])
-                super().__init__(*args, **kwargs)
-
-        monkeypatch.setattr("cstomo.workers.ProcessPoolExecutor", CountingPool)
-        monkeypatch.setattr("cstomo.correction._subset_workers", lambda n: 2)
+        monkeypatch.setattr("cstomo.correction.reconstruct", solve)
+        monkeypatch.setattr("cstomo.correction.estimate_delta_rho", estimate)
+        ms = simulate_measurements(3, 60, seed=16, mean_total_counts=2e3)
         before = set(multiprocessing.active_children())
-        assert report() == inline
-        assert pools == [2]
+        rep = reconstruct_corrected(ms, d3_correction_config(n_subsets=2))
         assert set(multiprocessing.active_children()) == before
-
-    @pytest.mark.parametrize(
-        "env, n_subsets, workers",
-        [
-            ({"OPENBLAS_NUM_THREADS": "1"}, 8, 4),
-            ({"OPENBLAS_NUM_THREADS": "1"}, 3, 3),
-            ({"OMP_NUM_THREADS": "2"}, 8, 2),
-            ({"MKL_NUM_THREADS": "3", "OMP_NUM_THREADS": "1"}, 8, 1),
-            ({"OPENBLAS_NUM_THREADS": "8"}, 8, 1),
-            ({}, 8, 1),  # BLAS then runs one thread per CPU
-        ],
-    )
-    def test_worker_count(self, monkeypatch, env, n_subsets, workers):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
-        for var in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS"):
-            monkeypatch.delenv(var, raising=False)
-        for var, value in env.items():
-            monkeypatch.setenv(var, value)
-        assert _subset_workers(n_subsets) == workers
-
-    @pytest.mark.parametrize("reason", ["one worker", "no fork", "multiprocessing child"])
-    def test_in_line_without_a_pool(self, monkeypatch, reason):
-        class NoPool:
-            def __init__(self, *args, **kwargs):
-                raise AssertionError("a pool was started")
-
-        monkeypatch.setattr("cstomo.workers.ProcessPoolExecutor", NoPool)
-        monkeypatch.setattr(
-            "cstomo.correction._subset_workers", lambda n: 1 if reason == "one worker" else 2
-        )
-        if reason == "no fork":
-            monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
-        if reason == "multiprocessing child":
-            monkeypatch.setattr(multiprocessing, "parent_process", lambda: object())
-        ms = simulate_measurements(3, 60, seed=4)
-        cfg = d3_correction_config(n_subsets=2)
-        est = reconstruct_corrected(ms, cfg).correction
-        assert est.subset_converged == [True, True]
+        assert rep.correction.applied
+        assert events == [
+            ("solve", 60), "estimate", ("solve", 30), ("solve", 30), "estimated", ("solve", 60)
+        ]
 
 
 class TestCorrectProbabilities:
@@ -458,8 +381,7 @@ class TestOneOperatorPerCampaign:
             report_to_dict(want, d=5), sort_keys=True
         )
 
-    def test_subsets_build_their_own(self, monkeypatch, factorizations):
-        monkeypatch.setattr("cstomo.correction._subset_workers", lambda n: 1)
+    def test_subsets_build_their_own(self, factorizations):
         ms = simulate_measurements(3, 60, seed=16, mean_total_counts=2e3)
         rep = reconstruct_corrected(ms, d3_correction_config(n_subsets=2))
         assert rep.correction.applied
@@ -470,19 +392,13 @@ class TestOwnGap:
     """The default: one subset, the whole campaign, whose gap is the raw
     solve's own."""
 
-    def test_two_solves_and_no_child_process(self, monkeypatch):
-        class NoPool:
-            def __init__(self, *args, **kwargs):
-                raise AssertionError("a pool was started")
-
+    def test_two_solves_and_no_child_process(self, monkeypatch, no_pool):
         solves = []
 
         def counting(ms, cfg, **kwargs):
             solves.append(len(ms))
             return reconstruct(ms, cfg, **kwargs)
 
-        monkeypatch.setattr("cstomo.workers.ProcessPoolExecutor", NoPool)
-        monkeypatch.setattr("cstomo.correction._subset_workers", lambda n: 2)
         monkeypatch.setattr("cstomo.correction.reconstruct", counting)
         ms = simulate_measurements(3, 60, seed=16, mean_total_counts=2e3)
         before = set(multiprocessing.active_children())

@@ -1,7 +1,5 @@
 import dataclasses
 import multiprocessing
-import time
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -17,23 +15,6 @@ from cstomo.experiments import (
     summarize_sweep,
 )
 from cstomo.solver import ReconstructionConfig
-
-# a subset task's function is pickled by name, so the stand-ins for
-# ``correction._subset_gap`` below are module-level; forked workers see the
-# seed set here before the pool starts
-VIOLATE_SEED = None
-
-
-def violate_on_seed(sub, sub_cfg):
-    if sub.seed == VIOLATE_SEED:
-        raise InvariantViolation("iterate lost Hermiticity after projection 1")
-    return _subset_gap(sub, sub_cfg)
-
-
-def slow_gap(sub, sub_cfg):
-    time.sleep(0.1)
-    return _subset_gap(sub, sub_cfg)
-
 
 def small_spec(**kw):
     kw.setdefault("d", 3)
@@ -53,7 +34,7 @@ class TestSweepSpec:
         with pytest.raises(ValueError, match="at least one"):
             small_spec(fractions=[])
 
-    @pytest.mark.parametrize("counts", [0.0, float("inf"), float("nan")])
+    @pytest.mark.parametrize("counts", [0.0, float("inf"), float("nan"), 1e30])
     def test_counts_validation(self, counts):
         with pytest.raises(ValueError, match="must be positive and finite"):
             small_spec(mean_total_counts=counts)
@@ -109,6 +90,24 @@ class TestRunSweep:
         ]
         assert seen == rows
 
+    def test_no_child_left_when_on_row_raises(self):
+        def stop(row):
+            raise RuntimeError("stop")
+
+        before = set(multiprocessing.active_children())
+        with pytest.raises(RuntimeError, match="stop"):
+            run_sweep(small_spec(n_subsets=2), jobs=2, on_row=stop)
+        assert set(multiprocessing.active_children()) == before
+
+    @pytest.mark.parametrize("reason", ["no fork", "multiprocessing child"])
+    def test_jobs_run_in_line_without_a_pool(self, monkeypatch, no_pool, reason):
+        if reason == "no fork":
+            monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        if reason == "multiprocessing child":
+            monkeypatch.setattr(multiprocessing, "parent_process", lambda: object())
+        rows = run_sweep(small_spec(repeats=1), jobs=2)
+        assert all(r.status == "ok" for r in rows)
+
     def test_corrected_raw_fidelity_uses_the_solver(self):
         # a non-default solver (tau=0.7) with a subset count: the corrected
         # cells' raw solve is the raw-only sweep's
@@ -145,208 +144,64 @@ class TestRunSweep:
             assert e["fidelity_raw_std"] == pytest.approx(np.std(vals, ddof=1))
 
 
-class TestDefaultCorrection:
-    def test_in_line_sweep_starts_no_pool_and_queues_nothing(self, monkeypatch):
-        # the default correction's gap is each cell's raw solve's own: the
-        # cells are simulated in their turn and nothing forks
-        class NoPool:
-            def __init__(self, *args, **kwargs):
-                raise AssertionError("a pool was started")
+def record_simulations(monkeypatch, fail_seed=None):
+    """The seeds of the campaigns the sweep simulates, in call order; the
+    campaign of ``fail_seed`` raises."""
+    seeds = []
+    real = cstomo.experiments.simulate_measurements
 
-        def no_queue(*args, **kwargs):
-            raise AssertionError("cells were started ahead")
+    def simulate(*args, **kwargs):
+        seeds.append(kwargs["seed"])
+        if kwargs["seed"] == fail_seed:
+            raise ValueError("no campaign for this seed")
+        return real(*args, **kwargs)
 
-        monkeypatch.setattr("cstomo.workers.ProcessPoolExecutor", NoPool)
-        monkeypatch.setattr("cstomo.correction._subset_workers", lambda n: 2)
-        monkeypatch.setattr("cstomo.experiments._started_cells", no_queue)
-        seeds = TestLookahead.record_simulations(monkeypatch)
-        spec = small_spec(d=5, fractions=[0.05, 0.2], repeats=2, solver=ReconstructionConfig())
+    monkeypatch.setattr("cstomo.experiments.simulate_measurements", simulate)
+    return seeds
+
+
+class TestInLineCorrection:
+    @pytest.mark.parametrize("n_subsets", [1, 2])
+    def test_in_line_sweep_starts_no_pool_and_queues_nothing(self, monkeypatch, no_pool,
+                                                               n_subsets):
+        # every solve of a cell, its subsets' too, runs in the calling
+        # process, and each cell is simulated in its turn: nothing forks
+        seeds = record_simulations(monkeypatch)
+        spec = small_spec(d=5, fractions=[0.1, 0.2], repeats=2, solver=ReconstructionConfig(),
+                          n_subsets=n_subsets)
         simulated = []
         before = set(multiprocessing.active_children())
         rows = run_sweep(spec, on_row=lambda row: simulated.append(len(seeds)))
         assert set(multiprocessing.active_children()) == before
         assert simulated == [1, 2, 3, 4]
+        assert seeds == [cell_seed(spec.seed, *divmod(i, spec.repeats)) for i in range(4)]
         assert all(r.status == "ok" and r.fidelity_corrected > 0 for r in rows)
 
-
-class TestSubsetPool:
-    # d=5, 5 subsets per cell: an in-line sweep shares one pool for them
-    SPEC = dict(d=5, fractions=[0.2, 0.3], repeats=1, solver=ReconstructionConfig(),
-                n_subsets=5)
-
-    @staticmethod
-    def count_pools(monkeypatch):
-        pools = []
-
-        class CountingPool(ProcessPoolExecutor):
-            def __init__(self, *args, **kwargs):
-                pools.append(kwargs["max_workers"])
-                super().__init__(*args, **kwargs)
-
-        monkeypatch.setattr("cstomo.workers.ProcessPoolExecutor", CountingPool)
-        return pools
-
-    @staticmethod
-    def timeless(rows):
-        return [repr(dataclasses.replace(r, runtime_seconds=0.0)) for r in rows]
-
-    def test_one_pool_per_sweep(self, monkeypatch):
-        spec = small_spec(**self.SPEC)
-        monkeypatch.setattr("cstomo.correction._subset_workers", lambda n: 1)
-        inline = run_sweep(spec)
-        pools = self.count_pools(monkeypatch)
-        monkeypatch.setattr("cstomo.correction._subset_workers", lambda n: 2)
-        before = set(multiprocessing.active_children())
-        pooled = run_sweep(spec)
-        assert pools == [2]
-        assert set(multiprocessing.active_children()) == before
-        assert all(r.status == "ok" and r.fidelity_corrected > 0 for r in pooled)
-
-        assert self.timeless(pooled) == self.timeless(inline)
-
-    def test_shared_pool_skips_a_cell_it_cannot_partition(self, monkeypatch):
-        # M=31 < 5·25 at fraction 0.05: the first cell maps no subsets on the
-        # shared pool, the next cell maps five
-        spec = small_spec(d=5, fractions=[0.05, 0.2], repeats=1, solver=ReconstructionConfig(),
-                          n_subsets=5)
-
-        def run():
-            with pytest.warns(UserWarning, match="floor"):
-                return run_sweep(spec)
-
-        monkeypatch.setattr("cstomo.correction._subset_workers", lambda n: 1)
-        inline = run()
-        pools = self.count_pools(monkeypatch)
-        monkeypatch.setattr("cstomo.correction._subset_workers", lambda n: 2)
-        before = set(multiprocessing.active_children())
-        pooled = run()
-        assert pools == [2]
-        assert set(multiprocessing.active_children()) == before
-        assert [r.status for r in pooled] == ["ok", "ok"]
-        assert np.isnan(pooled[0].fidelity_corrected) and pooled[1].fidelity_corrected > 0
-
-        assert self.timeless(pooled) == self.timeless(inline)
-
-    def test_no_child_left_when_on_row_raises(self, monkeypatch):
-        pools = self.count_pools(monkeypatch)
-        monkeypatch.setattr("cstomo.correction._subset_workers", lambda n: 2)
-        before = set(multiprocessing.active_children())
-        seen = []
-
-        def stop(row):
-            seen.append(row)
-            raise RuntimeError("stop")
-
-        with pytest.raises(RuntimeError, match="stop"):
-            run_sweep(small_spec(**self.SPEC), on_row=stop)
-        assert len(seen) == 1 and pools == [2]
-        assert set(multiprocessing.active_children()) == before
-
-
-class TestLookahead:
-    # d=5, 5 subsets: fraction 0.05 (M=31) cannot be partitioned, 0.2 and
-    # 0.3 can
-    SPEC = dict(d=5, fractions=[0.05, 0.2, 0.3], repeats=2, solver=ReconstructionConfig(),
-                n_subsets=5)
-
-    count_pools = staticmethod(TestSubsetPool.count_pools)
-    timeless = staticmethod(TestSubsetPool.timeless)
-
-    @staticmethod
-    def sweep(monkeypatch, workers, spec, **kw):
-        monkeypatch.setattr("cstomo.correction._subset_workers", lambda n: workers)
-        before = set(multiprocessing.active_children())
-        rows = run_sweep(spec, **kw)
-        assert set(multiprocessing.active_children()) == before
-        return rows
-
-    @staticmethod
-    def record_simulations(monkeypatch, fail_seed=None):
-        seeds = []
-        real = cstomo.experiments.simulate_measurements
-
-        def simulate(*args, **kwargs):
-            seeds.append(kwargs["seed"])
-            if kwargs["seed"] == fail_seed:
-                raise ValueError("no campaign for this seed")
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr("cstomo.experiments.simulate_measurements", simulate)
-        return seeds
-
     @pytest.mark.filterwarnings("ignore:noise correction skipped")
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_cells_start_ahead_up_to_the_depth(self, monkeypatch, workers):
-        spec = small_spec(**self.SPEC)
-        seeds = self.record_simulations(monkeypatch)
-        started = []
-        self.sweep(monkeypatch, workers, spec, on_row=lambda row: started.append(len(seeds)))
-        depth = cstomo.experiments._LOOKAHEAD_PER_WORKER * workers if workers > 1 else 0
-        n = len(started)
-        assert started == [min(k + 1 + depth, n) for k in range(n)]
-        assert seeds == [cell_seed(spec.seed, *divmod(i, spec.repeats)) for i in range(n)]
+    def test_invariant_violation_in_a_subset_fails_only_its_cell(self, monkeypatch):
+        spec = small_spec(d=5, fractions=[0.05, 0.2, 0.3], repeats=2,
+                          solver=ReconstructionConfig(), n_subsets=5)
+        bad_seed = cell_seed(spec.seed, 2, 0)
 
-    def test_rows_match_across_worker_counts(self, monkeypatch):
-        spec = small_spec(**self.SPEC)
-        with pytest.warns(UserWarning, match="floor"):
-            inline = self.sweep(monkeypatch, 1, spec)
-        pools = self.count_pools(monkeypatch)
-        with pytest.warns(UserWarning, match="floor"):
-            pooled = self.sweep(monkeypatch, 2, spec)
-        assert pools == [2]
-        assert [np.isnan(r.fidelity_corrected) for r in pooled] == [True] * 2 + [False] * 4
-        assert all(r.status == "ok" for r in pooled)
-        assert self.timeless(pooled) == self.timeless(inline)
+        def violate_on_seed(sub, sub_cfg):
+            if sub.seed == bad_seed:
+                raise InvariantViolation("iterate lost Hermiticity after projection 1")
+            return _subset_gap(sub, sub_cfg)
 
-    @pytest.mark.filterwarnings("ignore:noise correction skipped")
-    def test_failed_simulation_of_a_cell_started_ahead(self, monkeypatch):
-        # cell 3 is simulated during an earlier cell's call; its row fails
-        # in its place and cells 4 and 5 still run
-        spec = small_spec(**self.SPEC)
-        fail_seed = cell_seed(spec.seed, 1, 1)
-        runs = []
-        for workers in (1, 2):
-            seeds = self.record_simulations(monkeypatch, fail_seed)
-            out = []
-            rows = self.sweep(monkeypatch, workers, spec,
-                              on_row=lambda row: out.append(fail_seed in seeds))
-            runs.append(rows)
-        assert out.index(True) < 3  # started ahead of its turn
-        assert [r.status for r in rows] == ["ok"] * 3 + [
-            "failed: no campaign for this seed"] + ["ok"] * 2
-        assert self.timeless(runs[1]) == self.timeless(runs[0])
-
-    @pytest.mark.filterwarnings("ignore:noise correction skipped")
-    def test_invariant_violation_in_a_queued_subset_fails_only_its_cell(self, monkeypatch):
-        spec = small_spec(**self.SPEC)
+        want = [dataclasses.replace(r, runtime_seconds=0.0) for r in run_sweep(spec)]
         monkeypatch.setattr("cstomo.correction._subset_gap", violate_on_seed)
-        monkeypatch.setitem(globals(), "VIOLATE_SEED", cell_seed(spec.seed, 2, 0))
-        runs = [self.sweep(monkeypatch, workers, spec) for workers in (1, 2)]
-        assert [r.status for r in runs[1]] == ["ok"] * 4 + [
+        rows = [dataclasses.replace(r, runtime_seconds=0.0) for r in run_sweep(spec)]
+        assert [r.status for r in rows] == ["ok"] * 4 + [
             "failed: iterate lost Hermiticity after projection 1", "ok"]
-        assert self.timeless(runs[1]) == self.timeless(runs[0])
+        # fraction 0.05 (M=31) cannot form 5 subsets: its cells fall back to raw
+        assert [np.isnan(r.fidelity_corrected) for r in rows] == [True] * 2 + [False] * 2 + [
+            True, False]
+        assert repr(rows[:4] + rows[5:]) == repr(want[:4] + want[5:])
 
-    def test_on_row_raising_cancels_the_queued_cells(self, monkeypatch):
-        spec = small_spec(d=5, fractions=[0.2, 0.3], repeats=2, solver=ReconstructionConfig(),
-                          n_subsets=5)
-        futures = []
-
-        class RecordingPool(ProcessPoolExecutor):
-            def submit(self, *args, **kwargs):
-                futures.append(super().submit(*args, **kwargs))
-                return futures[-1]
-
-        monkeypatch.setattr("cstomo.workers.ProcessPoolExecutor", RecordingPool)
-        monkeypatch.setattr("cstomo.correction._subset_gap", slow_gap)
-        monkeypatch.setattr("cstomo.correction._subset_workers", lambda n: 2)
-
-        def stop(row):
-            raise RuntimeError("stop")
-
-        before = set(multiprocessing.active_children())
-        with pytest.raises(RuntimeError, match="stop"):
-            run_sweep(spec, on_row=stop)
-        assert set(multiprocessing.active_children()) == before
-        assert len(futures) > 5  # the first cell's 5 subsets, then queued cells'
-        assert all(f.done() for f in futures)
-        assert any(f.cancelled() for f in futures[5:])
+    def test_failed_simulation_fails_only_its_row(self, monkeypatch):
+        spec = small_spec(n_subsets=2)
+        want = [dataclasses.replace(r, runtime_seconds=0.0) for r in run_sweep(spec)]
+        record_simulations(monkeypatch, fail_seed=cell_seed(spec.seed, 1, 0))
+        rows = [dataclasses.replace(r, runtime_seconds=0.0) for r in run_sweep(spec)]
+        assert [r.status for r in rows] == ["ok", "ok", "failed: no campaign for this seed", "ok"]
+        assert repr(rows[:2] + rows[3:]) == repr(want[:2] + want[3:])

@@ -322,7 +322,7 @@ class TestSimulateMeasurements:
         with pytest.raises(ValueError, match="at least one"):
             simulate_measurements(3, 0, seed=0)
 
-    @pytest.mark.parametrize("counts", [0.0, -1.0, float("inf"), float("nan")])
+    @pytest.mark.parametrize("counts", [0.0, -1.0, float("inf"), float("nan"), 1e30])
     def test_rejects_bad_mean_total_counts(self, counts):
         with pytest.raises(ValueError, match="must be positive and finite"):
             simulate_measurements(3, 5, seed=0, mean_total_counts=counts)
