@@ -9,10 +9,14 @@ import numpy as np
 import pytest
 
 import cstomo
+import cstomo.experiments
 from cstomo.cli import main
+from cstomo.correction import NoiseCorrectionConfig, _subset_gap, reconstruct_corrected
 from cstomo.errors import InvariantViolation
-from cstomo.serialize import load_measurement_set
+from cstomo.experiments import cell_seed
+from cstomo.serialize import load_measurement_set, report_to_dict
 from cstomo.simulate import make_max_entangled, state_to_density
+from cstomo.solver import ReconstructionConfig
 
 
 COUNTS_ERROR = "error: mean_total_counts must be positive and finite, at most 1e+18\n"
@@ -244,6 +248,20 @@ class TestReconstructCommand:
         assert set(multiprocessing.active_children()) == before
         assert json.loads(out.read_text())["correction"]["n_subsets"] == 2
 
+    @pytest.mark.filterwarnings("ignore:subset did not converge")
+    @pytest.mark.parametrize("seed", [5, 8])
+    def test_subsets_report_is_the_library_report(self, tmp_path, seed):
+        # the command adds only the metrics blocks to reconstruct_corrected's report
+        inp = self.make_input(tmp_path, n=60, noise=True, seed=seed)
+        out = tmp_path / "r.json"
+        assert run("reconstruct", inp, "--out", out, "--tau", 0.7, "--subsets", 6) == 0
+        doc = json.loads(out.read_text())
+        del doc["metrics"], doc["correction"]["raw"]["metrics"]
+        cfg = NoiseCorrectionConfig(n_subsets=6, base=ReconstructionConfig(tau=0.7))
+        want = report_to_dict(reconstruct_corrected(load_measurement_set(str(inp)), cfg), d=3)
+        assert want["correction"]["n_subsets"] == 6
+        assert json.dumps(doc, sort_keys=True) == json.dumps(want, sort_keys=True)
+
     def test_byte_identical_reruns(self, tmp_path):
         inp = self.make_input(tmp_path, n=60, noise=True)
         a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -357,6 +375,60 @@ class TestSweepCommand:
             (tmp_path / "b.csv.summary.csv").read_bytes()
 
 
+    @pytest.mark.filterwarnings("ignore:noise correction skipped")
+    def test_outputs_identical_across_jobs_with_subsets(self, tmp_path, monkeypatch):
+        # d=5, 5 subsets: fraction 0.05 cannot be partitioned, and the last
+        # cell's campaign fails
+        real = cstomo.experiments.simulate_measurements
+        fail_seed = cell_seed(0, 1, 1)
+
+        def simulate(*args, **kwargs):
+            if kwargs["seed"] == fail_seed:
+                raise ValueError("no campaign for this seed")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr("cstomo.experiments.simulate_measurements", simulate)
+        outputs = []
+        for jobs in (1, 2):
+            out = tmp_path / f"sweep{jobs}.csv"
+            assert run("sweep", "--d", 5, "--fractions", "0.05,0.2", "--repeats", 2,
+                       "--subsets", 5, "--jobs", jobs, "--out", out) == 0
+            summary = tmp_path / f"sweep{jobs}.csv.summary.csv"
+            outputs.append((strip_runtime(out.read_text()), summary.read_bytes()))
+        assert outputs[1] == outputs[0]
+        lines = outputs[0][0].splitlines()
+        assert lines[-1].endswith(",failed: no campaign for this seed")
+        assert all(ln.endswith(",ok") for ln in lines[1:-1])
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_invariant_violation_in_a_subset_fails_only_its_row(self, tmp_path, monkeypatch,
+                                                                jobs):
+        bad_seed = cell_seed(0, 0, 1)
+
+        def violate_on_seed(sub, sub_cfg):
+            if sub.seed == bad_seed:
+                raise InvariantViolation("iterate lost Hermiticity after projection 1")
+            return _subset_gap(sub, sub_cfg)
+
+        monkeypatch.setattr("cstomo.correction._subset_gap", violate_on_seed)
+        out = tmp_path / "sweep.csv"
+        assert run("sweep", "--d", 3, "--fractions", "0.75", "--repeats", 3, "--tau", 0.7,
+                   "--subsets", 2, "--jobs", jobs, "--out", out) == 0
+        statuses = [ln.split(",")[-1] for ln in out.read_text().strip().splitlines()[1:]]
+        assert statuses == ["ok", "failed: iterate lost Hermiticity after projection 1", "ok"]
+
+    def test_subsets_start_no_process(self, tmp_path, monkeypatch, no_pool):
+        def no_fork():
+            raise AssertionError("a process was forked")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        before = set(multiprocessing.active_children())
+        out = tmp_path / "sweep.csv"
+        assert run("sweep", "--d", 3, "--fractions", "0.75", "--repeats", 2, "--tau", 0.7,
+                   "--subsets", 2, "--out", out) == 0
+        assert set(multiprocessing.active_children()) == before
+        assert all(ln.endswith(",ok") for ln in out.read_text().strip().splitlines()[1:])
+
     @pytest.mark.parametrize("counts", ["inf", "nan", "0", "1e30"])
     def test_rejects_non_finite_counts_before_any_cell(self, tmp_path, capsys, monkeypatch,
                                                         counts):
@@ -424,6 +496,17 @@ class TestParser:
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("flag, value", [("--subset-assignment", "round-robin"),
+                                             ("--correction-seed", "7")],
+                             ids=["subset-assignment", "correction-seed"])
+    def test_removed_correction_flags_exit_2(self, tmp_path, capsys, flag, value):
+        # the partition is round-robin only: neither flag is known any more
+        with pytest.raises(SystemExit) as exc:
+            main(["reconstruct", str(tmp_path / "c.json"), "--out", str(tmp_path / "r.json"),
+                  flag, value])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
 
     def test_missing_input_file(self, tmp_path):
         assert run("reconstruct", tmp_path / "nope.json",

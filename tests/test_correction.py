@@ -34,6 +34,12 @@ class TestConfig:
         with pytest.raises(ValueError, match="at least 1"):
             NoiseCorrectionConfig(n_subsets=0)
 
+    @pytest.mark.parametrize("field", ["subset_assignment", "seed"])
+    def test_removed_fields_are_rejected(self, field):
+        # the partition is round-robin only: no assignment to choose, no seed
+        with pytest.raises(TypeError, match=field):
+            NoiseCorrectionConfig(n_subsets=2, **{field: 0})
+
     def test_default_subset_count(self):
         # one subset, the whole campaign, by default; two subsets of 17
         # measurements fall below the floor of D=9 each
@@ -49,6 +55,19 @@ class TestPartition:
         ms = simulate_measurements(3, 100, seed=0)
         subs = partition(ms, d3_correction_config(n_subsets=4))
         assert [len(s) for s in subs] == [25, 25, 25, 25]
+
+    @pytest.mark.parametrize("n_subsets", [2, 3, 4])
+    def test_round_robin_order(self, n_subsets):
+        # subset j holds measurements j, j + N, j + 2N, ..., in campaign order
+        ms = simulate_measurements(3, 103, seed=2, mean_total_counts=1e4)
+        subs = partition(ms, d3_correction_config(n_subsets=n_subsets))
+        assert [len(s) for s in subs] == [len(range(j, 103, n_subsets))
+                                          for j in range(n_subsets)]
+        for j, sub in enumerate(subs):
+            assert np.array_equal(sub.signal, ms.signal[j::n_subsets])
+            assert np.array_equal(sub.idler, ms.idler[j::n_subsets])
+            assert np.array_equal(sub.probs, ms.probs[j::n_subsets])
+            assert np.array_equal(sub.counts, ms.counts[j::n_subsets])
 
     def test_disjoint_exact_cover(self):
         ms = simulate_measurements(3, 40, seed=1, mean_total_counts=1e4)

@@ -14,6 +14,7 @@ from cstomo.experiments import (
     run_sweep_cell,
     summarize_sweep,
 )
+from cstomo.simulate import MAX_MEAN_TOTAL_COUNTS
 from cstomo.solver import ReconstructionConfig
 
 def small_spec(**kw):
@@ -38,6 +39,9 @@ class TestSweepSpec:
     def test_counts_validation(self, counts):
         with pytest.raises(ValueError, match="must be positive and finite"):
             small_spec(mean_total_counts=counts)
+
+    def test_accepts_the_largest_counts(self):
+        assert small_spec(mean_total_counts=MAX_MEAN_TOTAL_COUNTS).mean_total_counts == 1e18
 
     def test_budget_arithmetic(self):
         spec = small_spec()
@@ -89,6 +93,14 @@ class TestRunSweep:
             (0.5, 0), (0.5, 1), (0.75, 0), (0.75, 1)
         ]
         assert seen == rows
+
+    def test_process_pool_matches_serial_with_subsets(self):
+        # each sweep worker solves its cells' subsets in-line
+        spec = small_spec(repeats=1, n_subsets=2)
+        serial, pooled = run_sweep(spec, jobs=1), run_sweep(spec, jobs=2)
+        assert all(r.status == "ok" and r.fidelity_corrected > 0 for r in serial)
+        assert repr([dataclasses.replace(r, runtime_seconds=0.0) for r in pooled]) == repr(
+            [dataclasses.replace(r, runtime_seconds=0.0) for r in serial])
 
     def test_no_child_left_when_on_row_raises(self):
         def stop(row):
@@ -176,6 +188,18 @@ class TestInLineCorrection:
         assert simulated == [1, 2, 3, 4]
         assert seeds == [cell_seed(spec.seed, *divmod(i, spec.repeats)) for i in range(4)]
         assert all(r.status == "ok" and r.fidelity_corrected > 0 for r in rows)
+
+    @pytest.mark.parametrize("n_subsets", [1, 2])
+    def test_on_row_raising_stops_before_the_next_cell(self, monkeypatch, no_pool, n_subsets):
+        seeds = record_simulations(monkeypatch)
+
+        def stop(row):
+            raise RuntimeError("stop")
+
+        spec = small_spec(n_subsets=n_subsets)
+        with pytest.raises(RuntimeError, match="stop"):
+            run_sweep(spec, on_row=stop)
+        assert seeds == [cell_seed(spec.seed, 0, 0)]
 
     @pytest.mark.filterwarnings("ignore:noise correction skipped")
     def test_invariant_violation_in_a_subset_fails_only_its_cell(self, monkeypatch):

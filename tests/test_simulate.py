@@ -3,6 +3,7 @@ import pytest
 
 from cstomo.linalg import frob_norm, hs_inner
 from cstomo.simulate import (
+    MAX_MEAN_TOTAL_COUNTS,
     MeasurementSet,
     TwoPhotonState,
     counts_to_probs,
@@ -322,7 +323,14 @@ class TestSimulateMeasurements:
         with pytest.raises(ValueError, match="at least one"):
             simulate_measurements(3, 0, seed=0)
 
-    @pytest.mark.parametrize("counts", [0.0, -1.0, float("inf"), float("nan"), 1e30])
+    @pytest.mark.parametrize("counts", [0.0, -1.0, float("inf"), float("nan"), 1e30,
+                                        np.nextafter(MAX_MEAN_TOTAL_COUNTS, np.inf)])
     def test_rejects_bad_mean_total_counts(self, counts):
         with pytest.raises(ValueError, match="must be positive and finite"):
             simulate_measurements(3, 5, seed=0, mean_total_counts=counts)
+
+    def test_accepts_the_largest_mean_total_counts(self):
+        # the bound lies below numpy's Poisson limit: a campaign at it samples
+        ms = simulate_measurements(3, 5, seed=0, mean_total_counts=MAX_MEAN_TOTAL_COUNTS)
+        assert ms.calibration == MAX_MEAN_TOTAL_COUNTS
+        assert np.array_equal(ms.probs, np.clip(ms.counts / MAX_MEAN_TOTAL_COUNTS, 0, 1))
