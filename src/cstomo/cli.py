@@ -57,16 +57,15 @@ EXIT_WORKER = 6
 
 def _add_solver_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--tau", type=float, default=0.4,
-                   help="eigenvalue threshold (default 0.4)")
+                   help="eigenvalue threshold, a fraction of the largest eigenvalue "
+                        "(default 0.4)")
     p.add_argument("--tau-ell", type=float, default=0.04,
-                   help="entrywise threshold (default 0.04)")
+                   help="entrywise threshold, a fraction of the largest entry modulus "
+                        "(default 0.04)")
     p.add_argument("--step-tol", type=float, default=1e-3,
                    help="relative step tolerance for convergence (default 1e-3)")
     p.add_argument("--k-max", type=int, default=500,
                    help="iteration cap (default 500)")
-    p.add_argument("--threshold-mode", choices=("relative", "absolute"),
-                   default="relative",
-                   help="thresholds relative to the spectral/entry peak, or absolute")
 
 
 def _solver_config(args) -> ReconstructionConfig:
@@ -75,7 +74,6 @@ def _solver_config(args) -> ReconstructionConfig:
         tau_ell=args.tau_ell,
         step_tol_rel=args.step_tol,
         k_max=args.k_max,
-        threshold_mode=args.threshold_mode,
     )
 
 
@@ -282,7 +280,7 @@ def _cmd_sweep(args) -> int:
 def _cmd_metrics(args) -> int:
     rho = load_matrix(args.matrix)
     try:
-        check_hermitian(rho, tol=1e-12)
+        check_hermitian(rho)
     except ValueError as exc:
         raise SchemaError(str(exc)) from exc
 

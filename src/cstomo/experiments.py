@@ -5,8 +5,8 @@ measurement fraction, reconstructs with and without noise correction, and
 scores fidelity against the maximally entangled target state (the benchmark
 metric; it coincides with fidelity-to-truth when the simulated state is the
 default maximally entangled one). Cells are independent and own their seeded
-RNG streams, so ``run_sweep(jobs=N)`` (``cstomo sweep --jobs N``) runs them
-in a ``workers.WorkerPool`` of N forked worker processes. With ``jobs`` 1
+RNG streams, so ``run_sweep(jobs=N)`` (``cstomo sweep --jobs N``) maps them
+over N forked worker processes with ``workers.ordered_map``. With ``jobs`` 1
 the cells run in the calling process, one after another.
 
 A cell runs all of its solves in the process that runs it: the raw and
@@ -33,7 +33,7 @@ from .simulate import (
     simulate_measurements,
 )
 from .solver import ReconstructionConfig, reconstruct
-from .workers import WorkerPool
+from .workers import ordered_map
 
 __all__ = ["SweepSpec", "SweepRow", "cell_seed", "run_sweep_cell", "run_sweep", "summarize_sweep"]
 
@@ -186,11 +186,14 @@ def run_sweep(spec: SweepSpec, jobs: int = 1, on_row=None) -> list[SweepRow]:
     n_cells = len(spec.fractions) * spec.repeats
     cells = [(spec, *divmod(i, spec.repeats)) for i in range(n_cells)]
     rows = []
-    with WorkerPool(min(jobs, n_cells), "sweep") as pool:
-        for row in pool.map(run_sweep_cell, cells):
+    results = ordered_map(run_sweep_cell, cells, min(jobs, n_cells), "sweep")
+    try:
+        for row in results:
             rows.append(row)
             if on_row is not None:
                 on_row(row)
+    finally:
+        results.close()
     return rows
 
 

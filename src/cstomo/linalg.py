@@ -36,8 +36,11 @@ def hermiticity_error(m: np.ndarray) -> float:
     return float(np.abs(m - m.conj().T).max())
 
 
-def check_hermitian(m: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-    """Validate that ``m`` is square and Hermitian within ``tol``.
+_HERMITIAN_TOL = 1e-12
+
+
+def check_hermitian(m: np.ndarray) -> np.ndarray:
+    """Validate that ``m`` is square and Hermitian within ``_HERMITIAN_TOL``.
 
     Returns ``m`` as an ndarray so the call can be chained.
     """
@@ -45,8 +48,10 @@ def check_hermitian(m: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     err = hermiticity_error(m)
-    if err > tol:
-        raise ValueError(f"matrix is not Hermitian: max |m - m†| = {err:.3e} > {tol:.1e}")
+    if err > _HERMITIAN_TOL:
+        raise ValueError(
+            f"matrix is not Hermitian: max |m - m†| = {err:.3e} > {_HERMITIAN_TOL:.1e}"
+        )
     return m
 
 

@@ -63,8 +63,6 @@ __all__ = [
     "reconstruct",
 ]
 
-THRESHOLD_MODES = ("relative", "absolute")
-
 # Joint vectors have unit norm, so G has a unit diagonal and a row's in-order
 # Cholesky pivot is its squared Gram-Schmidt residual norm. G carries rounding
 # of order M·eps, and LAPACK can return the pivot of an exactly repeated row as
@@ -100,10 +98,9 @@ _PSD_FLOOR = 1e-12
 class ReconstructionConfig:
     """Solver knobs.
 
-    tau: eigenvalue threshold, as a fraction of the largest eigenvalue in
-        "relative" mode (default; scale-invariant before trace normalization)
-        or an absolute cut in "absolute" mode.
-    tau_ell: entrywise threshold, same two modes against the largest entry
+    tau: eigenvalue threshold, as a fraction of the largest eigenvalue
+        (scale-invariant before trace normalization).
+    tau_ell: entrywise threshold, as a fraction of the largest entry
         modulus.
     step_tol_rel: convergence when the Frobenius step between consecutive
         iterates falls below step_tol_rel × (norm of the current iterate).
@@ -114,19 +111,12 @@ class ReconstructionConfig:
     tau_ell: float = 0.04
     step_tol_rel: float = 1e-3
     k_max: int = 500
-    threshold_mode: str = "relative"
 
     def __post_init__(self):
-        if self.threshold_mode not in THRESHOLD_MODES:
-            raise ValueError(f"threshold_mode must be one of {THRESHOLD_MODES}")
-        if self.threshold_mode == "relative":
-            if not 0.0 < self.tau < 1.0:
-                raise ValueError(f"tau must lie in (0, 1), got {self.tau}")
-            if not 0.0 < self.tau_ell < 1.0:
-                raise ValueError(f"tau_ell must lie in (0, 1), got {self.tau_ell}")
-        else:
-            if not self.tau > 0 or not self.tau_ell > 0:
-                raise ValueError("absolute thresholds must be positive")
+        if not 0.0 < self.tau < 1.0:
+            raise ValueError(f"tau must lie in (0, 1), got {self.tau}")
+        if not 0.0 < self.tau_ell < 1.0:
+            raise ValueError(f"tau_ell must lie in (0, 1), got {self.tau_ell}")
         if not self.step_tol_rel > 0:
             raise ValueError("step_tol_rel must be positive")
         if int(self.k_max) < 1:
@@ -249,56 +239,41 @@ def orthogonalize(a_rows: np.ndarray, probs: np.ndarray) -> OrthoSystem:
     return OrthoSystem(rows=work[:kept], probs_prime=pp.real.copy(), n_dropped=dropped)
 
 
-def _eig_threshold_cut(w: np.ndarray, tau: float, mode: str) -> float:
-    if mode == "relative":
-        lam_max = float(w[0])
-        if lam_max <= 0.0:
-            raise DegenerateIterateError(
-                f"largest eigenvalue {lam_max!r} is not positive; thresholding "
-                "would zero the matrix"
-            )
-        return tau * lam_max
-    return float(tau)
+def threshold_eigs(rho: np.ndarray, tau: float) -> np.ndarray:
+    """Zero every eigenvalue below tau × (largest eigenvalue) and recompose.
 
-
-def threshold_eigs(rho: np.ndarray, tau: float, mode: str = "relative") -> np.ndarray:
-    """Zero every eigenvalue below the threshold and recompose.
-
-    In "relative" mode the cut is tau × (largest eigenvalue). Negative
-    eigenvalues are always below the (positive) cut, so the output is PSD.
+    Negative eigenvalues are always below the (positive) cut, so the output
+    is PSD.
     """
-    if mode not in THRESHOLD_MODES:
-        raise ValueError(f"mode must be one of {THRESHOLD_MODES}")
     w, v = eig_hermitian(rho)
-    cut = _eig_threshold_cut(w, tau, mode)
-    keep = w >= cut
-    if not keep.any():
+    lam_max = float(w[0])
+    if lam_max <= 0.0:
+        raise DegenerateIterateError(
+            f"largest eigenvalue {lam_max!r} is not positive; thresholding "
+            "would zero the matrix"
+        )
+    keep = w >= tau * lam_max
+    if not keep.any():  # a NaN largest eigenvalue
         raise DegenerateIterateError("no eigenvalue at or above the threshold")
     w = np.where(keep, w, 0.0)
     return (v * w) @ v.conj().T
 
 
-def threshold_elements(rho: np.ndarray, tau_ell: float, mode: str = "relative") -> np.ndarray:
-    """Zero every entry whose modulus falls below the threshold.
+def threshold_elements(rho: np.ndarray, tau_ell: float) -> np.ndarray:
+    """Zero every entry whose modulus falls below tau_ell × (largest entry
+    modulus).
 
-    In "relative" mode the cut is tau_ell × (largest entry modulus). The
-    decision uses the larger modulus of each (r,c)/(c,r) pair so zeroing is
-    conjugate-symmetric and Hermiticity is preserved even for inputs with
+    The decision uses the larger modulus of each (r,c)/(c,r) pair so zeroing
+    is conjugate-symmetric and Hermiticity is preserved even for inputs with
     rounding-level asymmetry.
     """
-    if mode not in THRESHOLD_MODES:
-        raise ValueError(f"mode must be one of {THRESHOLD_MODES}")
     a = np.asarray(rho)
     mod = np.abs(a)
     mod = np.maximum(mod, mod.T)
-    if mode == "relative":
-        peak = float(mod.max())
-        if peak == 0.0:
-            return a.copy()
-        cut = tau_ell * peak
-    else:
-        cut = float(tau_ell)
-    return np.where(mod >= cut, a, 0.0)
+    peak = float(mod.max())
+    if peak == 0.0:
+        return a.copy()
+    return np.where(mod >= tau_ell * peak, a, 0.0)
 
 
 def normalize_trace(rho: np.ndarray) -> np.ndarray:
@@ -326,11 +301,9 @@ def _cut(rho: np.ndarray, cfg: ReconstructionConfig) -> np.ndarray:
     The output's trace is positive whenever the rank cut keeps anything: the
     kept spectrum is positive, so the rank-cut matrix is PSD and its largest
     entry lies on its diagonal; the relative entrywise cut keeps that entry,
-    so the trace is at least it. Normalization needs no PSD repair first (an
-    absolute cut may zero every entry, and ``normalize_trace`` then raises).
+    so the trace is at least it. Normalization needs no PSD repair first.
     """
-    out = threshold_eigs(rho, cfg.tau, cfg.threshold_mode)
-    return threshold_elements(out, cfg.tau_ell, cfg.threshold_mode)
+    return threshold_elements(threshold_eigs(rho, cfg.tau), cfg.tau_ell)
 
 
 def enforce_structure(rho: np.ndarray, cfg: ReconstructionConfig) -> np.ndarray:

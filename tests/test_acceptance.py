@@ -2,8 +2,9 @@
 the measured numbers (run with -s or -rA to see them).
 
 Criterion 3 runs the full d=7 fidelity-vs-fraction experiment and takes
-about 10 s; criterion 4 (the d=17 stretch run) is opt-in via
-CSTOMO_STRETCH=1 since it needs 16-20 s at one BLAS thread on two CPUs.
+about 10 s; criterion 4 (the d=17 stretch run, scored against the simulated
+truth at a floor of 0.999) is opt-in via CSTOMO_STRETCH=1 since it needs
+16-20 s at one BLAS thread on two CPUs.
 """
 
 import os
@@ -254,25 +255,28 @@ def test_criterion_3_shape_check_rejects_late_peak_and_flat_tail():
     reason="optional non-gating d=17 stretch run; set CSTOMO_STRETCH=1 to enable",
 )
 def test_criterion_4_stretch_d17():
-    # near-pure truth with a wide spectrum: its own fidelity ceiling vs the
-    # target is 0.966, and the ~0.15 undersampling gap at 3% sampling lands
-    # the reconstruction mid-band (a narrower sigma=4 spectrum measured 0.735,
-    # just under the floor)
+    # the abstract's case: 83521 real unknowns from 2506 measurements (3 % of
+    # d⁴) at 1e6 counts, scored against the simulated truth. The truth's own
+    # fidelity to the maximally entangled target is 0.966, which an exact
+    # reconstruction would also score against it; against the truth an
+    # accurate one reads at least 0.999 (0.99972 corrected, 0.99993 raw)
     start = time.perf_counter()
     d = 17
     truth = make_downconversion_state(d, 6.0)
     target = make_max_entangled(d)
     ms = simulate_measurements(d, 2506, state=truth, seed=0, mean_total_counts=1e6)
     report = reconstruct_corrected(ms, NoiseCorrectionConfig())
-    fid = fidelity_pure(report.rho, target)
+    fid = fidelity_pure(report.rho, ms.truth)
     elapsed = time.perf_counter() - start
+    ceiling = abs(np.vdot(joint_state_vector(target), joint_state_vector(truth)))
 
     print(
         f"\nACCEPTANCE 4 (d=17 stretch, 2506 measurements = 3% of 83521): "
-        f"fidelity vs maximally entangled target {fid:.4f}, "
+        f"fidelity vs truth {fid:.5f}; vs maximally entangled target "
+        f"{fidelity_pure(report.rho, target):.4f}, the truth's own {ceiling:.4f}; "
         f"wall clock {elapsed / 3600:.2f} h"
     )
-    assert 0.75 <= fid <= 0.95
+    assert fid >= 0.999
     assert elapsed <= 5 * 3 * 3600
     print("ACCEPTANCE 4: PASS")
 

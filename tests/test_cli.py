@@ -508,6 +508,17 @@ class TestParser:
         assert exc.value.code == 2
         assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["reconstruct", "sweep"])
+    def test_removed_threshold_mode_flag_exits_2(self, tmp_path, capsys, command):
+        # thresholds are relative only: the flag is not known any more
+        args = {"reconstruct": [str(tmp_path / "c.json")],
+                "sweep": ["--d", "3", "--fractions", "0.75"]}[command]
+        with pytest.raises(SystemExit) as exc:
+            main([command, *args, "--out", str(tmp_path / "o"), "--threshold-mode", "relative"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --threshold-mode relative" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
     def test_missing_input_file(self, tmp_path):
         assert run("reconstruct", tmp_path / "nope.json",
                    "--out", tmp_path / "r.json") == 1

@@ -177,9 +177,12 @@ class TestThresholdEigs:
         with pytest.raises(DegenerateIterateError):
             threshold_eigs(np.diag([-1.0, -2.0]).astype(complex), 0.4)
 
-    def test_absolute_mode(self):
-        out = threshold_eigs(np.diag([0.5, 0.3]).astype(complex), 0.4, mode="absolute")
-        assert np.allclose(out, np.diag([0.5, 0]), atol=1e-12)
+    def test_degenerate_when_the_largest_eigenvalue_is_nan(self, monkeypatch):
+        # NaN passes the positivity check and then fails every comparison
+        monkeypatch.setattr(cstomo.solver, "eig_hermitian",
+                            lambda rho: (np.array([np.nan, 0.5]), np.eye(2)))
+        with pytest.raises(DegenerateIterateError, match="no eigenvalue at or above"):
+            threshold_eigs(np.eye(2, dtype=complex), 0.4)
 
 
 class TestThresholdElements:
@@ -558,8 +561,9 @@ class TestReconstruct:
             ReconstructionConfig(step_tol_rel=-1.0)
         with pytest.raises(ValueError):
             ReconstructionConfig(k_max=0)
-        with pytest.raises(ValueError):
-            ReconstructionConfig(threshold_mode="weird")
+        # thresholds are relative only: the mode field is gone
+        with pytest.raises(TypeError, match="threshold_mode"):
+            ReconstructionConfig(threshold_mode="relative")
 
 
 class TestPsdRepairOnReportedMatrices:
