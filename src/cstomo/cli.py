@@ -77,13 +77,6 @@ def _solver_config(args) -> ReconstructionConfig:
     )
 
 
-def _add_subsets_flag(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--subsets", type=int, default=1,
-                   help="number of correction subsets (default 1: the raw solve's own "
-                        "structural gap; N >= 2 sums the gaps of N disjoint subsets, "
-                        "each solved after the raw solve)")
-
-
 def _add_state_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--state", choices=("max-entangled", "downconversion"),
                    default="max-entangled",
@@ -115,8 +108,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--noise", choices=("none", "poisson"), default="none")
     p.add_argument("--mean-total-counts", type=float, default=5e4,
                    help="calibration constant: mean counts at p=1 (poisson noise)")
-    p.add_argument("--identical-arms", action="store_true",
-                   help="reuse one random mode on both arms of each projector")
     p.add_argument("--strip-truth", action="store_true",
                    help="omit the ground-truth state from the file")
     p.add_argument("--seed", type=int, default=0)
@@ -128,7 +119,9 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_solver_flags(p)
     p.add_argument("--no-correction", action="store_true",
                    help="skip the noise correction: one raw solve")
-    _add_subsets_flag(p)
+    p.add_argument("--subsets", type=int, default=1,
+                   help="correction subsets (default 1: the raw solve's own structural "
+                        "gap; N >= 2 sums the gaps of N disjoint subsets, solved after it)")
     p.add_argument("--diagnostics", default=None,
                    help="stream per-iteration diagnostics to this CSV path")
     p.add_argument("--rank-tol", type=float, default=1e-3,
@@ -144,7 +137,6 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_solver_flags(p)
     p.add_argument("--no-correction", action="store_true",
                    help="score the raw solve only")
-    _add_subsets_flag(p)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--jobs", type=int, default=1, help="parallel worker processes")
     p.add_argument("--out", required=True, help="per-cell CSV path")
@@ -174,7 +166,6 @@ def _cmd_simulate(args) -> int:
         state=state,
         seed=args.seed,
         mean_total_counts=args.mean_total_counts if args.noise == "poisson" else None,
-        identical_arms=args.identical_arms,
     )
     save_measurement_set(ms, args.out, strip_truth=args.strip_truth)
     print(f"wrote {args.out}: d={ms.d}, {len(ms)} measurements, seed={ms.seed}")
@@ -266,7 +257,6 @@ def _cmd_sweep(args) -> int:
         with_correction=not args.no_correction,
         state=_make_state(args.state, args.d, args.spiral_width),
         solver=_solver_config(args),
-        n_subsets=args.subsets,
     )
     rows = run_sweep(spec, jobs=args.jobs)
     _write_csv(args.out, CSV_COLUMNS, [vars(r) for r in rows])

@@ -9,12 +9,10 @@ RNG streams, so ``run_sweep(jobs=N)`` (``cstomo sweep --jobs N``) maps them
 over N forked worker processes with ``workers.ordered_map``. With ``jobs`` 1
 the cells run in the calling process, one after another.
 
-A cell runs all of its solves in the process that runs it: the raw and
-final solves, and with ``n_subsets`` N ≥ 2 its correction subsets between
-them. The rows, and the ``on_row`` calls that stream them, come in
-(fraction, repeat) order whatever order the cells finish in, and a cell's
-row does not depend on where it ran (its wall-clock ``runtime_seconds``
-aside).
+A cell runs its raw and final solves in the process that runs it. The
+rows, and the ``on_row`` calls that stream them, come in (fraction,
+repeat) order whatever order the cells finish in, and a cell's row does
+not depend on where it ran (its wall-clock ``runtime_seconds`` aside).
 """
 
 from __future__ import annotations
@@ -65,9 +63,8 @@ class SweepSpec:
     fractions are of the informationally complete budget d⁴ (1.0 means d⁴
     random projective measurements) and must be sorted ascending in (0, 1].
     with_correction=True scores both the raw and the corrected
-    reconstruction; False runs raw only. Both solve with ``solver``; the
-    correction splits each campaign into ``n_subsets`` ≥ 1 subsets (the
-    default 1: the raw solve's own structural gap).
+    reconstruction; False runs raw only. Both solve with ``solver``, and the
+    correction is the default one: the raw solve's own structural gap.
     """
 
     d: int
@@ -78,7 +75,6 @@ class SweepSpec:
     with_correction: bool = True
     state: TwoPhotonState | None = None
     solver: ReconstructionConfig = field(default_factory=ReconstructionConfig)
-    n_subsets: int = 1
 
     def __post_init__(self):
         if not self.fractions:
@@ -93,8 +89,6 @@ class SweepSpec:
             raise ValueError("repeats must be at least 1")
         self.repeats = int(self.repeats)
         check_mean_total_counts(self.mean_total_counts)
-        if int(self.n_subsets) < 1:
-            raise ValueError(f"n_subsets must be at least 1, got {self.n_subsets}")
 
     def n_measurements(self, fraction: float) -> int:
         return max(1, round(float(fraction) * self.d**4))
@@ -103,10 +97,8 @@ class SweepSpec:
 @dataclass
 class SweepRow:
     """One cell's outcome. ``runtime_seconds`` is the wall time of the
-    cell's reconstruction and scoring in the process that runs the cell,
-    without the simulation of its campaign: its raw and final solves, and
-    with ``n_subsets`` N ≥ 2 also partitioning the campaign and solving its
-    subsets. It is 0.0 for a failed cell."""
+    cell's raw and final solves and scoring, without the simulation of its
+    campaign, in the process that runs the cell; 0.0 for a failed cell."""
 
     fraction: float
     repeat: int
@@ -130,7 +122,6 @@ def run_sweep_cell(spec: SweepSpec, fraction_index: int, repeat_index: int) -> S
     fraction = spec.fractions[fraction_index]
     seed = cell_seed(spec.seed, fraction_index, repeat_index)
     target = make_max_entangled(spec.d)
-    cfg = NoiseCorrectionConfig(n_subsets=spec.n_subsets, base=spec.solver)
     try:
         ms = simulate_measurements(
             spec.d,
@@ -141,7 +132,7 @@ def run_sweep_cell(spec: SweepSpec, fraction_index: int, repeat_index: int) -> S
         )
         start = time.perf_counter()
         if spec.with_correction:
-            rep = reconstruct_corrected(ms, cfg)
+            rep = reconstruct_corrected(ms, NoiseCorrectionConfig(base=spec.solver))
             if rep.correction is not None and rep.correction.applied:
                 fid_corr = fidelity_pure(rep.rho, target)
                 fid_raw = fidelity_pure(rep.correction.raw_report.rho, target)

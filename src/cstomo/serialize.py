@@ -53,7 +53,7 @@ def _to_pairs(a: np.ndarray) -> list:
     return a.view(float).reshape(*a.shape, 2).tolist()
 
 
-def _pairs_to_cvec(pairs: Any, what: str, expected_len: int | None = None) -> np.ndarray:
+def _pairs_to_cvec(pairs: Any, what: str, expected_len: int) -> np.ndarray:
     if not isinstance(pairs, list):
         raise SchemaError(f"{what}: expected a list of [re, im] pairs")
     out = np.empty(len(pairs), dtype=complex)
@@ -68,7 +68,7 @@ def _pairs_to_cvec(pairs: Any, what: str, expected_len: int | None = None) -> np
             out[i] = complex(item[0], item[1])
         except OverflowError as exc:  # an integer beyond double range
             raise SchemaError(f"{what}[{i}]: {exc}") from exc
-    if expected_len is not None and out.size != expected_len:
+    if out.size != expected_len:
         raise SchemaError(f"{what}: expected length {expected_len}, got {out.size}")
     if not np.isfinite(out.view(float)).all():
         raise SchemaError(f"{what}: non-finite value")

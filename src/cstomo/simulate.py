@@ -73,7 +73,7 @@ def _check_unit(amps: np.ndarray, what: str) -> np.ndarray:
         raise ValueError(f"{what} amplitudes must be 1-D, got shape {amps.shape}")
     _check_mode_count(amps.size)
     power = float(np.sum(np.abs(amps) ** 2))
-    if abs(power - 1.0) > _NORM_TOL:
+    if not abs(power - 1.0) <= _NORM_TOL:  # NaN and inf are bad too
         raise ValueError(f"{what} is not normalized: sum |a|^2 = {power!r}")
     return amps
 
@@ -171,14 +171,18 @@ def make_downconversion_state(d: int, spiral_width: float) -> TwoPhotonState:
     """Nonuniform source spectrum: c_ℓ ∝ exp(-ℓ²/(2·spiral_width²)), normalized.
 
     A configurable stand-in for a physical downconversion spectrum; large
-    widths approach the maximally entangled state.
+    widths approach the maximally entangled state, small ones a product state.
     """
     d = _check_mode_count(d, require_odd=True)
     spiral_width = float(spiral_width)
-    if not spiral_width > 0:
-        raise ValueError(f"spiral_width must be positive, got {spiral_width}")
+    # spiral_width**2 overflows above about 1.3e154 and is 0 below about 1.6e-162;
+    # from 1e154 up every c_ℓ is exp(-0) = 1
+    two_var = 2.0 * min(spiral_width, 1e154) ** 2
+    if not (spiral_width > 0 and two_var > 0):
+        raise ValueError(f"spiral_width and its square must be positive, got {spiral_width}")
     ells = ell_range(d).astype(float)
-    c = np.exp(-(ells**2) / (2.0 * spiral_width**2))
+    with np.errstate(over="ignore"):  # ℓ²/(2σ²) beyond the double range: c_ℓ = exp(-inf) = 0
+        c = np.exp(-(ells**2) / two_var)
     return TwoPhotonState((c / np.linalg.norm(c)).astype(complex))
 
 
@@ -245,13 +249,12 @@ def simulate_measurements(
     state: TwoPhotonState | None = None,
     seed: int = 0,
     mean_total_counts: float | None = None,
-    identical_arms: bool = False,
 ) -> MeasurementSet:
     """Run a full simulated campaign and return a self-describing MeasurementSet.
 
     Draws ``n_measurements`` random separable projectors against ``state``
-    (maximally entangled by default; both arms share one random mode when
-    ``identical_arms``), computes ideal probabilities, and, when
+    (maximally entangled by default), each the product of two independent
+    random modes, computes ideal probabilities, and, when
     ``mean_total_counts`` is given, replaces them with Poisson-noisy
     normalized counts. All randomness flows from ``seed``.
     """
@@ -271,7 +274,7 @@ def simulate_measurements(
     idler = np.empty((n_measurements, d), dtype=complex)
     for i in range(n_measurements):
         signal[i] = random_mode(d, rng)
-        idler[i] = signal[i] if identical_arms else random_mode(d, rng)
+        idler[i] = random_mode(d, rng)
     # valid density matrices stray outside [0, 1] only by rounding (≤ 1e-12)
     ideal = np.clip(expectations(joint_vectors(signal, idler), rho), 0.0, 1.0)
     if mean_total_counts is None:

@@ -1,6 +1,8 @@
 import pytest
 
+import cstomo.correction
 import cstomo.solver
+from cstomo.errors import InvariantViolation
 
 
 @pytest.fixture
@@ -32,3 +34,26 @@ class _NoPool:
 def no_pool(monkeypatch):
     """Fail the test if a worker pool starts."""
     monkeypatch.setattr("cstomo.workers.ProcessPoolExecutor", _NoPool)
+
+
+@pytest.fixture
+def violate_in_final_solve(monkeypatch):
+    """Call with a campaign seed: the second solve of that campaign inside
+    ``reconstruct_corrected``, its final solve, then raises an
+    InvariantViolation. The call returns the seed of every such solve in
+    this process, in call order."""
+
+    def install(bad_seed):
+        seeds = []
+        real = cstomo.correction.reconstruct
+
+        def solve(ms, *args, **kwargs):
+            seeds.append(ms.seed)
+            if ms.seed == bad_seed and seeds.count(bad_seed) == 2:
+                raise InvariantViolation("iterate lost Hermiticity after projection 1")
+            return real(ms, *args, **kwargs)
+
+        monkeypatch.setattr(cstomo.correction, "reconstruct", solve)
+        return seeds
+
+    return install

@@ -382,7 +382,10 @@ class TestCriterion5InvariantSuite:
 
 
 class TestCriterion6Determinism:
-    def test_simulate_reconstruct_metrics_byte_identical(self, tmp_path, capsys):
+    # the default correction (the raw solve's own gap) and two correction subsets
+    @pytest.mark.parametrize("correction", [[], ["--subsets", "2"]],
+                             ids=["default", "subsets-2"])
+    def test_simulate_reconstruct_metrics_byte_identical(self, tmp_path, capsys, correction):
         sim_args = [
             "simulate", "--d", "3", "--measurements", "60", "--seed", "11",
             "--noise", "poisson", "--mean-total-counts", "10000.0",
@@ -393,9 +396,7 @@ class TestCriterion6Determinism:
         assert ms_a.read_bytes() == ms_b.read_bytes()
 
         rep_a, rep_b = tmp_path / "ra.json", tmp_path / "rb.json"
-        rec_args = [
-            "reconstruct", str(ms_a), "--tau", "0.7", "--subsets", "2",
-        ]
+        rec_args = ["reconstruct", str(ms_a), "--tau", "0.7", *correction]
         assert cli_main(rec_args + ["--out", str(rep_a)]) == 0
         assert cli_main(rec_args + ["--out", str(rep_b)]) == 0
         assert rep_a.read_bytes() == rep_b.read_bytes()

@@ -11,7 +11,7 @@ import pytest
 import cstomo
 import cstomo.experiments
 from cstomo.cli import main
-from cstomo.correction import NoiseCorrectionConfig, _subset_gap, reconstruct_corrected
+from cstomo.correction import NoiseCorrectionConfig, reconstruct_corrected
 from cstomo.errors import InvariantViolation
 from cstomo.experiments import cell_seed
 from cstomo.serialize import load_measurement_set, report_to_dict
@@ -20,6 +20,10 @@ from cstomo.solver import ReconstructionConfig
 
 
 COUNTS_ERROR = "error: mean_total_counts must be positive and finite, at most 1e+18\n"
+
+# the default correction (the raw solve's own gap) and two correction subsets
+CORRECTIONS = pytest.mark.parametrize("correction", [(), ("--subsets", "2")],
+                                      ids=["default", "subsets-2"])
 
 
 def run(*argv):
@@ -262,15 +266,16 @@ class TestReconstructCommand:
         assert want["correction"]["n_subsets"] == 6
         assert json.dumps(doc, sort_keys=True) == json.dumps(want, sort_keys=True)
 
-    def test_byte_identical_reruns(self, tmp_path):
+    @CORRECTIONS
+    def test_byte_identical_reruns(self, tmp_path, correction):
         inp = self.make_input(tmp_path, n=60, noise=True)
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         for out in (a, b):
-            assert run("reconstruct", inp, "--out", out, "--tau", 0.7,
-                       "--subsets", 2) == 0
+            assert run("reconstruct", inp, "--out", out, "--tau", 0.7, *correction) == 0
         assert a.read_bytes() == b.read_bytes()
 
-    def test_byte_identical_across_processes(self, tmp_path):
+    @CORRECTIONS
+    def test_byte_identical_across_processes(self, tmp_path, correction):
         # the README's determinism scope: one numpy/BLAS build, fixed thread count
         inp = self.make_input(tmp_path, n=60, noise=True)
         env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
@@ -279,15 +284,16 @@ class TestReconstructCommand:
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         for out in (a, b):
             subprocess.run([sys.executable, "-m", "cstomo", "reconstruct", str(inp),
-                            "--out", str(out), "--tau", "0.7", "--subsets", "2"],
+                            "--out", str(out), "--tau", "0.7", *correction],
                            env=env, check=True, timeout=120)
         assert a.read_bytes() == b.read_bytes()
 
-    def test_diagnostics_stream(self, tmp_path):
+    @CORRECTIONS
+    def test_diagnostics_stream(self, tmp_path, correction):
         inp = self.make_input(tmp_path, n=60, noise=True)
         diag = tmp_path / "diag.csv"
-        run("reconstruct", inp, "--out", tmp_path / "r.json", "--tau", 0.7,
-            "--subsets", 2, "--diagnostics", diag)
+        assert run("reconstruct", inp, "--out", tmp_path / "r.json", "--tau", 0.7,
+                   *correction, "--diagnostics", diag) == 0
         lines = diag.read_text().strip().splitlines()
         assert lines[0] == "phase,iteration,step,step_tol"
         phases = {ln.split(",")[0] for ln in lines[1:]}
@@ -375,10 +381,8 @@ class TestSweepCommand:
             (tmp_path / "b.csv.summary.csv").read_bytes()
 
 
-    @pytest.mark.filterwarnings("ignore:noise correction skipped")
-    def test_outputs_identical_across_jobs_with_subsets(self, tmp_path, monkeypatch):
-        # d=5, 5 subsets: fraction 0.05 cannot be partitioned, and the last
-        # cell's campaign fails
+    def test_outputs_identical_across_jobs(self, tmp_path, monkeypatch):
+        # d=5 with the default correction; the last cell's campaign fails
         real = cstomo.experiments.simulate_measurements
         fail_seed = cell_seed(0, 1, 1)
 
@@ -392,7 +396,7 @@ class TestSweepCommand:
         for jobs in (1, 2):
             out = tmp_path / f"sweep{jobs}.csv"
             assert run("sweep", "--d", 5, "--fractions", "0.05,0.2", "--repeats", 2,
-                       "--subsets", 5, "--jobs", jobs, "--out", out) == 0
+                       "--jobs", jobs, "--out", out) == 0
             summary = tmp_path / f"sweep{jobs}.csv.summary.csv"
             outputs.append((strip_runtime(out.read_text()), summary.read_bytes()))
         assert outputs[1] == outputs[0]
@@ -401,23 +405,16 @@ class TestSweepCommand:
         assert all(ln.endswith(",ok") for ln in lines[1:-1])
 
     @pytest.mark.parametrize("jobs", [1, 2])
-    def test_invariant_violation_in_a_subset_fails_only_its_row(self, tmp_path, monkeypatch,
-                                                                jobs):
-        bad_seed = cell_seed(0, 0, 1)
-
-        def violate_on_seed(sub, sub_cfg):
-            if sub.seed == bad_seed:
-                raise InvariantViolation("iterate lost Hermiticity after projection 1")
-            return _subset_gap(sub, sub_cfg)
-
-        monkeypatch.setattr("cstomo.correction._subset_gap", violate_on_seed)
+    def test_invariant_violation_in_a_final_solve_fails_only_its_row(
+            self, tmp_path, violate_in_final_solve, jobs):
+        violate_in_final_solve(cell_seed(0, 0, 1))
         out = tmp_path / "sweep.csv"
         assert run("sweep", "--d", 3, "--fractions", "0.75", "--repeats", 3, "--tau", 0.7,
-                   "--subsets", 2, "--jobs", jobs, "--out", out) == 0
+                   "--jobs", jobs, "--out", out) == 0
         statuses = [ln.split(",")[-1] for ln in out.read_text().strip().splitlines()[1:]]
         assert statuses == ["ok", "failed: iterate lost Hermiticity after projection 1", "ok"]
 
-    def test_subsets_start_no_process(self, tmp_path, monkeypatch, no_pool):
+    def test_in_line_sweep_starts_no_process(self, tmp_path, monkeypatch, no_pool):
         def no_fork():
             raise AssertionError("a process was forked")
 
@@ -425,7 +422,7 @@ class TestSweepCommand:
         before = set(multiprocessing.active_children())
         out = tmp_path / "sweep.csv"
         assert run("sweep", "--d", 3, "--fractions", "0.75", "--repeats", 2, "--tau", 0.7,
-                   "--subsets", 2, "--out", out) == 0
+                   "--out", out) == 0
         assert set(multiprocessing.active_children()) == before
         assert all(ln.endswith(",ok") for ln in out.read_text().strip().splitlines()[1:])
 
@@ -489,6 +486,42 @@ class TestSweepCommand:
         assert len(forks) == 2
         assert not stray
         assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error")
+class TestSpiralWidthUnderflow:
+    """Below about 1.6e-162, 2·spiral_width² underflows to 0 and the
+    downconversion spectrum cannot be formed: every command exits 1 before
+    any work, naming the width, with no numpy warning."""
+
+    ERROR = "error: spiral_width and its square must be positive, got 1e-300\n"
+
+    def test_simulate(self, tmp_path, capsys):
+        out = tmp_path / "c.json"
+        assert run("simulate", "--d", 5, "--measurements", 10, "--noise", "poisson",
+                   "--state", "downconversion", "--spiral-width", "1e-300", "--out", out) == 1
+        assert capsys.readouterr().err == self.ERROR
+        assert not out.exists()
+
+    def test_sweep_runs_no_cell(self, tmp_path, capsys, monkeypatch):
+        simulated = []
+        monkeypatch.setattr("cstomo.experiments.simulate_measurements",
+                            lambda *args, **kwargs: simulated.append(kwargs["seed"]))
+        out = tmp_path / "sweep.csv"
+        assert run("sweep", "--d", 5, "--fractions", "0.2", "--repeats", 1,
+                   "--state", "downconversion", "--spiral-width", "1e-300", "--out", out) == 1
+        assert capsys.readouterr().err == self.ERROR
+        assert simulated == [] and not out.exists()
+
+    def test_metrics_target(self, tmp_path, capsys):
+        mat_path = tmp_path / "mixed.json"
+        mat_path.write_text(json.dumps([[[1 / 25 if i == j else 0.0, 0.0] for j in range(25)]
+                                        for i in range(25)]))
+        capsys.readouterr()
+        assert run("metrics", mat_path, "--target", "downconversion",
+                   "--spiral-width", "1e-300") == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == self.ERROR
 
 
 class TestParser:
@@ -555,3 +588,16 @@ class TestParser:
         assert rc == 1
         assert err.startswith("error:") and "not valid JSON" in err and "Traceback" not in err
         assert not (tmp_path / "r.json").exists()
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["sweep", "--d", "3", "--fractions", "0.75"], "--subsets 2"),
+        (["simulate", "--d", "3", "--measurements", "10"], "--identical-arms"),
+    ], ids=["sweep-subsets", "simulate-identical-arms"])
+    def test_removed_sweep_and_simulate_flags_exit_2(self, tmp_path, capsys, argv, flag):
+        # a sweep cell runs the default correction, and a simulated
+        # projector's arms are two independent draws
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--out", str(tmp_path / "o"), *flag.split()])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())

@@ -5,8 +5,6 @@ import numpy as np
 import pytest
 
 import cstomo.experiments
-from cstomo.correction import _subset_gap
-from cstomo.errors import InvariantViolation
 from cstomo.experiments import (
     SweepSpec,
     cell_seed,
@@ -42,6 +40,11 @@ class TestSweepSpec:
 
     def test_accepts_the_largest_counts(self):
         assert small_spec(mean_total_counts=MAX_MEAN_TOTAL_COUNTS).mean_total_counts == 1e18
+
+    def test_removed_subset_count_is_a_type_error(self):
+        # a corrected cell always runs the default correction
+        with pytest.raises(TypeError, match="n_subsets"):
+            small_spec(n_subsets=2)
 
     def test_budget_arithmetic(self):
         spec = small_spec()
@@ -94,21 +97,13 @@ class TestRunSweep:
         ]
         assert seen == rows
 
-    def test_process_pool_matches_serial_with_subsets(self):
-        # each sweep worker solves its cells' subsets in-line
-        spec = small_spec(repeats=1, n_subsets=2)
-        serial, pooled = run_sweep(spec, jobs=1), run_sweep(spec, jobs=2)
-        assert all(r.status == "ok" and r.fidelity_corrected > 0 for r in serial)
-        assert repr([dataclasses.replace(r, runtime_seconds=0.0) for r in pooled]) == repr(
-            [dataclasses.replace(r, runtime_seconds=0.0) for r in serial])
-
     def test_no_child_left_when_on_row_raises(self):
         def stop(row):
             raise RuntimeError("stop")
 
         before = set(multiprocessing.active_children())
         with pytest.raises(RuntimeError, match="stop"):
-            run_sweep(small_spec(n_subsets=2), jobs=2, on_row=stop)
+            run_sweep(small_spec(), jobs=2, on_row=stop)
         assert set(multiprocessing.active_children()) == before
 
     @pytest.mark.parametrize("reason", ["no fork", "multiprocessing child"])
@@ -121,9 +116,9 @@ class TestRunSweep:
         assert all(r.status == "ok" for r in rows)
 
     def test_corrected_raw_fidelity_uses_the_solver(self):
-        # a non-default solver (tau=0.7) with a subset count: the corrected
-        # cells' raw solve is the raw-only sweep's
-        spec = small_spec(fractions=[0.4, 0.75], repeats=1, n_subsets=2)
+        # a non-default solver (tau=0.7): the corrected cells' raw solve is
+        # the raw-only sweep's
+        spec = small_spec(fractions=[0.4, 0.75], repeats=1)
         corrected = run_sweep(spec)
         raw_only = run_sweep(dataclasses.replace(spec, with_correction=False))
         assert all(r.status == "ok" for r in corrected)
@@ -133,10 +128,6 @@ class TestRunSweep:
     def test_rejects_jobs_below_one(self, jobs):
         with pytest.raises(ValueError, match="jobs must be at least 1"):
             run_sweep(small_spec(), jobs=jobs)
-
-    def test_rejects_no_subsets(self):
-        with pytest.raises(ValueError, match="at least 1"):
-            small_spec(n_subsets=0)
 
     def test_raw_only_mode(self):
         spec = small_spec(with_correction=False, repeats=1)
@@ -173,14 +164,11 @@ def record_simulations(monkeypatch, fail_seed=None):
 
 
 class TestInLineCorrection:
-    @pytest.mark.parametrize("n_subsets", [1, 2])
-    def test_in_line_sweep_starts_no_pool_and_queues_nothing(self, monkeypatch, no_pool,
-                                                               n_subsets):
-        # every solve of a cell, its subsets' too, runs in the calling
-        # process, and each cell is simulated in its turn: nothing forks
+    def test_in_line_sweep_starts_no_pool_and_queues_nothing(self, monkeypatch, no_pool):
+        # both solves of every cell run in the calling process, and each
+        # cell is simulated in its turn: nothing forks
         seeds = record_simulations(monkeypatch)
-        spec = small_spec(d=5, fractions=[0.1, 0.2], repeats=2, solver=ReconstructionConfig(),
-                          n_subsets=n_subsets)
+        spec = small_spec(d=5, fractions=[0.1, 0.2], repeats=2, solver=ReconstructionConfig())
         simulated = []
         before = set(multiprocessing.active_children())
         rows = run_sweep(spec, on_row=lambda row: simulated.append(len(seeds)))
@@ -189,41 +177,32 @@ class TestInLineCorrection:
         assert seeds == [cell_seed(spec.seed, *divmod(i, spec.repeats)) for i in range(4)]
         assert all(r.status == "ok" and r.fidelity_corrected > 0 for r in rows)
 
-    @pytest.mark.parametrize("n_subsets", [1, 2])
-    def test_on_row_raising_stops_before_the_next_cell(self, monkeypatch, no_pool, n_subsets):
+    def test_on_row_raising_stops_before_the_next_cell(self, monkeypatch, no_pool):
         seeds = record_simulations(monkeypatch)
 
         def stop(row):
             raise RuntimeError("stop")
 
-        spec = small_spec(n_subsets=n_subsets)
+        spec = small_spec()
         with pytest.raises(RuntimeError, match="stop"):
             run_sweep(spec, on_row=stop)
         assert seeds == [cell_seed(spec.seed, 0, 0)]
 
-    @pytest.mark.filterwarnings("ignore:noise correction skipped")
-    def test_invariant_violation_in_a_subset_fails_only_its_cell(self, monkeypatch):
+    def test_invariant_violation_in_a_final_solve_fails_only_its_cell(self,
+                                                                       violate_in_final_solve):
         spec = small_spec(d=5, fractions=[0.05, 0.2, 0.3], repeats=2,
-                          solver=ReconstructionConfig(), n_subsets=5)
-        bad_seed = cell_seed(spec.seed, 2, 0)
-
-        def violate_on_seed(sub, sub_cfg):
-            if sub.seed == bad_seed:
-                raise InvariantViolation("iterate lost Hermiticity after projection 1")
-            return _subset_gap(sub, sub_cfg)
-
+                          solver=ReconstructionConfig())
         want = [dataclasses.replace(r, runtime_seconds=0.0) for r in run_sweep(spec)]
-        monkeypatch.setattr("cstomo.correction._subset_gap", violate_on_seed)
+        solves = violate_in_final_solve(cell_seed(spec.seed, 2, 0))
         rows = [dataclasses.replace(r, runtime_seconds=0.0) for r in run_sweep(spec)]
         assert [r.status for r in rows] == ["ok"] * 4 + [
             "failed: iterate lost Hermiticity after projection 1", "ok"]
-        # fraction 0.05 (M=31) cannot form 5 subsets: its cells fall back to raw
-        assert [np.isnan(r.fidelity_corrected) for r in rows] == [True] * 2 + [False] * 2 + [
-            True, False]
+        assert [np.isnan(r.fidelity_corrected) for r in rows] == [False] * 4 + [True, False]
         assert repr(rows[:4] + rows[5:]) == repr(want[:4] + want[5:])
+        assert solves == [seed for r in want for seed in (r.seed, r.seed)]  # raw, final
 
     def test_failed_simulation_fails_only_its_row(self, monkeypatch):
-        spec = small_spec(n_subsets=2)
+        spec = small_spec()
         want = [dataclasses.replace(r, runtime_seconds=0.0) for r in run_sweep(spec)]
         record_simulations(monkeypatch, fail_seed=cell_seed(spec.seed, 1, 0))
         rows = [dataclasses.replace(r, runtime_seconds=0.0) for r in run_sweep(spec)]

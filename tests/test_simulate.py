@@ -19,13 +19,13 @@ from cstomo.simulate import (
 )
 
 
-def random_arms(d, n, rng, identical_arms=False):
+def random_arms(d, n, rng):
     """n random projectors' (signal, idler) rows, drawn in simulate_measurements'
     order: one projector after another, signal before idler."""
     signal, idler = [], []
     for _ in range(n):
         signal.append(random_mode(d, rng))
-        idler.append(signal[-1] if identical_arms else random_mode(d, rng))
+        idler.append(random_mode(d, rng))
     return np.array(signal), np.array(idler)
 
 
@@ -46,6 +46,13 @@ class TestTypes:
     def test_two_photon_state_requires_unit_norm(self):
         with pytest.raises(ValueError, match="not normalized"):
             TwoPhotonState(np.array([0.5, 0.5, 0.5]))
+
+    @pytest.mark.parametrize("coeffs", [[np.nan, 1.0], [np.nan, np.nan, np.nan],
+                                        [np.inf, 0.0, 0.0], [1.0, 1j * np.nan, 0.0]])
+    def test_two_photon_state_rejects_non_finite_coefficients(self, coeffs):
+        # NaN compares false against the norm tolerance, so it must fail the check
+        with pytest.raises(ValueError, match="^two-photon state is not normalized"):
+            TwoPhotonState(np.array(coeffs))
 
     def test_projector_requires_matching_arms(self):
         signal = np.ones((1, 1), dtype=complex)
@@ -108,6 +115,32 @@ class TestStates:
     def test_downconversion_rejects_bad_width(self):
         with pytest.raises(ValueError, match="positive"):
             make_downconversion_state(3, 0.0)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("width", [1e-300, 1e-162, 5e-324, -1.0, float("nan"),
+                                       float("-inf")])
+    def test_downconversion_rejects_a_width_whose_square_is_not_positive(self, width):
+        # below about 1.6e-162, 2*width**2 underflows to 0: no warning, no NaN state
+        with pytest.raises(ValueError, match="^spiral_width and its square must be positive"):
+            make_downconversion_state(5, width)
+
+    @pytest.mark.parametrize("width, coeffs", [
+        (1e-160, [0.0, 0.0, 1.0, 0.0, 0.0]),  # ℓ²/(2σ²) overflows: the central pair alone
+        (1e-155, [0.0, 0.0, 1.0, 0.0, 0.0]),
+        (1e200, [5**-0.5] * 5),  # width**2 would overflow: a flat spectrum
+        (float("inf"), [5**-0.5] * 5),
+    ])
+    @pytest.mark.filterwarnings("error")
+    def test_downconversion_extreme_widths_without_warnings(self, width, coeffs):
+        s = make_downconversion_state(5, width)
+        assert np.allclose(s.coeffs, coeffs, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("width", [2.5, 4.0, 1e-3, 1e150])
+    def test_downconversion_coefficients_are_the_formula_bit_for_bit(self, width):
+        ells = ell_range(7).astype(float)
+        c = np.exp(-(ells**2) / (2.0 * width**2))
+        assert make_downconversion_state(7, width).coeffs.tobytes() == (
+            (c / np.linalg.norm(c)).astype(complex).tobytes())
 
     def test_ell_range(self):
         assert ell_range(5).tolist() == [-2, -1, 0, 1, 2]
@@ -179,20 +212,18 @@ class TestRandomDraws:
         ov = abs(hs_inner(a, b))
         assert 0.0 < ov < 1.0
 
-    def test_identical_arms_flag(self):
-        ms = simulate_measurements(5, 6, seed=6, identical_arms=True)
-        assert np.array_equal(ms.signal, ms.idler)
-
-    @pytest.mark.parametrize("identical_arms", [False, True])
-    def test_arms_are_per_projector_random_mode_draws(self, identical_arms):
+    def test_arms_are_per_projector_random_mode_draws(self):
         # the RNG stream behind every campaign file: projector after projector,
-        # signal before idler, the idler reusing the signal draw when identical
-        ms = simulate_measurements(
-            5, 40, seed=21, mean_total_counts=1e3, identical_arms=identical_arms
-        )
-        signal, idler = random_arms(5, 40, np.random.default_rng(21), identical_arms)
+        # signal before idler
+        ms = simulate_measurements(5, 40, seed=21, mean_total_counts=1e3)
+        signal, idler = random_arms(5, 40, np.random.default_rng(21))
         assert np.array_equal(ms.signal, signal)
         assert np.array_equal(ms.idler, idler)
+
+    def test_removed_identical_arms_is_a_type_error(self):
+        # a projector's arms are always two independent draws
+        with pytest.raises(TypeError, match="identical_arms"):
+            simulate_measurements(5, 6, seed=6, identical_arms=True)
 
 
 def probability(signal, idler, rho):
@@ -244,11 +275,13 @@ class TestProbabilities:
         assert total == pytest.approx(1.0, abs=1e-10)
 
 
-    @pytest.mark.parametrize("identical_arms", [False, True])
+    @pytest.mark.parametrize("identical_rows", [False, True])
     @pytest.mark.parametrize("d", [1, 3, 7])
-    def test_joint_vectors_equal_kron_per_row(self, d, identical_arms):
+    def test_joint_vectors_equal_kron_per_row(self, d, identical_rows):
         rng = np.random.default_rng(d)
-        signal, idler = random_arms(d, 12, rng, identical_arms)
+        signal, idler = random_arms(d, 12, rng)
+        if identical_rows:  # each projector's idler row equals its signal row
+            idler = signal.copy()
         loop = np.array([np.kron(s, t) for s, t in zip(signal, idler)])
         assert np.array_equal(joint_vectors(signal, idler), loop)
         empty = np.empty((0, d), dtype=complex)
