@@ -11,13 +11,14 @@ vectorized rows followed by one Kaczmarz sweep over their hyperplanes.
 
 import numpy as np
 
-from cstomo import MeasurementOperator, make_max_entangled, mat, simulate_measurements, vec
-from cstomo.linalg import hermiticity_error
+from cstomo import MeasurementOperator, make_max_entangled, simulate_measurements
+from cstomo.linalg import hermiticity_error, mat, vec
 from cstomo.solver import kaczmarz_sweep, measurement_rows, orthogonalize
 
 d = 3
 ms = simulate_measurements(d, 12, state=make_max_entangled(d), seed=2)
 op = MeasurementOperator(ms)
+p = ms.probs[op.keep]  # the kept rows' probabilities
 dim = d * d
 print(f"{len(ms)} measurements on {dim}×{dim} density matrices "
       f"({dim**2} real unknowns); the operator keeps {op.w.shape[0]} joint "
@@ -33,11 +34,11 @@ starts = {"maximally mixed": np.eye(dim, dtype=complex) / dim,
 
 reference = orthogonalize(measurement_rows(ms), ms.probs)
 for name, start in starts.items():
-    out = op.project(start)
+    out = op.project(start, p)
     print(f"\nfrom the {name} matrix:")
-    print(f"  worst constraint violation before: {np.abs(op.residual(start)).max():.2e}, "
-          f"after: {np.abs(op.residual(out)).max():.2e}")
+    print(f"  worst constraint violation before: {np.abs(op.residual(start, p)).max():.2e}, "
+          f"after: {np.abs(op.residual(out, p)).max():.2e}")
     print(f"  Hermiticity drift of the projection: {hermiticity_error(out):.2e}")
-    print(f"  projecting again moves it by {np.abs(op.project(out) - out).max():.2e}")
+    print(f"  projecting again moves it by {np.abs(op.project(out, p) - out).max():.2e}")
     sweep_out = mat(kaczmarz_sweep(vec(start), reference))
     print(f"  Gram-Schmidt + Kaczmarz reference agrees to {np.abs(sweep_out - out).max():.2e}")

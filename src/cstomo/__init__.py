@@ -23,8 +23,6 @@ from .linalg import (
     hermitian_part,
     hermiticity_error,
     hs_inner,
-    mat,
-    vec,
 )
 from .metrics import MetricsSummary, effective_rank, fidelity_pure, purity, residual, summarize
 from .simulate import (

@@ -4,11 +4,11 @@ Four subcommands cover the whole pipeline: ``simulate`` writes a measurement
 campaign to JSON, ``reconstruct`` recovers a density matrix from one,
 ``sweep`` runs the fidelity-vs-measurement-fraction experiment into CSV, and
 ``metrics`` scores a stored matrix. Exit codes: 0 success/converged,
-1 input or I/O error, 2 a usage error (an unknown command or flag, or a bad
-flag value, reported by argparse), 3 non-convergence, 4 degenerate
-measurement system, 5 a solver invariant violated (a bug, not bad input),
-6 a ``sweep --jobs N`` worker process died or could not be started (for
-example killed when memory ran out).
+1 input or I/O error, or an array too large for memory, 2 a usage error
+(an unknown command or flag, or a bad flag value, reported by argparse),
+3 non-convergence, 4 degenerate measurement system, 5 a solver invariant
+violated (a bug, not bad input), 6 a ``sweep --jobs N`` worker process died
+or could not be started (for example killed when memory ran out).
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from .errors import (
 )
 from .experiments import CSV_COLUMNS, SUMMARY_COLUMNS, SweepSpec, run_sweep, summarize_sweep
 from .linalg import check_hermitian
-from .metrics import check_rank_tol, summarize
+from .metrics import summarize
 from .serialize import (
     _metrics_to_dict,
     format_float,
@@ -124,8 +124,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         "gap; N >= 2 sums the gaps of N disjoint subsets, solved after it)")
     p.add_argument("--diagnostics", default=None,
                    help="stream per-iteration diagnostics to this CSV path")
-    p.add_argument("--rank-tol", type=float, default=1e-3,
-                   help="relative eigenvalue cut for the effective-rank metric")
 
     p = sub.add_parser("sweep", help="fidelity vs measurement fraction experiment (CSV)")
     p.add_argument("--d", type=int, required=True)
@@ -150,7 +148,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", choices=("max-entangled", "downconversion"), default=None,
                    help="fidelity target built at the matrix dimension")
     p.add_argument("--spiral-width", type=float, default=2.5)
-    p.add_argument("--rank-tol", type=float, default=1e-3)
 
     return top
 
@@ -191,7 +188,6 @@ class _DiagnosticsWriter:
 
 
 def _cmd_reconstruct(args) -> int:
-    check_rank_tol(args.rank_tol)  # before the solves, which it would outlast
     ms = load_measurement_set(args.input)
     cfg = _solver_config(args)
 
@@ -211,16 +207,11 @@ def _cmd_reconstruct(args) -> int:
         if diag_fh is not None:
             diag_fh.close()
 
-    metrics = summarize(
-        report.rho, measurements=ms, target=ms.truth, rank_rel_tol=args.rank_tol
-    )
+    metrics = summarize(report.rho, measurements=ms, target=ms.truth)
     raw_metrics = None
     if report.correction is not None and report.correction.raw_report is not None:
         raw_metrics = summarize(
-            report.correction.raw_report.rho,
-            measurements=ms,
-            target=ms.truth,
-            rank_rel_tol=args.rank_tol,
+            report.correction.raw_report.rho, measurements=ms, target=ms.truth
         )
     save_report(
         report_to_dict(report, d=ms.d, metrics=metrics, raw_metrics=raw_metrics),
@@ -287,7 +278,7 @@ def _cmd_metrics(args) -> int:
                 "cannot build a two-photon target"
             )
         target = _make_state(args.target, d, args.spiral_width)
-    m = summarize(rho, measurements=ms, target=target, rank_rel_tol=args.rank_tol)
+    m = summarize(rho, measurements=ms, target=target)
     print(json.dumps(_metrics_to_dict(m), sort_keys=True))
     return EXIT_OK
 
@@ -304,6 +295,9 @@ def main(argv=None) -> int:
         return handlers[args.command](args)
     except (SchemaError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_ERROR
     except DegenerateSystemError as exc:
         print(f"error: degenerate measurement system: {exc}", file=sys.stderr)

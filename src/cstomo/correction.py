@@ -12,10 +12,11 @@ solve: ``reconstruct_corrected`` takes the raw report's own gap and makes
 exactly two solves, raw then final.
 
 The raw and final solves measure with the same projectors, so they share
-one ``MeasurementOperator``: the raw solve factors the campaign's Gram
-matrix, and the final solve reuses that factorization with the corrected
-probabilities, which gives the same bits as factoring it again. Correction
-subsets have projectors of their own and build their own operators.
+one ``MeasurementOperator``: ``reconstruct_corrected`` builds it, which
+factors the campaign's Gram matrix once, and both solves project with it,
+the final solve with the corrected probabilities; that gives the same bits
+as a second factorization. Correction subsets have projectors of their own
+and build their own operators.
 
 With ``n_subsets`` N ≥ 2 the campaign is partitioned round-robin and each
 subset is solved after the raw solve, one after another, in the calling
@@ -40,7 +41,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateIterateError, DegenerateSystemError
-from .linalg import mat, vec
 from .simulate import MeasurementSet, expectations, joint_vectors
 from .solver import (
     MeasurementOperator,
@@ -85,7 +85,7 @@ class CorrectionDiagnostics:
     subset_sizes, subset_converged, subset_delta_norms: one entry per subset,
         in subset order; an omitted subset (unconverged or degenerate) has
         flag False and norm NaN and adds nothing to ``delta``.
-    delta: the summed structural gaps, vec of a D×D matrix; None when the
+    delta: the summed structural gaps, a D×D matrix; None when the
         measurements could not be partitioned.
     n_clamped: corrected probabilities clamped to [0, 1].
     reason: why the correction was skipped; empty when it was applied.
@@ -147,7 +147,7 @@ def _gap(rep: ReconstructionReport, cfg: ReconstructionConfig):
     solve did not converge."""
     if not rep.converged:
         return f"did not converge within k_max={cfg.k_max}"
-    return vec(rep.rho_pre_gamma) - vec(rep.rho)
+    return rep.rho_pre_gamma - rep.rho
 
 
 def _subset_gap(sub: MeasurementSet, cfg: ReconstructionConfig):
@@ -165,7 +165,7 @@ def estimate_delta_rho(subsets: list[MeasurementSet], gaps) -> CorrectionDiagnos
     """Sum the subsets' structural gaps.
 
     ``gaps`` holds each subset's ``_gap`` outcome, in subset order:
-    vec(solution) − vec(structural stage of the solution), where the
+    solution − structural stage of the solution, where the
     pre-structural converged iterate is the subset solution, or the reason
     the subset is omitted. It may be a generator that solves each subset as
     it is read; an exception a solve raises, such as an InvariantViolation,
@@ -174,7 +174,7 @@ def estimate_delta_rho(subsets: list[MeasurementSet], gaps) -> CorrectionDiagnos
     subset order.
     """
     dim = subsets[0].d ** 2
-    out = CorrectionDiagnostics(delta=np.zeros(dim * dim, dtype=complex))
+    out = CorrectionDiagnostics(delta=np.zeros((dim, dim), dtype=complex))
     for sub, gap in zip(subsets, gaps):
         omitted = isinstance(gap, str)
         out.subset_sizes.append(len(sub))
@@ -189,16 +189,16 @@ def estimate_delta_rho(subsets: list[MeasurementSet], gaps) -> CorrectionDiagnos
 
 
 def correct_probabilities(
-    ms: MeasurementSet, delta_rho: np.ndarray
+    ms: MeasurementSet, delta: np.ndarray
 ) -> tuple[MeasurementSet, int]:
-    """Subtract the probability shift implied by a displacement estimate.
+    """Subtract the probability shift implied by a displacement estimate Δ,
+    a D×D matrix.
 
     The shift of measurement i is Re Tr[Â_i Δ] evaluated against the original
     measurement operators. Corrected probabilities are clamped to [0, 1]; the
     clamp count is returned alongside the new set.
     """
-    delta_mat = mat(np.asarray(delta_rho, dtype=complex))
-    raw = ms.probs - expectations(joint_vectors(ms.signal, ms.idler), delta_mat)
+    raw = ms.probs - expectations(joint_vectors(ms.signal, ms.idler), delta)
     corrected = np.clip(raw, 0.0, 1.0)
     n_clamped = int(np.count_nonzero(raw != corrected))
     return dataclasses.replace(ms, probs=corrected), n_clamped
@@ -224,8 +224,7 @@ def reconstruct_corrected(
     """
     if cfg is None:
         cfg = NoiseCorrectionConfig()
-    # one factorization for both solves: the raw solve builds it, the final
-    # solve reuses it with the corrected probabilities
+    # one factorization for both solves, made here
     op = MeasurementOperator(ms)
     raw = reconstruct(ms, cfg.base, on_iteration=on_iteration, operator=op)
     if cfg.n_subsets == 1:  # the one subset is the campaign, solved just now

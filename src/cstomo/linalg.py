@@ -1,9 +1,9 @@
 """Dense complex linear algebra primitives for density-matrix reconstruction.
 
 Everything operates on plain ``numpy.ndarray`` objects. This module pins the
-conventions the rest of the package relies on: column-stacked vectorization,
-the Hilbert-Schmidt inner product, and descending Hermitian
-eigendecompositions.
+conventions the rest of the package relies on: the Hilbert-Schmidt inner
+product and descending Hermitian eigendecompositions, and, for the
+sequential reference in ``solver``, column-stacked vectorization.
 """
 
 from __future__ import annotations

@@ -25,6 +25,9 @@ __all__ = [
     "summarize",
 ]
 
+# effective_rank's cut, a fraction of the largest eigenvalue
+RANK_REL_TOL = 1e-3
+
 
 @dataclass
 class MetricsSummary:
@@ -70,22 +73,13 @@ def purity(rho: np.ndarray) -> float:
     return float(hs_inner(rho, rho).real)
 
 
-def check_rank_tol(rel_tol: float) -> None:
-    """A ValueError unless the relative rank cut lies in (0, 1], which NaN
-    does not."""
-    if not 0.0 < rel_tol <= 1.0:
-        raise ValueError(f"rank tolerance must lie in (0, 1], got {rel_tol}")
-
-
-def effective_rank(rho: np.ndarray, rel_tol: float = 1e-3) -> int:
-    """Number of eigenvalues at or above rel_tol × (largest eigenvalue);
-    rel_tol must lie in (0, 1]."""
-    check_rank_tol(rel_tol)
+def effective_rank(rho: np.ndarray) -> int:
+    """Number of eigenvalues at or above RANK_REL_TOL × (largest eigenvalue)."""
     w = np.linalg.eigvalsh(hermitian_part(np.asarray(rho)))
     lam_max = float(w[-1])
     if lam_max <= 0.0:
         return 0
-    return int(np.count_nonzero(w >= rel_tol * lam_max))
+    return int(np.count_nonzero(w >= RANK_REL_TOL * lam_max))
 
 
 def residual(ms: MeasurementSet, rho: np.ndarray) -> float:
@@ -99,13 +93,12 @@ def summarize(
     *,
     measurements: MeasurementSet | None = None,
     target: TwoPhotonState | None = None,
-    rank_rel_tol: float = 1e-3,
 ) -> MetricsSummary:
     """Bundle the standard metrics; fidelity and residual are only computed
     when a target state / measurement set is available."""
     return MetricsSummary(
         fidelity=None if target is None else fidelity_pure(rho, target),
         purity=purity(rho),
-        effective_rank=effective_rank(rho, rank_rel_tol),
+        effective_rank=effective_rank(rho),
         residual_inf=None if measurements is None else residual(measurements, rho),
     )

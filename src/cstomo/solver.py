@@ -24,11 +24,12 @@ it every correction subset's structural gap.
 Measurement convention: every Â_i = |w_i⟩⟨w_i| is rank 1, so the system is the
 M×D matrix W of joint vectors, Tr[Â_i ρ] = ⟨w_i|ρ|w_i⟩, the operators' Gram
 matrix is G = |W̄Wᵀ|⊙² (real, M×M) and the projection is ρ + Σ_i c_i Â_i with
-G c = p − (Tr[Â_i ρ])_i; no M×D⁴ matrix is formed. Once per operator one recursion
-by halves factors G and inverts its Cholesky factor L (about 7M³/6 flops,
-nearly all in matrix products); a projection takes c = L⁻ᵀ(L⁻¹ r). G depends
-on the projectors only, so a solve handed a ``MeasurementOperator`` of the
-same projectors (the correction's final solve) reuses its factorization.
+G c = p − (Tr[Â_i ρ])_i; no M×D⁴ matrix is formed. Building a
+``MeasurementOperator`` runs one recursion by halves that factors G and
+inverts its Cholesky factor L (about 7M³/6 flops, nearly all in matrix
+products); a projection takes c = L⁻ᵀ(L⁻¹ r). G depends on the projectors
+only, and the operator holds no probabilities, so the correction's raw and
+final solves project with one operator, each with its own probabilities.
 The test-only reference
 ``measurement_rows`` → ``orthogonalize`` → ``kaczmarz_sweep`` computes the same
 projection from the Gram-Schmidt orthonormalized rows u = conj(vec(Â)), with
@@ -43,7 +44,6 @@ A report's ``correction`` is filled in only by
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
@@ -372,69 +372,37 @@ def _factor_inverse(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 class MeasurementOperator:
-    """The orthogonal projection onto {ρ : Tr[Â_i ρ] = p_i}: one recursion
-    factors G = |W̄Wᵀ|⊙² in input order, drops the rows dependent on earlier
-    ones (``n_dropped``) and inverts the lower Cholesky factor L of the kept
-    rows' block (``low_inv``), so a projection costs two O(M·D²) products and
-    two M×M matrix-vector products, c = L⁻ᵀ(L⁻¹ r).
+    """The orthogonal projection onto {ρ : Tr[Â_i ρ] = p_i} for the projectors
+    of a measurement set. Building it factors G = |W̄Wᵀ|⊙² in input order in
+    one recursion, drops the rows dependent on earlier ones (``n_dropped``;
+    ``keep`` holds the indices of the others) and inverts the lower Cholesky
+    factor L of the kept rows' block (``low_inv``), so a projection costs two
+    O(M·D²) products and two M×M matrix-vector products, c = L⁻ᵀ(L⁻¹ r).
 
-    The factorization depends on the projectors only. It is made on first
-    use, so an operator made before a solve is built inside that solve, and
-    ``for_campaign`` reuses it for other probabilities of the same
-    projectors.
+    The operator holds projectors only. The probabilities are data:
+    ``residual`` and ``project`` take the kept rows' ``p = probs[keep]``, so
+    one operator serves every campaign of its projectors.
     """
 
     def __init__(self, ms: MeasurementSet):
         if len(ms) == 0:
             raise DegenerateSystemError("measurement set is empty")
-        self._signal, self._idler, self._probs = ms.signal, ms.idler, ms.probs
+        self.signal, self.idler = ms.signal, ms.idler
+        w = joint_vectors(ms.signal, ms.idler)
+        self.keep, self.low_inv = _factor_inverse(np.abs(w.conj() @ w.T) ** 2)
+        self.w = w[self.keep]
+        self.w_conj = self.w.conj()
+        self.n_dropped = len(ms) - len(self.keep)
 
-    @cached_property
-    def _factor(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Kept row indices, their joint vectors and conjugates, and L⁻¹."""
-        w = joint_vectors(self._signal, self._idler)
-        keep, low_inv = _factor_inverse(np.abs(w.conj() @ w.T) ** 2)
-        return keep, w[keep], w[keep].conj(), low_inv
-
-    @property
-    def w(self) -> np.ndarray:
-        return self._factor[1]
-
-    @property
-    def w_conj(self) -> np.ndarray:
-        return self._factor[2]
-
-    @property
-    def low_inv(self) -> np.ndarray:
-        return self._factor[3]
-
-    @cached_property
-    def probs(self) -> np.ndarray:
-        return self._probs[self._factor[0]]
-
-    @property
-    def n_dropped(self) -> int:
-        return len(self._signal) - len(self._factor[0])
-
-    def for_campaign(self, ms: MeasurementSet) -> MeasurementOperator:
-        """The operator of ``ms``, sharing this one's factorization; raises
-        ValueError unless ``ms`` has this operator's projectors."""
-        if not (np.array_equal(ms.signal, self._signal)
-                and np.array_equal(ms.idler, self._idler)):
-            raise ValueError("the measurement set's projectors are not the operator's")
-        out = MeasurementOperator(ms)
-        out._factor = self._factor
-        return out
-
-    def residual(self, rho: np.ndarray) -> np.ndarray:
+    def residual(self, rho: np.ndarray, p: np.ndarray) -> np.ndarray:
         """p_i − Tr[Â_i ρ] = p_i − ⟨w_i|ρ|w_i⟩ over the kept rows."""
-        return self.probs - ((self.w_conj @ rho) * self.w).sum(axis=1).real
+        return p - ((self.w_conj @ rho) * self.w).sum(axis=1).real
 
-    def project(self, rho: np.ndarray) -> np.ndarray:
+    def project(self, rho: np.ndarray, p: np.ndarray) -> np.ndarray:
         """ρ + Σ_i c_i Â_i with G c = p − (Tr[Â_i ρ])_i: the matrix nearest ρ
         in Frobenius norm that meets every kept constraint. c is real, so a
         Hermitian ρ stays Hermitian."""
-        c = self.low_inv.T @ (self.low_inv @ self.residual(rho))
+        c = self.low_inv.T @ (self.low_inv @ self.residual(rho, p))
         return rho + (self.w.T * c) @ self.w_conj
 
 
@@ -463,12 +431,18 @@ def reconstruct(
 
     ``on_iteration(k, step, step_tol)`` is invoked once per iteration for
     progress streaming. ``operator``, a ``MeasurementOperator`` of the same
-    projectors as ``ms`` (else ValueError), lends its factorization instead
-    of a new one being built; the results are the same bits.
+    projectors as ``ms`` (else ValueError), is used instead of a new one
+    being built; the results are the same bits.
     """
     if cfg is None:
         cfg = ReconstructionConfig()
-    op = MeasurementOperator(ms) if operator is None else operator.for_campaign(ms)
+    if operator is None:
+        op = MeasurementOperator(ms)
+    elif np.array_equal(ms.signal, operator.signal) and np.array_equal(ms.idler, operator.idler):
+        op = operator
+    else:
+        raise ValueError("the measurement set's projectors are not the operator's")
+    p = ms.probs[op.keep]
     dim = ms.d**2
     prev = np.eye(dim, dtype=complex) / dim
     before = prev
@@ -480,14 +454,14 @@ def reconstruct(
     iterations = 0
 
     for k in range(1, cfg.k_max + 1):
-        cur = op.project(normalize_trace(_cut(prev + MOMENTUM * (prev - before), cfg)))
+        cur = op.project(normalize_trace(_cut(prev + MOMENTUM * (prev - before), cfg)), p)
 
         herm_err = hermiticity_error(cur)
         if herm_err > 1e-9:
             raise InvariantViolation(
                 f"iterate lost Hermiticity after projection {k}: {herm_err:.3e}"
             )
-        res = float(np.abs(op.residual(cur)).max())
+        res = float(np.abs(op.residual(cur, p)).max())
         residuals.append(res)
         if res > 1e-9:
             raise InvariantViolation(

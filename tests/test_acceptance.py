@@ -335,8 +335,9 @@ class TestCriterion5InvariantSuite:
             assert np.abs(system.rows @ out - system.probs_prime).max() <= 1e-9
             assert hermiticity_error(mat(out)) <= 1e-9
             op = MeasurementOperator(ms)
-            projected = op.project(start_mat)
-            assert np.abs(op.residual(projected)).max() <= 1e-9
+            p = ms.probs[op.keep]
+            projected = op.project(start_mat, p)
+            assert np.abs(op.residual(projected, p)).max() <= 1e-9
             assert hermiticity_error(projected) <= 1e-9
             assert np.abs(projected - mat(out)).max() <= 1e-9
         print(

@@ -167,22 +167,6 @@ class TestReconstructCommand:
         assert err.count("\n") == 1
         assert not out.exists()
 
-    @pytest.mark.parametrize("rank_tol", ["-1", "nan", "2", "inf"])
-    def test_rank_tol_outside_unit_interval_exits_1(self, tmp_path, capsys, monkeypatch,
-                                                      rank_tol):
-        # checked before the campaign is loaded, so no solve runs
-        inp = self.make_input(tmp_path)
-        out = tmp_path / "report.json"
-        monkeypatch.setattr("cstomo.cli.load_measurement_set", no_solve)
-        monkeypatch.setattr("cstomo.cli.reconstruct", no_solve)
-        monkeypatch.setattr("cstomo.cli.reconstruct_corrected", no_solve)
-        capsys.readouterr()
-        assert run("reconstruct", inp, "--out", out, "--tau", 0.7, "--no-correction",
-                   "--rank-tol", rank_tol) == 1
-        err = capsys.readouterr().err
-        assert err == f"error: rank tolerance must lie in (0, 1], got {float(rank_tol)}\n"
-        assert not out.exists()
-
     def test_schema_error_no_partial_output(self, tmp_path, capsys):
         inp = self.make_input(tmp_path)
         doc = json.loads(inp.read_text())
@@ -340,16 +324,6 @@ class TestMetricsCommand:
         mat_path = tmp_path / "bad.json"
         mat_path.write_text(json.dumps([[[0, 0], [1, 0]], [[0, 0], [0, 0]]]))
         assert run("metrics", mat_path) == 1
-
-    @pytest.mark.parametrize("rank_tol", ["-1", "nan", "2", "inf"])
-    def test_rank_tol_outside_unit_interval_exits_1(self, tmp_path, capsys, rank_tol):
-        mat_path = tmp_path / "mixed.json"
-        mat_path.write_text(json.dumps([[[0.5, 0], [0, 0]], [[0, 0], [0.5, 0]]]))
-        capsys.readouterr()
-        assert run("metrics", mat_path, "--rank-tol", rank_tol) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == f"error: rank tolerance must lie in (0, 1], got {float(rank_tol)}\n"
 
 
 class TestSweepCommand:
@@ -552,6 +526,16 @@ class TestParser:
         assert "unrecognized arguments: --threshold-mode relative" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("command", ["reconstruct", "metrics"])
+    def test_removed_rank_tol_flag_exits_2(self, tmp_path, capsys, command):
+        # the effective rank's cut is the constant metrics.RANK_REL_TOL
+        args = {"reconstruct": ["--out", str(tmp_path / "r.json")], "metrics": []}[command]
+        with pytest.raises(SystemExit) as exc:
+            main([command, str(tmp_path / "c.json"), *args, "--rank-tol", "1e-3"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --rank-tol 1e-3" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
     def test_missing_input_file(self, tmp_path):
         assert run("reconstruct", tmp_path / "nope.json",
                    "--out", tmp_path / "r.json") == 1
@@ -601,3 +585,55 @@ class TestParser:
         assert exc.value.code == 2
         assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
+
+
+class TestOutOfMemory:
+    """An array too large for memory ends in one error line and exit 1.
+    numpy raises MemoryError when the allocation is refused; the tests make
+    the allocating function raise it, because a real huge allocation can be
+    granted under memory overcommit and then touched."""
+
+    MESSAGE = ("Unable to allocate 122. GiB for an array with shape (90601, 90601) "
+               "and data type complex128")
+
+    # what a large campaign allocates: the simulated state's D×D density
+    # matrix, the M×M Gram matrix of the measurements, and the eigenvalues
+    # of a stored D×D matrix
+    @pytest.mark.parametrize("target, argv", [
+        ("cstomo.simulate.state_to_density",
+         ["simulate", "--d", "3", "--measurements", "12", "--out", "{out}"]),
+        ("cstomo.solver._factor_inverse", ["reconstruct", "{c}", "--out", "{out}"]),
+        ("cstomo.metrics.effective_rank", ["metrics", "{m}", "--measurements", "{c}"]),
+    ], ids=["simulate", "reconstruct", "metrics"])
+    def test_exits_1_with_one_line(self, tmp_path, capsys, monkeypatch, target, argv):
+        campaign, out = tmp_path / "c.json", tmp_path / "out.json"
+        matrix = tmp_path / "m.json"
+        assert run("simulate", "--d", 3, "--measurements", 12, "--out", campaign) == 0
+        matrix.write_text(json.dumps([[[1 / 9 if i == j else 0.0, 0.0] for j in range(9)]
+                                      for i in range(9)]))
+
+        def refused(*args, **kwargs):
+            raise MemoryError(self.MESSAGE)
+
+        monkeypatch.setattr(target, refused)
+        capsys.readouterr()
+        assert run(*[a.format(c=campaign, out=out, m=matrix) for a in argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: out of memory: {self.MESSAGE}\n"
+        assert not out.exists()
+
+    def test_sweep_fails_the_cell(self, tmp_path, capsys, monkeypatch):
+        # a sweep records the refused cell and goes on to the next
+        def refused(*args, **kwargs):
+            raise MemoryError("Unable to allocate 122. GiB for an array")
+
+        monkeypatch.setattr("cstomo.experiments.simulate_measurements", refused)
+        out = tmp_path / "sweep.csv"
+        capsys.readouterr()
+        assert run("sweep", "--d", 3, "--fractions", "0.5,0.75", "--repeats", 1,
+                   "--out", out) == 0
+        assert capsys.readouterr().err == ""
+        rows = out.read_text().strip().splitlines()[1:]
+        assert [row.split(",")[-1] for row in rows] == [
+            "failed: Unable to allocate 122. GiB for an array"] * 2

@@ -10,12 +10,13 @@ import cstomo.correction
 from cstomo.correction import (
     CorrectionDiagnostics,
     NoiseCorrectionConfig,
+    _subset_gap,
     correct_probabilities,
     partition,
     reconstruct_corrected,
 )
 from cstomo.errors import InvariantViolation
-from cstomo.linalg import frob_norm, hs_inner, mat, vec
+from cstomo.linalg import frob_norm, hs_inner, vec
 from cstomo.serialize import report_to_dict
 from cstomo.simulate import joint_vectors, simulate_measurements, state_to_density
 from cstomo.solver import ReconstructionConfig, reconstruct
@@ -96,7 +97,7 @@ class TestPartition:
                 whole = getattr(ms, name)
                 want = None if whole is None else whole[j::2]
                 assert np.array_equal(getattr(sub, name), want), name
-        corrected, _ = correct_probabilities(ms, vec(np.eye(9, dtype=complex) / 900))
+        corrected, _ = correct_probabilities(ms, np.eye(9, dtype=complex) / 900)
         assert not np.array_equal(corrected.probs, ms.probs)
         for f in dataclasses.fields(ms):
             if f.name == "probs":
@@ -123,6 +124,19 @@ class TestEstimateDeltaRho:
         est = reconstruct_corrected(ms, cfg).correction
         assert np.linalg.norm(est.delta) <= 1e-6
         assert est.subset_converged == [True, True]
+
+    def test_delta_is_the_summed_gap_matrix(self):
+        # Δ is the D×D sum of the subsets' solution − structural stage
+        ms = simulate_measurements(3, 60, seed=18, mean_total_counts=2e3)
+        cfg = d3_correction_config(n_subsets=2)
+        c = reconstruct_corrected(ms, cfg).correction
+        gaps = [_subset_gap(sub, cfg.base) for sub in partition(ms, cfg)]
+        assert c.subset_converged == [True, True]
+        assert c.delta.shape == (9, 9)
+        assert np.array_equal(c.delta, gaps[0] + gaps[1])
+        assert c.subset_delta_norms == [float(np.linalg.norm(g)) for g in gaps]
+        assert c.delta_norm == float(np.linalg.norm(c.delta)) > 0.0
+        assert np.abs(c.delta - c.delta.conj().T).max() <= 1e-9
 
     def test_partition_below_floor_gives_no_estimate(self):
         # 17 measurements of D=9 cannot form 2 subsets of 9: no estimate
@@ -204,14 +218,14 @@ class TestSubsetsInLine:
         # so k_max=200 omits subsets 1 and 3 while the other two converge
         ms = simulate_measurements(5, 200, seed=0, mean_total_counts=300)
         cfg = NoiseCorrectionConfig(n_subsets=4, base=ReconstructionConfig(k_max=200))
-        delta = np.zeros(25 * 25, dtype=complex)
+        delta = np.zeros((25, 25), dtype=complex)
         converged, norms = [], []
         for sub in partition(ms, cfg):
             rep = reconstruct(sub, cfg.base)
             converged.append(rep.converged)
             norms.append(float("nan"))
             if rep.converged:
-                gap = vec(rep.rho_pre_gamma) - vec(rep.rho)
+                gap = rep.rho_pre_gamma - rep.rho
                 delta += gap
                 norms[-1] = float(np.linalg.norm(gap))
         assert converged == [True, False, True, False]
@@ -258,36 +272,36 @@ class TestSubsetsInLine:
 class TestCorrectProbabilities:
     def test_zero_delta_is_identity(self):
         ms = simulate_measurements(3, 10, seed=8)
-        out, n_clamped = correct_probabilities(ms, np.zeros(81, dtype=complex))
+        out, n_clamped = correct_probabilities(ms, np.zeros((9, 9), dtype=complex))
         assert np.array_equal(out.probs, ms.probs)
         assert n_clamped == 0
 
     def test_orthogonal_delta_leaves_probs(self):
-        # delta = vec of an operator Hilbert-Schmidt-orthogonal to the single projector
+        # delta: an operator Hilbert-Schmidt-orthogonal to the single projector
         ms = simulate_measurements(3, 1, seed=9)
         w = joint_vectors(ms.signal, ms.idler)[0]
         op = np.outer(w, w.conj())
         w, v = np.linalg.eigh(op)
         perp = np.outer(v[:, 0], v[:, 0].conj())  # eigenvector of eigenvalue 0
         assert abs(hs_inner(op, perp)) < 1e-12
-        out, _ = correct_probabilities(ms, vec(perp))
+        out, _ = correct_probabilities(ms, perp)
         assert np.abs(out.probs - ms.probs).max() <= 1e-12
 
     def test_matches_hs_inner_oracle(self):
         rng = np.random.default_rng(10)
         ms = simulate_measurements(3, 8, seed=11)
         a = rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9))
-        delta = vec((a + a.conj().T) / 200)
+        delta = (a + a.conj().T) / 200
         out, _ = correct_probabilities(ms, delta)
         for i, w in enumerate(joint_vectors(ms.signal, ms.idler)):
-            shift = hs_inner(np.outer(w, w.conj()), mat(delta))
+            shift = hs_inner(np.outer(w, w.conj()), delta)
             assert abs(shift.imag) <= 1e-12
             expected = min(max(ms.probs[i] - shift.real, 0.0), 1.0)
             assert out.probs[i] == pytest.approx(expected, abs=1e-12)
 
     def test_clamping_counted(self):
         ms = simulate_measurements(3, 5, seed=12)
-        delta = vec(np.eye(9, dtype=complex))  # shifts every prob by -1... clamps
+        delta = np.eye(9, dtype=complex)  # shifts every prob by -1... clamps
         out, n_clamped = correct_probabilities(ms, delta)
         assert n_clamped == 5
         assert np.all(out.probs == 0.0)
@@ -302,8 +316,8 @@ class TestCorrectProbabilities:
 
         a = rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9))
         b = rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9))
-        da = vec((a + a.conj().T) / 1000)
-        db = vec((b + b.conj().T) / 1000)
+        da = (a + a.conj().T) / 1000
+        db = (b + b.conj().T) / 1000
         assert np.abs(shifts(da + db) - (shifts(da) + shifts(db))).max() <= 1e-12
 
 
@@ -395,7 +409,8 @@ class TestOneOperatorPerCampaign:
 
         monkeypatch.setattr("cstomo.correction.reconstruct", fresh)
         want = reconstruct_corrected(ms)
-        assert factorizations == [200, 200, 200]
+        # the shared operator, built and unused, then one per solve
+        assert factorizations == [200] * 4
         assert json.dumps(report_to_dict(got, d=5), sort_keys=True) == json.dumps(
             report_to_dict(want, d=5), sort_keys=True
         )
@@ -433,7 +448,7 @@ class TestOwnGap:
         (sub,) = partition(ms, dataclasses.replace(cfg, n_subsets=1))
         sub_rep = reconstruct(sub, cfg.base)
         assert sub_rep.converged
-        gap = vec(sub_rep.rho_pre_gamma) - vec(sub_rep.rho)
+        gap = sub_rep.rho_pre_gamma - sub_rep.rho
         corrected_ms, n_clamped = correct_probabilities(ms, gap)
         want = reconstruct(corrected_ms, cfg.base)
         want.correction = CorrectionDiagnostics(

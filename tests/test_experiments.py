@@ -147,16 +147,17 @@ class TestRunSweep:
             assert e["fidelity_raw_std"] == pytest.approx(np.std(vals, ddof=1))
 
 
-def record_simulations(monkeypatch, fail_seed=None):
+def record_simulations(monkeypatch, fail_seed=None,
+                       error=ValueError("no campaign for this seed")):
     """The seeds of the campaigns the sweep simulates, in call order; the
-    campaign of ``fail_seed`` raises."""
+    campaign of ``fail_seed`` raises ``error``."""
     seeds = []
     real = cstomo.experiments.simulate_measurements
 
     def simulate(*args, **kwargs):
         seeds.append(kwargs["seed"])
         if kwargs["seed"] == fail_seed:
-            raise ValueError("no campaign for this seed")
+            raise error
         return real(*args, **kwargs)
 
     monkeypatch.setattr("cstomo.experiments.simulate_measurements", simulate)
@@ -208,3 +209,14 @@ class TestInLineCorrection:
         rows = [dataclasses.replace(r, runtime_seconds=0.0) for r in run_sweep(spec)]
         assert [r.status for r in rows] == ["ok", "ok", "failed: no campaign for this seed", "ok"]
         assert repr(rows[:2] + rows[3:]) == repr(want[:2] + want[3:])
+
+    def test_refused_allocation_fails_only_its_row(self, monkeypatch):
+        # numpy raises MemoryError when an array is too large for memory
+        spec = small_spec()
+        want = [dataclasses.replace(r, runtime_seconds=0.0) for r in run_sweep(spec)]
+        record_simulations(monkeypatch, fail_seed=cell_seed(spec.seed, 0, 1),
+                           error=MemoryError("Unable to allocate 122. GiB for an array"))
+        rows = [dataclasses.replace(r, runtime_seconds=0.0) for r in run_sweep(spec)]
+        assert [r.status for r in rows] == [
+            "ok", "failed: Unable to allocate 122. GiB for an array", "ok", "ok"]
+        assert repr(rows[:1] + rows[2:]) == repr(want[:1] + want[2:])

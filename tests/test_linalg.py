@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
 
+import cstomo
+import cstomo.linalg
+
 from cstomo.linalg import (
     check_hermitian,
     eig_hermitian,
@@ -57,6 +60,13 @@ class TestVecMat:
         v = np.array([0, 1, 0, 0], dtype=complex)
         out = mat(v)
         assert out[1, 0] == 1 and out[0, 1] == 0
+
+
+    def test_not_exported_at_top_level(self):
+        # the solver and the correction hold matrices; vec and mat stay in
+        # cstomo.linalg beside the sequential reference
+        assert not hasattr(cstomo, "vec") and not hasattr(cstomo, "mat")
+        assert cstomo.linalg.vec is vec and cstomo.linalg.mat is mat
 
 
 class TestHsInner:

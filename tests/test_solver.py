@@ -312,7 +312,19 @@ class TestMeasurementOperator:
         a = rng.standard_normal((d * d, d * d)) + 1j * rng.standard_normal((d * d, d * d))
         rho = (a + a.conj().T) / 2
         expected = mat(kaczmarz_sweep(vec(rho), sysm))
-        assert np.abs(op.project(rho) - expected).max() <= 1e-12
+        assert np.abs(op.project(rho, ms.probs[op.keep]) - expected).max() <= 1e-12
+
+    def test_holds_projectors_only(self):
+        # the probabilities are the caller's: the truth meets the campaign's
+        # constraints and not those of halved probabilities
+        ms = simulate_measurements(3, 40, seed=12)
+        op = MeasurementOperator(ms)
+        assert sorted(vars(op)) == ["idler", "keep", "low_inv", "n_dropped", "signal",
+                                    "w", "w_conj"]
+        assert np.array_equal(op.keep, np.arange(40)) and op.n_dropped == 0
+        truth, p = state_to_density(ms.truth), ms.probs[op.keep]
+        assert np.abs(op.residual(truth, p)).max() <= 1e-12
+        assert np.abs(op.residual(truth, p / 2) + p / 2).max() <= 1e-12
 
     def test_duplicated_projector_dropped_in_input_order(self, tmp_path):
         ms = simulate_measurements(3, 24, seed=3)
@@ -340,24 +352,41 @@ class TestMeasurementOperator:
 
 
 class TestSharedOperator:
-    """``reconstruct(..., operator=op)`` reuses op's factorization."""
+    """``reconstruct(..., operator=op)`` solves with op's factorization."""
+
+    @staticmethod
+    def campaigns():
+        ms = simulate_measurements(5, 150, seed=11, mean_total_counts=300)
+        return ms, dataclasses.replace(ms, probs=np.clip(ms.probs * 0.9 + 0.01, 0.0, 1.0))
 
     def test_same_bits_as_a_fresh_operator(self):
-        ms = simulate_measurements(5, 150, seed=11, mean_total_counts=300)
-        other = dataclasses.replace(ms, probs=np.clip(ms.probs * 0.9 + 0.01, 0.0, 1.0))
+        ms, other = self.campaigns()
         op = MeasurementOperator(ms)
-        shared = reconstruct(other, operator=op)
-        fresh = reconstruct(other)
-        assert json.dumps(report_to_dict(shared, d=5), sort_keys=True) == json.dumps(
-            report_to_dict(fresh, d=5), sort_keys=True
-        )
-        # the operator keeps the probabilities it was made with
-        assert np.array_equal(op.probs, ms.probs)
+
+        def report(campaign, **kw):
+            return json.dumps(report_to_dict(reconstruct(campaign, **kw), d=5), sort_keys=True)
+
+        assert report(other, operator=op) == report(other)
+        # the operator holds no probabilities: the other campaign's solve
+        # leaves nothing behind for the next one
+        assert report(ms, operator=op) == report(ms)
+
+    def test_one_operator_projects_two_campaigns(self):
+        ms, other = self.campaigns()
+        op = MeasurementOperator(ms)
+        rng = np.random.default_rng(11)
+        a = rng.standard_normal((25, 25)) + 1j * rng.standard_normal((25, 25))
+        rho = (a + a.conj().T) / 2
+        for campaign in (other, ms):
+            fresh = MeasurementOperator(campaign)
+            p, p_fresh = campaign.probs[op.keep], campaign.probs[fresh.keep]
+            assert np.array_equal(op.residual(rho, p), fresh.residual(rho, p_fresh))
+            assert np.array_equal(op.project(rho, p), fresh.project(rho, p_fresh))
 
     def test_factorization_made_once(self, factorizations):
         ms = simulate_measurements(3, 40, seed=12)
         op = MeasurementOperator(ms)
-        assert factorizations == []  # made on first use, inside the solve
+        assert factorizations == [40]  # made when the operator is built
         reconstruct(ms, ReconstructionConfig(tau=0.7), operator=op)
         reconstruct(dataclasses.replace(ms, probs=ms.probs * 0.5),
                     ReconstructionConfig(tau=0.7), operator=op)
@@ -512,7 +541,8 @@ class TestReconstruct:
         cfg = ReconstructionConfig()
         start = np.eye(25, dtype=complex) / 25
         cut = threshold_elements(threshold_eigs(start, cfg.tau), cfg.tau_ell)
-        first = MeasurementOperator(ms).project(normalize_trace(cut))
+        op = MeasurementOperator(ms)
+        first = op.project(normalize_trace(cut), ms.probs[op.keep])
         rep = reconstruct(ms, cfg)
         assert rep.per_iteration_steps[0] == frob_norm(first - start)
 
@@ -524,8 +554,8 @@ class TestReconstruct:
             cut_inputs.append(rho)
             return cut(rho, cfg)
 
-        def recording_project(op, rho):
-            iterates.append(project(op, rho))
+        def recording_project(op, rho, p):
+            iterates.append(project(op, rho, p))
             return iterates[-1]
 
         monkeypatch.setattr(cstomo.solver, "_cut", recording_cut)
@@ -587,9 +617,9 @@ class TestPsdRepairOnReportedMatrices:
         lowest = []
         project = MeasurementOperator.project
 
-        def recording(op, rho):
+        def recording(op, rho, p):
             lowest.append(np.linalg.eigvalsh(rho)[0])
-            return project(op, rho)
+            return project(op, rho, p)
 
         monkeypatch.setattr(MeasurementOperator, "project", recording)
         rep = reconstruct(campaign, self.CFG)
@@ -608,4 +638,4 @@ class TestPsdRepairOnReportedMatrices:
     def test_subset_gap_is_against_the_repaired_rho(self, campaign):
         pre = reconstruct(campaign, self.CFG).rho_pre_gamma
         gap = _subset_gap(campaign, self.CFG)
-        assert np.array_equal(gap, vec(pre) - vec(enforce_structure(pre, self.CFG)))
+        assert np.array_equal(gap, pre - enforce_structure(pre, self.CFG))
