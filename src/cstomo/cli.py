@@ -14,6 +14,7 @@ or could not be started (for example killed when memory ran out).
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import sys
 
@@ -54,18 +55,21 @@ EXIT_DEGENERATE = 4
 EXIT_INVARIANT = 5
 EXIT_WORKER = 6
 
+# width of the simulated downconversion spectrum, in mode index
+SPIRAL_WIDTH = 2.5
+
 
 def _add_solver_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--tau", type=float, default=0.4,
+    p.add_argument("--tau", type=float, default=ReconstructionConfig.tau,
                    help="eigenvalue threshold, a fraction of the largest eigenvalue "
-                        "(default 0.4)")
-    p.add_argument("--tau-ell", type=float, default=0.04,
+                        "(default %(default)s)")
+    p.add_argument("--tau-ell", type=float, default=ReconstructionConfig.tau_ell,
                    help="entrywise threshold, a fraction of the largest entry modulus "
-                        "(default 0.04)")
-    p.add_argument("--step-tol", type=float, default=1e-3,
-                   help="relative step tolerance for convergence (default 1e-3)")
-    p.add_argument("--k-max", type=int, default=500,
-                   help="iteration cap (default 500)")
+                        "(default %(default)s)")
+    p.add_argument("--step-tol", type=float, default=ReconstructionConfig.step_tol_rel,
+                   help="relative step tolerance for convergence (default %(default)s)")
+    p.add_argument("--k-max", type=int, default=ReconstructionConfig.k_max,
+                   help="iteration cap (default %(default)s)")
 
 
 def _solver_config(args) -> ReconstructionConfig:
@@ -81,9 +85,9 @@ def _add_state_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--state", choices=("max-entangled", "downconversion"),
                    default="max-entangled",
                    help="simulated two-photon state (default max-entangled)")
-    p.add_argument("--spiral-width", type=float, default=2.5,
+    p.add_argument("--spiral-width", type=float, default=SPIRAL_WIDTH,
                    help="width of the downconversion spectrum in mode index "
-                        "(only with --state downconversion; default 2.5)")
+                        "(only with --state downconversion; default %(default)s)")
 
 
 def _make_state(name: str, d: int, spiral_width: float):
@@ -105,9 +109,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--measurements", type=int, required=True,
                    help="number of random projective measurements")
     _add_state_flags(p)
-    p.add_argument("--noise", choices=("none", "poisson"), default="none")
-    p.add_argument("--mean-total-counts", type=float, default=5e4,
-                   help="calibration constant: mean counts at p=1 (poisson noise)")
+    p.add_argument("--mean-total-counts", type=float, default=None,
+                   help="calibration constant, the mean counts at p=1: Poisson "
+                        "counts normalized by it replace the probabilities "
+                        "(default: none, a noiseless campaign)")
     p.add_argument("--strip-truth", action="store_true",
                    help="omit the ground-truth state from the file")
     p.add_argument("--seed", type=int, default=0)
@@ -119,9 +124,10 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_solver_flags(p)
     p.add_argument("--no-correction", action="store_true",
                    help="skip the noise correction: one raw solve")
-    p.add_argument("--subsets", type=int, default=1,
-                   help="correction subsets (default 1: the raw solve's own structural "
-                        "gap; N >= 2 sums the gaps of N disjoint subsets, solved after it)")
+    p.add_argument("--subsets", type=int, default=NoiseCorrectionConfig.n_subsets,
+                   help="correction subsets (default %(default)s: the raw solve's own "
+                        "structural gap; N >= 2 sums the gaps of N disjoint subsets, "
+                        "solved after it)")
     p.add_argument("--diagnostics", default=None,
                    help="stream per-iteration diagnostics to this CSV path")
 
@@ -129,13 +135,17 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--fractions", required=True,
                    help="comma-separated fractions of d^4, ascending, e.g. 0.05,0.1,0.2")
-    p.add_argument("--repeats", type=int, default=5)
-    p.add_argument("--mean-total-counts", type=float, default=5e4)
+    p.add_argument("--repeats", type=int, default=SweepSpec.repeats,
+                   help="campaigns per fraction (default %(default)s)")
+    p.add_argument("--mean-total-counts", type=float, default=SweepSpec.mean_total_counts,
+                   help="calibration constant of every campaign, the mean counts at "
+                        "p=1 (default %(default)s)")
     _add_state_flags(p)
     _add_solver_flags(p)
     p.add_argument("--no-correction", action="store_true",
                    help="score the raw solve only")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=SweepSpec.seed,
+                   help="base seed of the cells' campaigns (default %(default)s)")
     p.add_argument("--jobs", type=int, default=1, help="parallel worker processes")
     p.add_argument("--out", required=True, help="per-cell CSV path")
     p.add_argument("--summary", default=None,
@@ -147,7 +157,9 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="measurement-set JSON for the residual (and its truth as target)")
     p.add_argument("--target", choices=("max-entangled", "downconversion"), default=None,
                    help="fidelity target built at the matrix dimension")
-    p.add_argument("--spiral-width", type=float, default=2.5)
+    p.add_argument("--spiral-width", type=float, default=SPIRAL_WIDTH,
+                   help="width of the downconversion target's spectrum "
+                        "(only with --target downconversion; default %(default)s)")
 
     return top
 
@@ -162,7 +174,7 @@ def _cmd_simulate(args) -> int:
         args.measurements,
         state=state,
         seed=args.seed,
-        mean_total_counts=args.mean_total_counts if args.noise == "poisson" else None,
+        mean_total_counts=args.mean_total_counts,
     )
     save_measurement_set(ms, args.out, strip_truth=args.strip_truth)
     print(f"wrote {args.out}: d={ms.d}, {len(ms)} measurements, seed={ms.seed}")
@@ -226,15 +238,18 @@ def _cmd_reconstruct(args) -> int:
 
 
 def _write_csv(path: str, columns: tuple[str, ...], records: list[dict]) -> None:
-    """One line per record, its ``columns`` in order; floats at full precision."""
+    """One line per record, its ``columns`` in order; floats at full precision.
+    A cell that holds a comma or a quote, such as a failed cell's status, is
+    quoted."""
 
     def cell(x) -> str:
         return format_float(x) if isinstance(x, float) else str(x)
 
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(columns) + "\n")
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        out = csv.writer(fh, lineterminator="\n")
+        out.writerow(columns)
         for rec in records:
-            fh.write(",".join(cell(rec[c]) for c in columns) + "\n")
+            out.writerow([cell(rec[c]) for c in columns])
 
 
 def _cmd_sweep(args) -> int:

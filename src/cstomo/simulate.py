@@ -266,6 +266,10 @@ def simulate_measurements(
         state = make_max_entangled(d)
     if state.d != d:
         raise ValueError(f"state has d={state.d}, expected {d}")
+    # checked before the draws, whose time grows with n_measurements
+    calibration = None
+    if mean_total_counts is not None:
+        calibration = check_mean_total_counts(mean_total_counts)
     rng = np.random.default_rng(seed)
     rho = state_to_density(state)
     # projector by projector, signal before idler: the campaign a seed gives
@@ -277,10 +281,9 @@ def simulate_measurements(
         idler[i] = random_mode(d, rng)
     # valid density matrices stray outside [0, 1] only by rounding (≤ 1e-12)
     ideal = np.clip(expectations(joint_vectors(signal, idler), rho), 0.0, 1.0)
-    if mean_total_counts is None:
-        probs, counts, calibration = ideal, None, None
+    if calibration is None:
+        probs, counts = ideal, None
     else:
-        calibration = check_mean_total_counts(mean_total_counts)
         counts = rng.poisson(ideal * calibration).astype(np.int64)
         probs = counts_to_probs(counts, calibration)
     return MeasurementSet(

@@ -36,6 +36,8 @@ projection from the Gram-Schmidt orthonormalized rows u = conj(vec(Â)), with
 u · vec(ρ) = Tr[Â ρ] and hyperplane normal conj(u).
 
 Every solve starts from the maximally mixed state I/D, with x_{k−1} = x_k.
+A report stores the per-iteration steps and the last iteration's tolerance;
+its iteration count, final step and convergence flag are read from them.
 A report's ``correction`` is filled in only by
 ``correction.reconstruct_corrected``, and its type,
 ``CorrectionDiagnostics``, is defined there.
@@ -160,18 +162,32 @@ class ReconstructionReport:
     measurement hyperplanes. ``per_iteration_residuals[k]`` is the worst
     |Tr[Â_i ρ] − p_i| over the kept rows after projection k+1;
     ``n_dropped_rows`` counts rows dropped as dependent on earlier ones.
+
+    The iteration summary is derived from the per-iteration steps:
+    ``iterations`` is their count, ``final_step`` the last of them, and the
+    solve ``converged`` when that step is at most ``final_step_tol``, the
+    last iteration's tolerance.
     """
 
     rho: np.ndarray
     rho_pre_gamma: np.ndarray
-    iterations: int
-    final_step: float
     final_step_tol: float
-    converged: bool
     per_iteration_residuals: list[float]
     per_iteration_steps: list[float]
     n_dropped_rows: int = 0
     correction: CorrectionDiagnostics | None = None
+
+    @property
+    def iterations(self) -> int:
+        return len(self.per_iteration_steps)
+
+    @property
+    def final_step(self) -> float:
+        return self.per_iteration_steps[-1]
+
+    @property
+    def converged(self) -> bool:
+        return self.final_step <= self.final_step_tol
 
 
 def measurement_rows(ms: MeasurementSet) -> np.ndarray:
@@ -448,10 +464,6 @@ def reconstruct(
     before = prev
     steps: list[float] = []
     residuals: list[float] = []
-    converged = False
-    final_step = float("nan")
-    final_tol = float("nan")
-    iterations = 0
 
     for k in range(1, cfg.k_max + 1):
         cur = op.project(normalize_trace(_cut(prev + MOMENTUM * (prev - before), cfg)), p)
@@ -468,26 +480,19 @@ def reconstruct(
                 f"projection {k} left constraint residual {res:.3e} > 1e-9"
             )
 
-        final_step = frob_norm(cur - prev)
-        final_tol = cfg.step_tol_rel * frob_norm(cur)
-        steps.append(final_step)
-        iterations = k
+        step = frob_norm(cur - prev)
+        tol = cfg.step_tol_rel * frob_norm(cur)
+        steps.append(step)
         before, prev = prev, cur
         if on_iteration is not None:
-            on_iteration(k, final_step, final_tol)
-        if final_step <= final_tol:
-            converged = True
+            on_iteration(k, step, tol)
+        if step <= tol:
             break
 
-    rho_pre = prev
-    rho = enforce_structure(rho_pre, cfg)
     return ReconstructionReport(
-        rho=rho,
-        rho_pre_gamma=rho_pre,
-        iterations=iterations,
-        final_step=final_step,
-        final_step_tol=final_tol,
-        converged=converged,
+        rho=enforce_structure(prev, cfg),
+        rho_pre_gamma=prev,
+        final_step_tol=tol,
         per_iteration_residuals=residuals,
         per_iteration_steps=steps,
         n_dropped_rows=op.n_dropped,

@@ -389,7 +389,7 @@ class TestCriterion6Determinism:
     def test_simulate_reconstruct_metrics_byte_identical(self, tmp_path, capsys, correction):
         sim_args = [
             "simulate", "--d", "3", "--measurements", "60", "--seed", "11",
-            "--noise", "poisson", "--mean-total-counts", "10000.0",
+            "--mean-total-counts", "10000.0",
         ]
         ms_a, ms_b = tmp_path / "a.json", tmp_path / "b.json"
         assert cli_main(sim_args + ["--out", str(ms_a)]) == 0

@@ -1,3 +1,4 @@
+import csv
 import json
 import multiprocessing
 import os
@@ -10,12 +11,12 @@ import pytest
 
 import cstomo
 import cstomo.experiments
-from cstomo.cli import main
+from cstomo.cli import _build_parser, _solver_config, main
 from cstomo.correction import NoiseCorrectionConfig, reconstruct_corrected
 from cstomo.errors import InvariantViolation
-from cstomo.experiments import cell_seed
-from cstomo.serialize import load_measurement_set, report_to_dict
-from cstomo.simulate import make_max_entangled, state_to_density
+from cstomo.experiments import SweepSpec, cell_seed
+from cstomo.serialize import load_measurement_set, report_to_dict, save_measurement_set
+from cstomo.simulate import make_max_entangled, simulate_measurements, state_to_density
 from cstomo.solver import ReconstructionConfig
 
 
@@ -51,6 +52,23 @@ def strip_runtime(text):
     return "\n".join(out)
 
 
+class TestParserDefaults:
+    """The command line's defaults are the library's."""
+
+    def test_reconstruct(self):
+        args = _build_parser().parse_args(["reconstruct", "x", "--out", "y"])
+        assert _solver_config(args) == ReconstructionConfig()
+        assert args.subsets == NoiseCorrectionConfig().n_subsets
+
+    def test_sweep(self):
+        args = _build_parser().parse_args(["sweep", "--d", "3", "--fractions", "0.5",
+                                           "--out", "z"])
+        spec = SweepSpec(d=3, fractions=[0.5])
+        assert _solver_config(args) == spec.solver
+        assert (args.repeats, args.mean_total_counts, args.seed) == (
+            spec.repeats, spec.mean_total_counts, spec.seed)
+
+
 class TestSimulateCommand:
     def test_writes_valid_file(self, tmp_path, capsys):
         out = tmp_path / "ms.json"
@@ -63,10 +81,30 @@ class TestSimulateCommand:
     def test_poisson_noise_records_counts(self, tmp_path):
         out = tmp_path / "ms.json"
         assert run("simulate", "--d", 3, "--measurements", 12, "--seed", 1,
-                   "--noise", "poisson", "--mean-total-counts", 1e4,
-                   "--out", out) == 0
+                   "--mean-total-counts", 1e4, "--out", out) == 0
         ms = load_measurement_set(str(out))
         assert ms.counts is not None and ms.calibration == 1e4
+
+    def test_noise_flag_is_gone(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            run("simulate", "--d", 3, "--measurements", 5, "--noise", "poisson",
+                "--out", tmp_path / "ms.json")
+        assert exc.value.code == 2
+        assert not (tmp_path / "ms.json").exists()
+
+    @pytest.mark.parametrize("counts", [None, 300.0], ids=["noiseless", "poisson"])
+    def test_counts_flag_selects_the_noise(self, tmp_path, counts):
+        # a campaign is noiseless unless --mean-total-counts is given, and is
+        # the library's campaign either way
+        out, want = tmp_path / "ms.json", tmp_path / "want.json"
+        flag = () if counts is None else ("--mean-total-counts", counts)
+        assert run("simulate", "--d", 3, "--measurements", 12, "--seed", 4, *flag,
+                   "--out", out) == 0
+        ms = load_measurement_set(str(out))
+        assert ms.calibration == counts and (ms.counts is None) is (counts is None)
+        save_measurement_set(simulate_measurements(3, 12, seed=4, mean_total_counts=counts),
+                             str(want))
+        assert out.read_bytes() == want.read_bytes()
 
     def test_strip_truth(self, tmp_path):
         out = tmp_path / "ms.json"
@@ -76,7 +114,7 @@ class TestSimulateCommand:
     @pytest.mark.parametrize("counts", ["inf", "nan", "1e30"])
     def test_rejects_non_finite_counts(self, tmp_path, capsys, counts):
         out = tmp_path / "x.json"
-        assert run("simulate", "--d", 3, "--measurements", 10, "--noise", "poisson",
+        assert run("simulate", "--d", 3, "--measurements", 10,
                    "--mean-total-counts", counts, "--out", out) == 1
         assert capsys.readouterr().err == COUNTS_ERROR
         assert not out.exists()
@@ -89,7 +127,7 @@ class TestSimulateCommand:
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         for out in (a, b):
             run("simulate", "--d", 3, "--measurements", 20, "--seed", 9,
-                "--noise", "poisson", "--out", out)
+                "--mean-total-counts", 5e4, "--out", out)
         assert a.read_bytes() == b.read_bytes()
 
     def test_flagship_campaign_budgets(self, tmp_path):
@@ -113,7 +151,7 @@ class TestReconstructCommand:
         argv = ["simulate", "--d", 3, "--measurements", n, "--seed", seed,
                 "--out", path]
         if noise:
-            argv += ["--noise", "poisson", "--mean-total-counts", 1e4]
+            argv += ["--mean-total-counts", 1e4]
         assert run(*argv) == 0
         return path
 
@@ -378,6 +416,22 @@ class TestSweepCommand:
         assert lines[-1].endswith(",failed: no campaign for this seed")
         assert all(ln.endswith(",ok") for ln in lines[1:-1])
 
+    def test_status_with_a_comma_is_quoted(self, tmp_path, monkeypatch):
+        # numpy's own message for an array too large for memory
+        message = "Unable to allocate 122. GiB for an array with shape (90601, 90601)"
+
+        def simulate(*args, **kwargs):
+            raise MemoryError(message)
+
+        monkeypatch.setattr("cstomo.experiments.simulate_measurements", simulate)
+        out = tmp_path / "sweep.csv"
+        assert run("sweep", "--d", 3, "--fractions", "0.5", "--out", out) == 0
+        with open(out, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        assert len(rows) == 1 + 5
+        assert all(len(row) == 8 for row in rows)
+        assert [row[-1] for row in rows[1:]] == [f"failed: {message}"] * 5
+
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_invariant_violation_in_a_final_solve_fails_only_its_row(
             self, tmp_path, violate_in_final_solve, jobs):
@@ -472,7 +526,7 @@ class TestSpiralWidthUnderflow:
 
     def test_simulate(self, tmp_path, capsys):
         out = tmp_path / "c.json"
-        assert run("simulate", "--d", 5, "--measurements", 10, "--noise", "poisson",
+        assert run("simulate", "--d", 5, "--measurements", 10, "--mean-total-counts", 5e4,
                    "--state", "downconversion", "--spiral-width", "1e-300", "--out", out) == 1
         assert capsys.readouterr().err == self.ERROR
         assert not out.exists()

@@ -362,6 +362,21 @@ class TestSimulateMeasurements:
         with pytest.raises(ValueError, match="must be positive and finite"):
             simulate_measurements(3, 5, seed=0, mean_total_counts=counts)
 
+    @pytest.mark.parametrize("counts", [-1.0, float("nan")])
+    def test_bad_mean_total_counts_fails_before_any_draw(self, monkeypatch, counts):
+        draws = []
+
+        def counting(d, rng):
+            draws.append(d)
+            return random_mode(d, rng)
+
+        monkeypatch.setattr("cstomo.simulate.random_mode", counting)
+        with pytest.raises(ValueError, match="must be positive and finite"):
+            simulate_measurements(3, 5, seed=0, mean_total_counts=counts)
+        assert draws == []
+        simulate_measurements(3, 5, seed=0, mean_total_counts=300)
+        assert len(draws) == 10
+
     def test_accepts_the_largest_mean_total_counts(self):
         # the bound lies below numpy's Poisson limit: a campaign at it samples
         ms = simulate_measurements(3, 5, seed=0, mean_total_counts=MAX_MEAN_TOTAL_COUNTS)

@@ -498,6 +498,22 @@ class TestReconstruct:
             assert rep.final_step <= rep.final_step_tol
         assert np.trace(rep.rho).real == pytest.approx(1.0, abs=1e-10)
 
+    @pytest.mark.parametrize("k_max", [500, 2], ids=["converged", "capped"])
+    def test_report_summary_is_read_from_the_steps(self, k_max):
+        ms = simulate_measurements(3, 20, seed=6, mean_total_counts=100.0)
+        tols = []
+        rep = reconstruct(ms, ReconstructionConfig(k_max=k_max),
+                          on_iteration=lambda k, step, tol: tols.append(tol))
+        assert rep.converged is (k_max == 500)
+        assert rep.iterations == len(rep.per_iteration_steps) == len(tols)
+        assert rep.final_step == rep.per_iteration_steps[-1]
+        assert rep.final_step_tol == tols[-1]
+        assert rep.converged is (rep.final_step <= rep.final_step_tol)
+        assert {f.name for f in dataclasses.fields(rep)}.isdisjoint(
+            {"iterations", "final_step", "converged"})
+        with pytest.raises(AttributeError):
+            rep.iterations = 1
+
     def test_deterministic(self):
         ms = simulate_measurements(3, 24, seed=5, mean_total_counts=1e4)
         cfg = ReconstructionConfig(tau=0.7)

@@ -11,9 +11,9 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[1] / "src" / "cstomo"
 
 # dataclass fields plus function parameters that have a default value
-SETTABLE_VALUES = 73
+SETTABLE_VALUES = 70
 # add_argument call sites of the command line
-CLI_ARGUMENTS = 32
+CLI_ARGUMENTS = 31
 
 
 def _is_dataclass(cls: ast.ClassDef) -> bool:
