@@ -5,7 +5,8 @@ campaign to JSON, ``reconstruct`` recovers a density matrix from one,
 ``sweep`` runs the fidelity-vs-measurement-fraction experiment into CSV, and
 ``metrics`` scores a stored matrix. Exit codes: 0 success/converged,
 1 input or I/O error, or an array too large for memory, 2 a usage error
-(an unknown command or flag, or a bad flag value, reported by argparse),
+(an unknown command or flag, a bad flag value, or a flag that the other
+flags make moot, reported by argparse),
 3 non-convergence, 4 degenerate measurement system, 5 a solver invariant
 violated (a bug, not bad input), 6 a ``sweep --jobs N`` worker process died
 or could not be started (for example killed when memory ran out).
@@ -85,15 +86,36 @@ def _add_state_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--state", choices=("max-entangled", "downconversion"),
                    default="max-entangled",
                    help="simulated two-photon state (default max-entangled)")
-    p.add_argument("--spiral-width", type=float, default=SPIRAL_WIDTH,
+    p.add_argument("--spiral-width", type=float, default=None,
                    help="width of the downconversion spectrum in mode index "
-                        "(only with --state downconversion; default %(default)s)")
+                        f"(only with --state downconversion; default {SPIRAL_WIDTH})")
 
 
-def _make_state(name: str, d: int, spiral_width: float):
+def _make_state(name: str, d: int, spiral_width: float | None):
     if name == "downconversion":
-        return make_downconversion_state(d, spiral_width)
+        return make_downconversion_state(
+            d, SPIRAL_WIDTH if spiral_width is None else spiral_width)
     return make_max_entangled(d)
+
+
+def _correction_config(args) -> NoiseCorrectionConfig:
+    n_subsets = NoiseCorrectionConfig.n_subsets if args.subsets is None else args.subsets
+    return NoiseCorrectionConfig(n_subsets=n_subsets, base=_solver_config(args))
+
+
+def _moot_flag(args) -> str | None:
+    """The usage error for a flag that the command's other flags would make
+    it drop, or None. Such flags default to None, so that a flag given is
+    told apart from one left out."""
+    width = getattr(args, "spiral_width", None)
+    if args.command in ("simulate", "sweep") and width is not None \
+            and args.state != "downconversion":
+        return "argument --spiral-width: only with --state downconversion"
+    if args.command == "metrics" and width is not None and args.target != "downconversion":
+        return "argument --spiral-width: only with --target downconversion"
+    if args.command == "reconstruct" and args.no_correction and args.subsets is not None:
+        return "argument --subsets: not allowed with --no-correction"
+    return None
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -124,10 +146,10 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_solver_flags(p)
     p.add_argument("--no-correction", action="store_true",
                    help="skip the noise correction: one raw solve")
-    p.add_argument("--subsets", type=int, default=NoiseCorrectionConfig.n_subsets,
-                   help="correction subsets (default %(default)s: the raw solve's own "
-                        "structural gap; N >= 2 sums the gaps of N disjoint subsets, "
-                        "solved after it)")
+    p.add_argument("--subsets", type=int, default=None,
+                   help=f"correction subsets (default {NoiseCorrectionConfig.n_subsets}: "
+                        "the raw solve's own structural gap; N >= 2 sums the gaps of "
+                        "N disjoint subsets, solved after it)")
     p.add_argument("--diagnostics", default=None,
                    help="stream per-iteration diagnostics to this CSV path")
 
@@ -157,9 +179,9 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="measurement-set JSON for the residual (and its truth as target)")
     p.add_argument("--target", choices=("max-entangled", "downconversion"), default=None,
                    help="fidelity target built at the matrix dimension")
-    p.add_argument("--spiral-width", type=float, default=SPIRAL_WIDTH,
+    p.add_argument("--spiral-width", type=float, default=None,
                    help="width of the downconversion target's spectrum "
-                        "(only with --target downconversion; default %(default)s)")
+                        f"(only with --target downconversion; default {SPIRAL_WIDTH})")
 
     return top
 
@@ -213,8 +235,8 @@ def _cmd_reconstruct(args) -> int:
         if args.no_correction:
             report = reconstruct(ms, cfg, on_iteration=on_iteration)
         else:
-            corr_cfg = NoiseCorrectionConfig(n_subsets=args.subsets, base=cfg)
-            report = reconstruct_corrected(ms, corr_cfg, on_iteration=on_iteration)
+            report = reconstruct_corrected(ms, _correction_config(args),
+                                           on_iteration=on_iteration)
     finally:
         if diag_fh is not None:
             diag_fh.close()
@@ -299,7 +321,11 @@ def _cmd_metrics(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    moot = _moot_flag(args)
+    if moot is not None:
+        parser.error(moot)
     handlers = {
         "simulate": _cmd_simulate,
         "reconstruct": _cmd_reconstruct,

@@ -18,6 +18,15 @@ the final solve with the corrected probabilities; that gives the same bits
 as a second factorization. Correction subsets have projectors of their own
 and build their own operators.
 
+The final solve starts from the raw solve's converged iterate
+``rho_pre_gamma``, projected with the corrected probabilities
+(``reconstruct(..., start=)``). Those probabilities differ from the raw
+ones only by the shift Re Tr[Â_i Δ], so the final solve takes a few
+iterations, often one, and stays by the fixed point the raw solve found.
+Started at I/D, it repeated most of the raw solve and could settle on
+another fixed point, which took campaigns the raw solve had recovered far
+below it.
+
 With ``n_subsets`` N ≥ 2 the campaign is partitioned round-robin and each
 subset is solved after the raw solve, one after another, in the calling
 process: the subset gaps are a lazy generator that ``estimate_delta_rho``
@@ -211,7 +220,8 @@ def reconstruct_corrected(
     on_iteration=None,
 ) -> ReconstructionReport:
     """Full pipeline: raw solve, structural-gap displacement estimate,
-    probability correction, corrected solve.
+    probability correction, corrected solve started from the raw solve's
+    ``rho_pre_gamma``.
 
     With one subset (the default) the estimate is the raw solve's own gap.
     With N ≥ 2 the subsets are solved after the raw solve, in subset order,
@@ -244,7 +254,8 @@ def reconstruct_corrected(
         return raw
 
     corrected_ms, diag.n_clamped = correct_probabilities(ms, diag.delta)
-    out = reconstruct(corrected_ms, cfg.base, on_iteration=on_iteration, operator=op)
+    out = reconstruct(corrected_ms, cfg.base, on_iteration=on_iteration, operator=op,
+                      start=raw.rho_pre_gamma)
     diag.raw_report = raw
     out.correction = diag
     return out

@@ -98,7 +98,11 @@ class SweepSpec:
 class SweepRow:
     """One cell's outcome. ``runtime_seconds`` is the wall time of the
     cell's raw and final solves and scoring, without the simulation of its
-    campaign, in the process that runs the cell; 0.0 for a failed cell."""
+    campaign, in the process that runs the cell; 0.0 for a failed cell.
+    ``iterations`` counts the solve of the returned report: the final solve
+    when the correction applied, else the raw one. The final solve starts
+    from the raw solution and often takes one iteration, so the column does
+    not measure a corrected cell's work; ``runtime_seconds`` does."""
 
     fraction: float
     repeat: int

@@ -35,7 +35,11 @@ The test-only reference
 projection from the Gram-Schmidt orthonormalized rows u = conj(vec(Â)), with
 u · vec(ρ) = Tr[Â ρ] and hyperplane normal conj(u).
 
-Every solve starts from the maximally mixed state I/D, with x_{k−1} = x_k.
+A solve starts from the maximally mixed state I/D, with x_{k−1} = x_k,
+unless it is given a start point: then x_{k−1} = x_k = P(start), the start's
+projection with this solve's own probabilities, so the loop's iterates meet
+the measurements from the first. The correction's final solve starts from
+the raw solve's converged iterate (see ``reconstruct``).
 A report stores the per-iteration steps and the last iteration's tolerance;
 its iteration count, final step and convergence flag are read from them.
 A report's ``correction`` is filled in only by
@@ -428,13 +432,14 @@ def reconstruct(
     *,
     on_iteration: Callable[[int, float, float], None] | None = None,
     operator: MeasurementOperator | None = None,
+    start: np.ndarray | None = None,
 ) -> ReconstructionReport:
     """Run the full operation-projection loop on a measurement set.
 
     Per iteration: the structural step Γ (one eigendecomposition, no PSD
     repair) on the extrapolated point y = x_k + β(x_k − x_{k−1}) of the last
     two iterates (β = ``MOMENTUM``; the first iteration's y is the start
-    I/D), then the orthogonal projection onto the measurement system's
+    x_0), then the orthogonal projection onto the measurement system's
     solution set, which gives x_{k+1}; stop once the Frobenius step
     ‖x_{k+1} − x_k‖ falls below step_tol_rel × ‖x_{k+1}‖. The reported
     ``rho`` is ``enforce_structure`` of the final iterate, Γ with the PSD
@@ -449,6 +454,15 @@ def reconstruct(
     progress streaming. ``operator``, a ``MeasurementOperator`` of the same
     projectors as ``ms`` (else ValueError), is used instead of a new one
     being built; the results are the same bits.
+
+    ``start``, a D×D matrix, makes x_0 = ``op.project(start, p)`` in place
+    of I/D. ``reconstruct_corrected`` passes the raw solve's
+    ``rho_pre_gamma`` to its final solve, whose probabilities differ from
+    the raw ones only by the small shift Re Tr[Â_i Δ]: started there, the
+    final solve takes a few iterations instead of a second full solve, and
+    it stays at the fixed point the raw solve found instead of settling on
+    another one. An earlier ``init`` parameter was removed because nothing
+    passed it; this one has that caller.
     """
     if cfg is None:
         cfg = ReconstructionConfig()
@@ -460,7 +474,10 @@ def reconstruct(
         raise ValueError("the measurement set's projectors are not the operator's")
     p = ms.probs[op.keep]
     dim = ms.d**2
-    prev = np.eye(dim, dtype=complex) / dim
+    if start is None:
+        prev = np.eye(dim, dtype=complex) / dim
+    else:
+        prev = op.project(start, p)
     before = prev
     steps: list[float] = []
     residuals: list[float] = []

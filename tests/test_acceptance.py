@@ -259,7 +259,7 @@ def test_criterion_4_stretch_d17():
     # d⁴) at 1e6 counts, scored against the simulated truth. The truth's own
     # fidelity to the maximally entangled target is 0.966, which an exact
     # reconstruction would also score against it; against the truth an
-    # accurate one reads at least 0.999 (0.99972 corrected, 0.99993 raw)
+    # accurate one reads at least 0.999 (0.99992 corrected, 0.99993 raw)
     start = time.perf_counter()
     d = 17
     truth = make_downconversion_state(d, 6.0)

@@ -11,7 +11,7 @@ import pytest
 
 import cstomo
 import cstomo.experiments
-from cstomo.cli import _build_parser, _solver_config, main
+from cstomo.cli import _build_parser, _correction_config, _solver_config, main
 from cstomo.correction import NoiseCorrectionConfig, reconstruct_corrected
 from cstomo.errors import InvariantViolation
 from cstomo.experiments import SweepSpec, cell_seed
@@ -58,7 +58,7 @@ class TestParserDefaults:
     def test_reconstruct(self):
         args = _build_parser().parse_args(["reconstruct", "x", "--out", "y"])
         assert _solver_config(args) == ReconstructionConfig()
-        assert args.subsets == NoiseCorrectionConfig().n_subsets
+        assert _correction_config(args) == NoiseCorrectionConfig()
 
     def test_sweep(self):
         args = _build_parser().parse_args(["sweep", "--d", "3", "--fractions", "0.5",
@@ -332,6 +332,19 @@ class TestReconstructCommand:
         n_raw = doc["correction"]["raw"]["iterations"]
         assert phases == ["raw"] * n_raw + ["corrected"] * doc["iterations"]
 
+
+    def test_diagnostics_one_iteration_final_solve_is_corrected(self, tmp_path):
+        # the final solve starts at the raw solution, and at 40 % of d⁴ it
+        # converges in one iteration: its row restarts the counter at 1
+        inp, diag, out = tmp_path / "c.json", tmp_path / "diag.csv", tmp_path / "r.json"
+        assert run("simulate", "--d", 5, "--measurements", 250, "--mean-total-counts", 5e4,
+                   "--seed", 3, "--out", inp) == 0
+        assert run("reconstruct", inp, "--out", out, "--diagnostics", diag) == 0
+        doc = json.loads(out.read_text())
+        assert doc["iterations"] == 1
+        rows = [ln.split(",")[:2] for ln in diag.read_text().strip().splitlines()[1:]]
+        n_raw = doc["correction"]["raw"]["iterations"]
+        assert rows == [["raw", str(k)] for k in range(1, n_raw + 1)] + [["corrected", "1"]]
 
 class TestMetricsCommand:
     def test_truth_matrix_fidelity_one(self, tmp_path, capsys):
@@ -639,6 +652,41 @@ class TestParser:
         assert exc.value.code == 2
         assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("argv, needs", [
+        (["simulate", "--d", "3", "--measurements", "5", "--out", "{tmp}/o"],
+         "--state downconversion"),
+        (["sweep", "--d", "3", "--fractions", "0.75", "--state", "max-entangled",
+          "--out", "{tmp}/o"], "--state downconversion"),
+        (["metrics", "{tmp}/r.json"], "--target downconversion"),
+        (["metrics", "{tmp}/r.json", "--target", "max-entangled"], "--target downconversion"),
+    ], ids=["simulate", "sweep", "metrics", "metrics-max-entangled"])
+    def test_spiral_width_without_downconversion_exits_2(self, tmp_path, capsys, argv, needs):
+        # the width shapes only the downconversion spectrum: without that
+        # state or target it would be dropped, so it is refused
+        with pytest.raises(SystemExit) as exc:
+            main([a.format(tmp=tmp_path) for a in argv] + ["--spiral-width", "4"])
+        assert exc.value.code == 2
+        assert f"error: argument --spiral-width: only with {needs}\n" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("n", ["1", "2"])
+    def test_subsets_with_no_correction_exits_2(self, tmp_path, capsys, n):
+        # one raw solve has no correction subsets, not even the default one
+        with pytest.raises(SystemExit) as exc:
+            main(["reconstruct", str(tmp_path / "c.json"), "--out", str(tmp_path / "r.json"),
+                  "--no-correction", "--subsets", n])
+        assert exc.value.code == 2
+        assert ("error: argument --subsets: not allowed with --no-correction\n"
+                in capsys.readouterr().err)
+        assert not list(tmp_path.iterdir())
+
+    def test_explicit_default_width_is_the_default(self, tmp_path):
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        argv = ["simulate", "--d", 3, "--measurements", 5, "--state", "downconversion"]
+        assert run(*argv, "--out", a) == 0
+        assert run(*argv, "--spiral-width", 2.5, "--out", b) == 0
+        assert a.read_bytes() == b.read_bytes()
 
 
 class TestOutOfMemory:

@@ -17,9 +17,10 @@ from cstomo.correction import (
 )
 from cstomo.errors import InvariantViolation
 from cstomo.linalg import frob_norm, hs_inner, vec
+from cstomo.metrics import fidelity_pure
 from cstomo.serialize import report_to_dict
 from cstomo.simulate import joint_vectors, simulate_measurements, state_to_density
-from cstomo.solver import ReconstructionConfig, reconstruct
+from cstomo.solver import MeasurementOperator, ReconstructionConfig, reconstruct
 
 
 D3_CFG = ReconstructionConfig(tau=0.7)  # small-instance threshold (see solver tests)
@@ -450,14 +451,16 @@ class TestOwnGap:
         assert sub_rep.converged
         gap = sub_rep.rho_pre_gamma - sub_rep.rho
         corrected_ms, n_clamped = correct_probabilities(ms, gap)
-        want = reconstruct(corrected_ms, cfg.base)
+        op = MeasurementOperator(ms)
+        raw = reconstruct(ms, cfg.base, operator=op)
+        want = reconstruct(corrected_ms, cfg.base, operator=op, start=raw.rho_pre_gamma)
         want.correction = CorrectionDiagnostics(
             subset_sizes=[m],
             subset_converged=[True],
             subset_delta_norms=[float(np.linalg.norm(gap))],
             delta=gap,
             n_clamped=n_clamped,
-            raw_report=reconstruct(ms, cfg.base),
+            raw_report=raw,
         )
 
         got = reconstruct_corrected(ms, cfg)
@@ -466,6 +469,21 @@ class TestOwnGap:
             report_to_dict(want, d=d), sort_keys=True
         )
         assert report_to_dict(got, d=d)["correction"]["subset_sizes"] == [m]
+
+    def test_final_solve_keeps_the_raw_recovery(self):
+        # a sweep-d5 cell (d=5, 10 % of d⁴, 5·10⁴ counts, maximally
+        # entangled) whose raw solve recovers the state: started again from
+        # I/D, the final solve settled on a wrong fixed point; started from
+        # the raw solution it stays there
+        ms = simulate_measurements(5, 62, seed=4976194296602590199, mean_total_counts=5e4)
+        op = MeasurementOperator(ms)
+        raw = reconstruct(ms, operator=op)
+        corrected_ms, _ = correct_probabilities(ms, raw.rho_pre_gamma - raw.rho)
+        assert fidelity_pure(raw.rho, ms.truth) > 0.95
+        assert fidelity_pure(reconstruct(corrected_ms, operator=op).rho, ms.truth) < 0.9
+        rep = reconstruct_corrected(ms)
+        assert rep.correction.applied
+        assert fidelity_pure(rep.rho, ms.truth) >= 0.95
 
     def test_skipped_when_the_raw_solve_does_not_converge(self):
         ms = simulate_measurements(3, 60, seed=7, mean_total_counts=500.0)

@@ -612,6 +612,42 @@ class TestReconstruct:
             ReconstructionConfig(threshold_mode="relative")
 
 
+
+class TestWarmStart:
+    """``reconstruct(..., start=x)`` begins at x_{k−1} = x_k = P(x), the
+    start projected with the solve's own probabilities."""
+
+    @pytest.mark.parametrize("d, m, counts", [(3, 36, 300.0), (5, 150, 300.0), (5, 250, 5e4)])
+    def test_converged_start_stops_after_one_iteration(self, d, m, counts):
+        ms = simulate_measurements(d, m, seed=9, mean_total_counts=counts)
+        cfg = ReconstructionConfig(tau=0.7) if d == 3 else ReconstructionConfig()
+        cold = reconstruct(ms, cfg)
+        assert cold.converged and cold.iterations > 1
+        warm = reconstruct(ms, cfg, start=cold.rho_pre_gamma)
+        assert warm.iterations == 1 and warm.converged
+        assert max(warm.per_iteration_residuals) <= 1e-9
+
+    def test_start_is_projected_then_stepped(self):
+        # x_0 = P(start) meets the measurements; the first extrapolated point
+        # is x_0 itself, as I/D is for a cold solve
+        ms = simulate_measurements(5, 150, seed=9, mean_total_counts=300)
+        cfg = ReconstructionConfig()
+        start = random_pure_density(25, np.random.default_rng(9))
+        op = MeasurementOperator(ms)
+        p = ms.probs[op.keep]
+        x0 = op.project(start, p)
+        assert np.abs(op.residual(x0, p)).max() <= 1e-9
+        first = op.project(normalize_trace(cstomo.solver._cut(x0, cfg)), p)
+        rep = reconstruct(ms, cfg, operator=op, start=start)
+        assert rep.per_iteration_steps[0] == frob_norm(first - x0)
+        assert max(rep.per_iteration_residuals) <= 1e-9
+
+    @pytest.mark.parametrize("shape", [(24, 24), (25, 24), (25,)])
+    def test_start_of_the_wrong_shape_raises(self, shape):
+        ms = simulate_measurements(5, 150, seed=9, mean_total_counts=300)
+        with pytest.raises(ValueError):
+            reconstruct(ms, start=np.ones(shape, dtype=complex))
+
 class TestPsdRepairOnReportedMatrices:
     """Γ in the loop is not repaired onto the PSD cone; every matrix that
     leaves the loop is, through enforce_structure."""

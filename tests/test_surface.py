@@ -11,7 +11,7 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[1] / "src" / "cstomo"
 
 # dataclass fields plus function parameters that have a default value
-SETTABLE_VALUES = 70
+SETTABLE_VALUES = 71
 # add_argument call sites of the command line
 CLI_ARGUMENTS = 31
 
