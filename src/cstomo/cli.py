@@ -168,7 +168,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="score the raw solve only")
     p.add_argument("--seed", type=int, default=SweepSpec.seed,
                    help="base seed of the cells' campaigns (default %(default)s)")
-    p.add_argument("--jobs", type=int, default=1, help="parallel worker processes")
+    p.add_argument("--jobs", type=int, default=1,
+                   help="parallel worker processes, at most the usable CPUs over the BLAS threads")
     p.add_argument("--out", required=True, help="per-cell CSV path")
     p.add_argument("--summary", default=None,
                    help="per-fraction aggregate CSV (default <out>.summary.csv)")

@@ -161,13 +161,15 @@ def _gap(rep: ReconstructionReport, cfg: ReconstructionConfig):
 
 def _subset_gap(sub: MeasurementSet, cfg: ReconstructionConfig):
     """Solve one subset. Returns its ``_gap``, or the reason it is omitted
-    as text: the solve did not converge or raised a degenerate-system
-    error."""
+    as text, with a warning: the solve did not converge or raised a
+    degenerate-system error."""
     try:
-        rep = reconstruct(sub, cfg)
+        gap = _gap(reconstruct(sub, cfg), cfg)
     except (DegenerateSystemError, DegenerateIterateError) as exc:
-        return f"reconstruction failed ({exc})"
-    return _gap(rep, cfg)
+        gap = f"reconstruction failed ({exc})"
+    if isinstance(gap, str):
+        warnings.warn(f"subset {gap}; contribution omitted")
+    return gap
 
 
 def estimate_delta_rho(subsets: list[MeasurementSet], gaps) -> CorrectionDiagnostics:
@@ -179,8 +181,7 @@ def estimate_delta_rho(subsets: list[MeasurementSet], gaps) -> CorrectionDiagnos
     the subset is omitted. It may be a generator that solves each subset as
     it is read; an exception a solve raises, such as an InvariantViolation,
     then propagates from here. An omitted subset contributes nothing and is
-    flagged with a warning. Warnings, flags and the sum are made here, in
-    subset order.
+    flagged. Flags and the sum are made here, in subset order.
     """
     dim = subsets[0].d ** 2
     out = CorrectionDiagnostics(delta=np.zeros((dim, dim), dtype=complex))
@@ -189,7 +190,6 @@ def estimate_delta_rho(subsets: list[MeasurementSet], gaps) -> CorrectionDiagnos
         out.subset_sizes.append(len(sub))
         out.subset_converged.append(not omitted)
         if omitted:
-            warnings.warn(f"subset {gap}; contribution omitted")
             out.subset_delta_norms.append(float("nan"))
         else:
             out.delta += gap
@@ -228,9 +228,10 @@ def reconstruct_corrected(
     as ``estimate_delta_rho`` reads their gaps.
 
     The returned report is the corrected run with ``correction`` filled in,
-    including the raw run's report. If partitioning is infeasible or every
-    subset fails, the raw report is returned with a warning and
-    ``correction.applied`` False.
+    including the raw run's report. If the raw solve does not converge (one
+    subset), partitioning is infeasible or every subset fails (N ≥ 2), the
+    raw report is returned with ``correction.applied`` False and a warning
+    that gives ``correction.reason``.
     """
     if cfg is None:
         cfg = NoiseCorrectionConfig()
@@ -238,7 +239,10 @@ def reconstruct_corrected(
     op = MeasurementOperator(ms)
     raw = reconstruct(ms, cfg.base, on_iteration=on_iteration, operator=op)
     if cfg.n_subsets == 1:  # the one subset is the campaign, solved just now
-        diag = estimate_delta_rho([ms], [_gap(raw, cfg.base)])
+        gap = _gap(raw, cfg.base)
+        diag = estimate_delta_rho([ms], [gap])
+        if isinstance(gap, str):
+            diag.reason = f"raw solve {gap}"
     else:
         try:
             subsets = partition(ms, cfg)
@@ -247,7 +251,7 @@ def reconstruct_corrected(
         else:
             diag = estimate_delta_rho(subsets, (_subset_gap(sub, cfg.base) for sub in subsets))
     if diag.n_omitted == diag.n_subsets:  # no subset contributed
-        if diag.n_subsets:
+        if not diag.reason:
             diag.reason = "every subset failed to converge"
         warnings.warn(f"noise correction skipped: {diag.reason}")
         raw.correction = diag

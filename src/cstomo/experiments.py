@@ -6,8 +6,9 @@ scores fidelity against the maximally entangled target state (the benchmark
 metric; it coincides with fidelity-to-truth when the simulated state is the
 default maximally entangled one). Cells are independent and own their seeded
 RNG streams, so ``run_sweep(jobs=N)`` (``cstomo sweep --jobs N``) maps them
-over N forked worker processes with ``workers.ordered_map``. With ``jobs`` 1
-the cells run in the calling process, one after another.
+over up to N forked worker processes with ``workers.ordered_map``, which
+caps them by the CPUs and BLAS threads. With ``jobs`` 1 the cells run in
+the calling process, one after another.
 
 A cell runs its raw and final solves in the process that runs it. The
 rows, and the ``on_row`` calls that stream them, come in (fraction,

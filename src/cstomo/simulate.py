@@ -11,6 +11,10 @@ unit-norm mode vector per row for each arm (``signal`` and ``idler``).
 Projector i is |w_i⟩⟨w_i| with w_i = signal[i] ⊗ idler[i]; ``joint_vectors``
 forms every w_i in one broadcast, and ``expectations`` evaluates Tr[Â_i ρ]
 from them.
+
+A campaign's 2M modes come from one generator call, an (M, 2, 2, d) array
+of standard normals indexed (projector, arm, real/imaginary part, mode),
+and are normalized in one pass per arm.
 """
 
 from __future__ import annotations
@@ -206,16 +210,33 @@ def state_to_density(s: TwoPhotonState) -> np.ndarray:
     return np.outer(psi, psi.conj())
 
 
+def _unit_modes(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """The modes re + 1j·im, one per row of the last axis, each normalized.
+    An all-zero mode, which a Gaussian draw gives with probability zero,
+    raises ValueError: a redraw would shift every later draw of the
+    stream."""
+    # re + 1j·im, built in place: the bits of the expression with one
+    # complex array instead of three
+    modes = 1j * im
+    modes += re
+    # np.linalg.norm's sum, sqrt(re·re + im·im), with each dot a BLAS ddot
+    # over the same strided views, so the same bits as calling it per mode
+    re = modes.real[..., None, :]
+    im = modes.imag[..., None, :]
+    norm = np.sqrt(re @ re.swapaxes(-1, -2) + im @ im.swapaxes(-1, -2))[..., 0]
+    if not norm.all():
+        raise ValueError("a random mode drew all-zero amplitudes")
+    modes /= norm
+    return modes
+
+
 def random_mode(d: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-uniform random mode superposition: i.i.d. standard complex
-    Gaussian amplitudes, normalized. Deterministic for a fixed generator
-    state."""
-    d = _check_mode_count(d)
-    while True:
-        amps = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-        norm = np.linalg.norm(amps)
-        if norm > 0:  # zero draw has probability zero but would divide by 0
-            return amps / norm
+    Gaussian amplitudes, the d real parts drawn before the d imaginary ones,
+    normalized. Deterministic for a fixed generator state; an all-zero draw
+    (probability zero) raises ValueError."""
+    re, im = rng.standard_normal((2, _check_mode_count(d)))
+    return _unit_modes(re, im)
 
 
 def joint_vectors(signal: np.ndarray, idler: np.ndarray) -> np.ndarray:
@@ -256,7 +277,9 @@ def simulate_measurements(
     (maximally entangled by default), each the product of two independent
     random modes, computes ideal probabilities, and, when
     ``mean_total_counts`` is given, replaces them with Poisson-noisy
-    normalized counts. All randomness flows from ``seed``.
+    normalized counts. All randomness flows from ``seed``: one draw of every
+    mode, then one of the counts. An all-zero mode draw, which has
+    probability zero, raises ValueError.
     """
     d = _check_mode_count(d)
     n_measurements = int(n_measurements)
@@ -272,13 +295,13 @@ def simulate_measurements(
         calibration = check_mean_total_counts(mean_total_counts)
     rng = np.random.default_rng(seed)
     rho = state_to_density(state)
-    # projector by projector, signal before idler: the campaign a seed gives
-    # depends on this order
-    signal = np.empty((n_measurements, d), dtype=complex)
-    idler = np.empty((n_measurements, d), dtype=complex)
-    for i in range(n_measurements):
-        signal[i] = random_mode(d, rng)
-        idler[i] = random_mode(d, rng)
+    # projector by projector, signal before idler, each mode's real parts
+    # before its imaginary ones: the campaign a seed gives depends on this
+    # order, the C order of the (M, arm, part, mode) draw
+    draws = rng.standard_normal((n_measurements, 2, 2, d))
+    signal = _unit_modes(draws[:, 0, 0], draws[:, 0, 1])
+    idler = _unit_modes(draws[:, 1, 0], draws[:, 1, 1])
+    del draws
     # valid density matrices stray outside [0, 1] only by rounding (≤ 1e-12)
     ideal = np.clip(expectations(joint_vectors(signal, idler), rho), 0.0, 1.0)
     if calibration is None:

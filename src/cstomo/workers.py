@@ -9,13 +9,22 @@ and run the same arithmetic as an in-line run. They all start at the first
 submission, before the executor's manager thread, so no fork happens while
 that thread runs.
 
-The map runs in-line with fewer than two workers, on a platform without
-fork, and inside a process that is itself a multiprocessing worker.
+The workers are capped at the usable CPUs divided by the BLAS threads each
+one runs. BLAS runs one thread per CPU unless ``OPENBLAS_NUM_THREADS``,
+``MKL_NUM_THREADS`` or ``OMP_NUM_THREADS`` pins it (the first one set
+counts), so with BLAS unpinned the map runs in-line: on 2 CPUs, two
+workers at 2 BLAS threads each ran a sweep 2–4 times slower than one
+process.
+
+The map runs in-line with fewer than two workers, after that cap, on a
+platform without fork, and inside a process that is itself a
+multiprocessing worker.
 """
 
 from __future__ import annotations
 
 import multiprocessing
+import os
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from typing import Callable, Iterator
@@ -23,12 +32,37 @@ from typing import Callable, Iterator
 from .errors import WorkerPoolError
 
 
+# variables that pin the BLAS thread count (OpenBLAS, MKL, OpenMP); the first
+# one set is taken
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _max_workers() -> int:
+    """The usable CPUs divided by the BLAS threads a worker runs, at least 1."""
+    cpus = _usable_cpus()
+    blas_threads = cpus
+    for var in _BLAS_THREAD_VARS:
+        value = os.environ.get(var, "")
+        if value.isdigit() and int(value) > 0:
+            blas_threads = int(value)
+            break
+    return max(1, cpus // blas_threads)
+
+
 def ordered_map(fn: Callable, tasks: list[tuple], workers: int, what: str) -> Iterator:
     """Yield fn(*task) for every task, in task order, from up to ``workers``
-    forked processes; ``what`` names them in errors. In-line, each task runs
-    as it is read. Closing the generator before its end cancels the tasks not
-    yet started and stops the workers. A worker that cannot start or dies
-    raises WorkerPoolError; an exception a task raises propagates."""
+    forked processes, and no more than ``_max_workers()``; ``what`` names
+    them in errors. In-line, each task runs as it is read. Closing the
+    generator before its end cancels the tasks not yet started and stops
+    the workers. A worker that cannot start or dies raises WorkerPoolError;
+    an exception a task raises propagates."""
+    workers = min(workers, _max_workers())
     if (
         workers < 2
         or "fork" not in multiprocessing.get_all_start_methods()

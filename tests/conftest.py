@@ -37,6 +37,15 @@ def no_pool(monkeypatch):
 
 
 @pytest.fixture
+def forked_workers(monkeypatch):
+    """Let ``workers.ordered_map`` start two workers on any host: BLAS pinned
+    to one thread and two usable CPUs. Unpinned, BLAS runs one thread per
+    CPU, and the map caps its workers at one and runs in-line."""
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.setattr("cstomo.workers._usable_cpus", lambda: 2)
+
+
+@pytest.fixture
 def violate_in_final_solve(monkeypatch):
     """Call with a campaign seed: the second solve of that campaign inside
     ``reconstruct_corrected``, its final solve, then raises an

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import multiprocessing
 import os
@@ -129,6 +130,15 @@ class TestSimulateCommand:
             run("simulate", "--d", 3, "--measurements", 20, "--seed", 9,
                 "--mean-total-counts", 5e4, "--out", out)
         assert a.read_bytes() == b.read_bytes()
+
+    def test_campaign_file_bytes_are_pinned(self, tmp_path):
+        # the file of an earlier per-projector draw loop: the batched draw
+        # changed no byte of it
+        out = tmp_path / "c.json"
+        assert run("simulate", "--d", 5, "--measurements", 40, "--mean-total-counts", 1000,
+                   "--seed", 21, "--out", out) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "9716390fd1b331cd8c36f9a7ab9443bf299e1a3672cf7613641c30d99dc4bf3e")
 
     def test_flagship_campaign_budgets(self, tmp_path):
         # d=7: 2401 = 100% of d^4; d=17: 2506 measurements = 3% of 83521
@@ -406,7 +416,7 @@ class TestSweepCommand:
             (tmp_path / "b.csv.summary.csv").read_bytes()
 
 
-    def test_outputs_identical_across_jobs(self, tmp_path, monkeypatch):
+    def test_outputs_identical_across_jobs(self, tmp_path, monkeypatch, forked_workers):
         # d=5 with the default correction; the last cell's campaign fails
         real = cstomo.experiments.simulate_measurements
         fail_seed = cell_seed(0, 1, 1)
@@ -447,7 +457,7 @@ class TestSweepCommand:
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_invariant_violation_in_a_final_solve_fails_only_its_row(
-            self, tmp_path, violate_in_final_solve, jobs):
+            self, tmp_path, violate_in_final_solve, forked_workers, jobs):
         violate_in_final_solve(cell_seed(0, 0, 1))
         out = tmp_path / "sweep.csv"
         assert run("sweep", "--d", 3, "--fractions", "0.75", "--repeats", 3, "--tau", 0.7,
@@ -488,7 +498,7 @@ class TestSweepCommand:
         assert err == "error: jobs must be at least 1, got -2\n"
         assert not out.exists()
 
-    def test_dead_worker_exit_code(self, tmp_path, capsys, monkeypatch):
+    def test_dead_worker_exit_code(self, tmp_path, capsys, monkeypatch, forked_workers):
         # a cell worker killed mid-run (for example when memory runs out)
         monkeypatch.setattr("cstomo.experiments.run_sweep_cell", die)
         out = tmp_path / "sweep.csv"
@@ -498,7 +508,8 @@ class TestSweepCommand:
         assert err.startswith("error: a sweep worker died") and err.count("\n") == 1
         assert not out.exists()
 
-    def test_failed_worker_start_exit_code(self, tmp_path, capsys, monkeypatch):
+    def test_failed_worker_start_exit_code(self, tmp_path, capsys, monkeypatch,
+                                           forked_workers):
         # the first worker forks, the second cannot: the first must not linger
         real_fork = os.fork
         forks = []

@@ -490,10 +490,12 @@ class TestOwnGap:
         cfg = d3_correction_config(base=ReconstructionConfig(tau=0.7, k_max=1))
         with pytest.warns(UserWarning) as caught:
             rep = reconstruct_corrected(ms, cfg)
+        # one warning, naming the raw solve: the default path has no subsets
         assert [str(w.message) for w in caught] == [
-            "subset did not converge within k_max=1; contribution omitted",
-            "noise correction skipped: every subset failed to converge",
+            "noise correction skipped: raw solve did not converge within k_max=1",
         ]
         assert np.array_equal(rep.rho, reconstruct(ms, cfg.base).rho)
         c = rep.correction
         assert not c.applied and c.subset_sizes == [60] and c.subset_converged == [False]
+        assert c.reason == "raw solve did not converge within k_max=1"
+        assert report_to_dict(rep, d=3)["correction"]["reason"] == c.reason

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import cstomo.experiments
+import cstomo.workers
 from cstomo.experiments import (
     SweepSpec,
     cell_seed,
@@ -79,7 +80,7 @@ class TestRunSweep:
         ]
         assert all(r.status == "ok" for r in rows)
 
-    def test_process_pool_matches_serial(self):
+    def test_process_pool_matches_serial(self, forked_workers):
         spec = small_spec(repeats=1)
         serial = run_sweep(spec, jobs=1)
         pooled = run_sweep(spec, jobs=2)
@@ -89,7 +90,7 @@ class TestRunSweep:
             assert a.fidelity_corrected == b.fidelity_corrected
 
     @pytest.mark.parametrize("jobs", [1, 2])
-    def test_on_row_streams_rows_in_order(self, jobs):
+    def test_on_row_streams_rows_in_order(self, forked_workers, jobs):
         seen = []
         rows = run_sweep(small_spec(), jobs=jobs, on_row=seen.append)
         assert [(r.fraction, r.repeat) for r in seen] == [
@@ -97,7 +98,7 @@ class TestRunSweep:
         ]
         assert seen == rows
 
-    def test_no_child_left_when_on_row_raises(self):
+    def test_no_child_left_when_on_row_raises(self, forked_workers):
         def stop(row):
             raise RuntimeError("stop")
 
@@ -107,7 +108,8 @@ class TestRunSweep:
         assert set(multiprocessing.active_children()) == before
 
     @pytest.mark.parametrize("reason", ["no fork", "multiprocessing child"])
-    def test_jobs_run_in_line_without_a_pool(self, monkeypatch, no_pool, reason):
+    def test_jobs_run_in_line_without_a_pool(self, monkeypatch, forked_workers, no_pool,
+                                             reason):
         if reason == "no fork":
             monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
         if reason == "multiprocessing child":
@@ -124,10 +126,51 @@ class TestRunSweep:
         assert all(r.status == "ok" for r in corrected)
         assert [r.fidelity_raw for r in corrected] == [r.fidelity_raw for r in raw_only]
 
+    @pytest.mark.parametrize("cpus, env, cap", [
+        (8, {}, 1),  # BLAS unpinned: one thread per CPU
+        (8, {"OPENBLAS_NUM_THREADS": "2"}, 4),
+        (8, {"MKL_NUM_THREADS": "4"}, 2),
+        (8, {"OMP_NUM_THREADS": "1"}, 8),
+        (8, {"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 4),  # the first set
+        (8, {"OPENBLAS_NUM_THREADS": "0", "MKL_NUM_THREADS": "2"}, 4),  # 0 is unset
+        (8, {"OPENBLAS_NUM_THREADS": "x"}, 1),
+        (2, {"OPENBLAS_NUM_THREADS": "4"}, 1),
+    ])
+    def test_workers_are_capped_at_cpus_over_blas_threads(self, monkeypatch, cpus, env, cap):
+        for var in cstomo.workers._BLAS_THREAD_VARS:
+            monkeypatch.delenv(var, raising=False)
+        for var, value in env.items():
+            monkeypatch.setenv(var, value)
+        monkeypatch.setattr("cstomo.workers._usable_cpus", lambda: cpus)
+        assert cstomo.workers._max_workers() == cap
+
+    def test_unpinned_blas_runs_the_cells_in_line(self, monkeypatch, no_pool):
+        for var in cstomo.workers._BLAS_THREAD_VARS:
+            monkeypatch.delenv(var, raising=False)
+        monkeypatch.setattr("cstomo.workers._usable_cpus", lambda: 2)
+        spec = small_spec(repeats=1)
+        capped = run_sweep(spec, jobs=2)
+        serial = run_sweep(spec, jobs=1)
+        for a, b in zip(capped, serial):
+            assert dataclasses.replace(a, runtime_seconds=0.0) == \
+                dataclasses.replace(b, runtime_seconds=0.0)
+
     @pytest.mark.parametrize("jobs", [0, -2])
     def test_rejects_jobs_below_one(self, jobs):
         with pytest.raises(ValueError, match="jobs must be at least 1"):
             run_sweep(small_spec(), jobs=jobs)
+
+    def test_cell_whose_raw_solve_hits_k_max_is_ok(self):
+        # the correction is skipped with one warning; the cell itself did not fail
+        spec = small_spec(fractions=[0.75], repeats=1,
+                          solver=ReconstructionConfig(tau=0.7, k_max=1))
+        with pytest.warns(UserWarning) as caught:
+            (row,) = run_sweep(spec)
+        assert [str(w.message) for w in caught] == [
+            "noise correction skipped: raw solve did not converge within k_max=1"
+        ]
+        assert row.status == "ok" and row.iterations == 1
+        assert np.isnan(row.fidelity_corrected) and row.fidelity_raw > 0
 
     def test_raw_only_mode(self):
         spec = small_spec(with_correction=False, repeats=1)

@@ -29,6 +29,33 @@ def random_arms(d, n, rng):
     return np.array(signal), np.array(idler)
 
 
+def loop_arms(d, n, seed):
+    """The arms as an earlier per-projector loop drew them: four generator
+    calls and one np.linalg.norm per projector; the reference for the bits
+    of every campaign."""
+    rng = np.random.default_rng(seed)
+    arms = np.empty((2, n, d), dtype=complex)
+    for i in range(n):
+        for arm in arms:
+            amps = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+            arm[i] = amps / np.linalg.norm(amps)
+    return arms
+
+
+class ZeroModeRng:
+    """A generator whose draws are the real ones, but with every amplitude of
+    mode ``zero`` (in C order over the draw's leading axes) set to 0."""
+
+    def __init__(self, rng, zero):
+        self.rng = rng
+        self.zero = zero
+
+    def standard_normal(self, size):
+        draws = self.rng.standard_normal(size)
+        draws.reshape(-1, *draws.shape[-2:])[self.zero] = 0.0
+        return draws
+
+
 def projector_operator(signal, idler):
     """The D×D operator |w⟩⟨w| of a single projector's (1, d) arms, from its
     joint_vectors row."""
@@ -220,6 +247,38 @@ class TestRandomDraws:
         assert np.array_equal(ms.signal, signal)
         assert np.array_equal(ms.idler, idler)
 
+    @pytest.mark.parametrize("d", [3, 5, 7, 17])
+    @pytest.mark.parametrize("n", [1, 2, 13, 250])
+    @pytest.mark.parametrize("seed", [0, 21, 2**40 + 7])
+    def test_arms_have_the_bits_of_the_per_projector_loop(self, d, n, seed):
+        # the batched draw keeps the stream order and np.linalg.norm's
+        # arithmetic, so every campaign keeps its bits
+        ms = simulate_measurements(d, n, seed=seed)
+        signal, idler = loop_arms(d, n, seed)
+        for got, want in ((ms.signal, signal), (ms.idler, idler)):
+            assert got.flags.c_contiguous
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    @pytest.mark.parametrize("d", [1, 4, 17])
+    def test_random_mode_has_the_bits_of_the_loop(self, d):
+        rng = np.random.default_rng(d)
+        amps = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+        want = amps / np.linalg.norm(amps)
+        got = random_mode(d, np.random.default_rng(d))
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_all_zero_mode_raises(self, monkeypatch):
+        # a redraw would shift the stream, so a zero mode is an error, not a
+        # division by zero; mode 5 of the campaign is projector 2's idler
+        with pytest.raises(ValueError, match="^a random mode drew all-zero amplitudes$"):
+            random_mode(3, ZeroModeRng(np.random.default_rng(0), 0))
+        real = np.random.default_rng
+        monkeypatch.setattr("cstomo.simulate.np.random.default_rng",
+                            lambda seed: ZeroModeRng(real(seed), 5))
+        with np.errstate(all="raise"):
+            with pytest.raises(ValueError, match="^a random mode drew all-zero amplitudes$"):
+                simulate_measurements(3, 4, seed=0)
+
     def test_removed_identical_arms_is_a_type_error(self):
         # a projector's arms are always two independent draws
         with pytest.raises(TypeError, match="identical_arms"):
@@ -366,16 +425,24 @@ class TestSimulateMeasurements:
     def test_bad_mean_total_counts_fails_before_any_draw(self, monkeypatch, counts):
         draws = []
 
-        def counting(d, rng):
-            draws.append(d)
-            return random_mode(d, rng)
+        class CountingRng:
+            def __init__(self, seed):
+                self.rng = real(seed)
 
-        monkeypatch.setattr("cstomo.simulate.random_mode", counting)
+            def __getattr__(self, name):
+                def draw(*args, **kwargs):
+                    draws.append(name)
+                    return getattr(self.rng, name)(*args, **kwargs)
+                return draw
+
+        real = np.random.default_rng
+        monkeypatch.setattr("cstomo.simulate.np.random.default_rng", CountingRng)
         with pytest.raises(ValueError, match="must be positive and finite"):
             simulate_measurements(3, 5, seed=0, mean_total_counts=counts)
         assert draws == []
         simulate_measurements(3, 5, seed=0, mean_total_counts=300)
-        assert len(draws) == 10
+        # one draw of every mode, then one of the counts
+        assert draws == ["standard_normal", "poisson"]
 
     def test_accepts_the_largest_mean_total_counts(self):
         # the bound lies below numpy's Poisson limit: a campaign at it samples
