@@ -5,8 +5,6 @@ simulation, shot-noise correction, and fidelity benchmarking."""
 from .correction import (
     CorrectionDiagnostics,
     NoiseCorrectionConfig,
-    correct_probabilities,
-    partition,
     reconstruct_corrected,
 )
 from .errors import (
@@ -17,13 +15,6 @@ from .errors import (
     WorkerPoolError,
 )
 from .experiments import SweepRow, SweepSpec, run_sweep, run_sweep_cell, summarize_sweep
-from .linalg import (
-    eig_hermitian,
-    frob_norm,
-    hermitian_part,
-    hermiticity_error,
-    hs_inner,
-)
 from .metrics import MetricsSummary, effective_rank, fidelity_pure, purity, residual, summarize
 from .simulate import (
     MeasurementSet,

@@ -7,7 +7,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import hermitian_part, hs_inner
 from .simulate import (
     MeasurementSet,
     TwoPhotonState,
@@ -45,7 +44,8 @@ def fidelity_pure(rho: np.ndarray, target: TwoPhotonState) -> float:
     symmetrized; matrices with eigenvalues below -1e-6 are rejected, and tiny
     negative quadratic forms are clamped to zero (warning beyond -1e-9).
     """
-    h = hermitian_part(np.asarray(rho))
+    rho = np.asarray(rho)
+    h = (rho + rho.conj().T) / 2
     phi = joint_state_vector(target)
     if h.shape != (phi.size, phi.size):
         raise ValueError(f"matrix shape {h.shape} does not match D={phi.size}")
@@ -70,12 +70,13 @@ def fidelity_pure(rho: np.ndarray, target: TwoPhotonState) -> float:
 def purity(rho: np.ndarray) -> float:
     """Tr(ρ²): 1 for pure states, 1/D for the maximally mixed state."""
     rho = np.asarray(rho)
-    return float(hs_inner(rho, rho).real)
+    return float(np.vdot(rho, rho).real)
 
 
 def effective_rank(rho: np.ndarray) -> int:
     """Number of eigenvalues at or above RANK_REL_TOL × (largest eigenvalue)."""
-    w = np.linalg.eigvalsh(hermitian_part(np.asarray(rho)))
+    rho = np.asarray(rho)
+    w = np.linalg.eigvalsh((rho + rho.conj().T) / 2)
     lam_max = float(w[-1])
     if lam_max <= 0.0:
         return 0

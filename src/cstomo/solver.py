@@ -32,8 +32,9 @@ only, and the operator holds no probabilities, so the correction's raw and
 final solves project with one operator, each with its own probabilities.
 The test-only reference
 ``measurement_rows`` → ``orthogonalize`` → ``kaczmarz_sweep`` computes the same
-projection from the Gram-Schmidt orthonormalized rows u = conj(vec(Â)), with
-u · vec(ρ) = Tr[Â ρ] and hyperplane normal conj(u).
+projection from the Gram-Schmidt orthonormalized rows u, each a conjugated Â
+stacked column by column (see ``measurement_rows``): for ρ stacked the same
+way, u · ρ = Tr[Â ρ], and conj(u) is the hyperplane normal.
 
 A solve starts from the maximally mixed state I/D, with x_{k−1} = x_k,
 unless it is given a start point: then x_{k−1} = x_k = P(start), the start's
@@ -55,7 +56,6 @@ from typing import TYPE_CHECKING, Callable
 import numpy as np
 
 from .errors import DegenerateIterateError, DegenerateSystemError, InvariantViolation
-from .linalg import eig_hermitian, frob_norm, hermiticity_error
 from .simulate import MeasurementSet, joint_vectors
 
 if TYPE_CHECKING:
@@ -109,7 +109,9 @@ class ReconstructionConfig:
     tau_ell: entrywise threshold, as a fraction of the largest entry
         modulus.
     step_tol_rel: convergence when the Frobenius step between consecutive
-        iterates falls below step_tol_rel × (norm of the current iterate).
+        iterates falls below step_tol_rel × (norm of the current iterate);
+        in (0, 1), since a tolerance of 1 or more stops every solve after
+        its first iteration.
     k_max: iteration cap; hitting it is reported, not raised.
     """
 
@@ -123,8 +125,8 @@ class ReconstructionConfig:
             raise ValueError(f"tau must lie in (0, 1), got {self.tau}")
         if not 0.0 < self.tau_ell < 1.0:
             raise ValueError(f"tau_ell must lie in (0, 1), got {self.tau_ell}")
-        if not self.step_tol_rel > 0:
-            raise ValueError("step_tol_rel must be positive")
+        if not 0.0 < self.step_tol_rel < 1.0:
+            raise ValueError(f"step_tol_rel must lie in (0, 1), got {self.step_tol_rel}")
         if int(self.k_max) < 1:
             raise ValueError("k_max must be at least 1")
         self.k_max = int(self.k_max)
@@ -198,6 +200,11 @@ def measurement_rows(ms: MeasurementSet) -> np.ndarray:
     """Stack the rows conj(vec(Â_i)) of a measurement set into the M×D⁴
     matrix A, so that A·vec(ρ) = (Tr[Â_i ρ])_i.
 
+    vec is column stacking, ``m.reshape(-1, order="F")``: flat index
+    ``k = c*D + r`` holds entry ``(r, c)``, and ``v.reshape(D, D, order="F")``
+    inverts it. The sequential reference and its tests use this convention;
+    the solver itself holds matrices.
+
     Sequential reference only: at d=17 the matrix takes 3.35 GB, where the
     solver's joint vectors take 12 MB.
     """
@@ -257,6 +264,21 @@ def orthogonalize(a_rows: np.ndarray, probs: np.ndarray) -> OrthoSystem:
             f"{worst_imag:.3e}; rows do not derive from Hermitian operators"
         )
     return OrthoSystem(rows=work[:kept], probs_prime=pp.real.copy(), n_dropped=dropped)
+
+
+def eig_hermitian(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigendecomposition of a (nearly) Hermitian matrix.
+
+    The input is symmetrized first; sweep updates introduce rounding-level
+    asymmetry that plain ``eigh`` would otherwise interpret arbitrarily.
+
+    Returns ``(w, v)`` with eigenvalues ``w`` real and descending and the
+    matching orthonormal eigenvectors in the columns of ``v``, so that
+    ``(v * w) @ v.conj().T`` reconstructs the symmetrized input.
+    """
+    m = np.asarray(m)
+    w, v = np.linalg.eigh((m + m.conj().T) / 2)
+    return w[::-1].copy(), v[:, ::-1].copy()
 
 
 def threshold_eigs(rho: np.ndarray, tau: float) -> np.ndarray:
@@ -485,7 +507,7 @@ def reconstruct(
     for k in range(1, cfg.k_max + 1):
         cur = op.project(normalize_trace(_cut(prev + MOMENTUM * (prev - before), cfg)), p)
 
-        herm_err = hermiticity_error(cur)
+        herm_err = float(np.abs(cur - cur.conj().T).max())
         if herm_err > 1e-9:
             raise InvariantViolation(
                 f"iterate lost Hermiticity after projection {k}: {herm_err:.3e}"
@@ -497,8 +519,8 @@ def reconstruct(
                 f"projection {k} left constraint residual {res:.3e} > 1e-9"
             )
 
-        step = frob_norm(cur - prev)
-        tol = cfg.step_tol_rel * frob_norm(cur)
+        step = float(np.linalg.norm(cur - prev))
+        tol = cfg.step_tol_rel * float(np.linalg.norm(cur))
         steps.append(step)
         before, prev = prev, cur
         if on_iteration is not None:

@@ -17,7 +17,6 @@ import pytest
 from cstomo.cli import main as cli_main
 from cstomo.correction import NoiseCorrectionConfig, reconstruct_corrected
 from cstomo.experiments import SweepSpec, run_sweep, summarize_sweep
-from cstomo.linalg import frob_norm, hermiticity_error, hs_inner, mat, vec
 from cstomo.metrics import fidelity_pure
 from cstomo.simulate import (
     MeasurementSet,
@@ -62,11 +61,11 @@ def test_criterion_1_oracle_equivalence_small_instance():
     ms = MeasurementSet(d=d, signal=signal, idler=idler, probs=probs)
 
     a_matrix = measurement_rows(ms)
-    direct = mat(np.linalg.solve(a_matrix, probs.astype(complex)))
+    direct = np.linalg.solve(a_matrix, probs.astype(complex)).reshape(d * d, d * d, order="F")
 
     report = reconstruct(ms)
-    err_pre = frob_norm(report.rho_pre_gamma - direct)
-    err_post = frob_norm(report.rho - direct)
+    err_pre = np.linalg.norm(report.rho_pre_gamma - direct)
+    err_post = np.linalg.norm(report.rho - direct)
     elapsed = time.perf_counter() - start
 
     assert report.converged
@@ -292,8 +291,8 @@ class TestCriterion5InvariantSuite:
             n = int(rng.integers(1, 13))
             a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
             h = (a + a.conj().T) / 2
-            assert np.array_equal(mat(vec(h)), h)
-        print("\nACCEPTANCE 5a (vec/mat round trip exact, 100 seeds): PASS")
+            assert np.array_equal(h.reshape(-1, order="F").reshape(n, n, order="F"), h)
+        print("\nACCEPTANCE 5a (column-stacking round trip exact, 100 seeds): PASS")
 
     def test_structural_stage_outputs_valid_density(self):
         cfg = ReconstructionConfig()
@@ -316,7 +315,7 @@ class TestCriterion5InvariantSuite:
                 continue
             assert abs(np.trace(out).real - 1.0) <= 1e-10
             assert abs(np.trace(out).imag) <= 1e-10
-            assert hermiticity_error(out) <= 1e-12
+            assert np.abs(out - out.conj().T).max() <= 1e-12
             assert np.linalg.eigvalsh(out)[0] >= -1e-10
         print("ACCEPTANCE 5b (structural stage trace-1 Hermitian PSD, 100 seeds): PASS")
 
@@ -331,15 +330,16 @@ class TestCriterion5InvariantSuite:
             system = orthogonalize(measurement_rows(ms), ms.probs)
             a = rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9))
             start_mat = (a + a.conj().T) / 2
-            out = kaczmarz_sweep(vec(start_mat), system)
+            out = kaczmarz_sweep(start_mat.reshape(-1, order="F"), system)
             assert np.abs(system.rows @ out - system.probs_prime).max() <= 1e-9
-            assert hermiticity_error(mat(out)) <= 1e-9
+            out = out.reshape(9, 9, order="F")
+            assert np.abs(out - out.conj().T).max() <= 1e-9
             op = MeasurementOperator(ms)
             p = ms.probs[op.keep]
             projected = op.project(start_mat, p)
             assert np.abs(op.residual(projected, p)).max() <= 1e-9
-            assert hermiticity_error(projected) <= 1e-9
-            assert np.abs(projected - mat(out)).max() <= 1e-9
+            assert np.abs(projected - projected.conj().T).max() <= 1e-9
+            assert np.abs(projected - out).max() <= 1e-9
         print(
             "ACCEPTANCE 5c (sweep and Gram projection: constraints 1e-9, "
             "Hermiticity 1e-9, agreement 1e-9, 100 seeds): PASS"
@@ -358,7 +358,7 @@ class TestCriterion5InvariantSuite:
             f = fidelity_pure(rho, target)
             phi = joint_state_vector(target)
             projector = np.outer(phi, phi.conj())
-            assert f**2 == pytest.approx(hs_inner(projector, rho).real, abs=1e-10)
+            assert f**2 == pytest.approx(np.vdot(projector, rho).real, abs=1e-10)
         print("ACCEPTANCE 5d (fidelity closed-form consistency 1e-10, 100 seeds): PASS")
 
     def test_noise_correction_noop_on_noiseless_sparse_inputs(self):
@@ -373,7 +373,7 @@ class TestCriterion5InvariantSuite:
                 corrected = reconstruct_corrected(ms, cfg)
                 raw = corrected.correction.raw_report
                 assert corrected.correction.applied
-                gap = frob_norm(corrected.rho - raw.rho)
+                gap = np.linalg.norm(corrected.rho - raw.rho)
                 worst[n_subsets] = max(worst[n_subsets], gap)
                 assert gap <= 1e-6
         print(

@@ -241,6 +241,16 @@ class TestReconstructCommand:
         assert run("reconstruct", inp, "--out", out, "--k-max", 2,
                    "--no-correction") == 3
 
+    @pytest.mark.parametrize("tol", ["inf", "nan", "1", "0"])
+    def test_step_tol_outside_the_unit_interval_exits_1(self, tmp_path, capsys, tol):
+        inp = self.make_input(tmp_path)
+        capsys.readouterr()
+        out = tmp_path / "r.json"
+        assert run("reconstruct", inp, "--out", out, "--tau", 0.7, "--step-tol", tol) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: step_tol_rel must lie in (0, 1), got {float(tol)}\n"
+        assert captured.out == "" and not out.exists()
+
     def test_degenerate_system_exit_code(self, tmp_path, capsys):
         inp = tmp_path / "empty.json"
         inp.write_text('{"d":3,"projectors":[],"probs":[]}')
@@ -385,6 +395,29 @@ class TestMetricsCommand:
         mat_path = tmp_path / "bad.json"
         mat_path.write_text(json.dumps([[[0, 0], [1, 0]], [[0, 0], [0, 0]]]))
         assert run("metrics", mat_path) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "error: matrix is not Hermitian: max |m - m†| = 1.000e+00 > 1.0e-12\n")
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("matrix,err", [
+        ([[[0, 1], [0, 0]], [[0, 0], [1, 0]]], "2.000e+00"),  # imaginary diagonal
+        ([[[0.5, 0], [2e-12, 0]], [[0, 0], [0.5, 0]]], "2.000e-12"),
+    ], ids=["imaginary-diagonal", "just-above-tolerance"])
+    def test_non_hermitian_error_names_the_deviation(self, tmp_path, capsys, matrix, err):
+        mat_path = tmp_path / "bad.json"
+        mat_path.write_text(json.dumps(matrix))
+        assert run("metrics", mat_path) == 1
+        assert capsys.readouterr().err == (
+            f"error: matrix is not Hermitian: max |m - m†| = {err} > 1.0e-12\n")
+
+    @pytest.mark.parametrize("asymmetry", [1e-13, 1e-12])
+    def test_rounding_level_asymmetry_accepted(self, tmp_path, capsys, asymmetry):
+        mat_path = tmp_path / "almost.json"
+        mat_path.write_text(json.dumps([[[0.5, 0], [asymmetry, 0]], [[0, 0], [0.5, 0]]]))
+        assert run("metrics", mat_path) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["purity"] == pytest.approx(0.5)
 
 
 class TestSweepCommand:
@@ -488,6 +521,16 @@ class TestSweepCommand:
                    "--mean-total-counts", counts, "--out", out) == 1
         err = capsys.readouterr().err
         assert err == COUNTS_ERROR
+        assert simulated == [] and not out.exists()
+
+    def test_rejects_step_tol_inf_before_any_cell(self, tmp_path, capsys, monkeypatch):
+        simulated = []
+        monkeypatch.setattr("cstomo.experiments.simulate_measurements",
+                            lambda *args, **kwargs: simulated.append(kwargs["seed"]))
+        out = tmp_path / "sweep.csv"
+        assert run("sweep", "--d", 3, "--fractions", "0.75", "--repeats", 1,
+                   "--tau", 0.7, "--step-tol", "inf", "--out", out) == 1
+        assert capsys.readouterr().err == "error: step_tol_rel must lie in (0, 1), got inf\n"
         assert simulated == [] and not out.exists()
 
     def test_rejects_jobs_below_one(self, tmp_path, capsys):

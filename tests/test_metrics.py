@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from cstomo.linalg import hs_inner
 from cstomo.metrics import (
     RANK_REL_TOL,
     effective_rank,
@@ -34,7 +33,7 @@ class TestFidelityPure:
         )
 
     def test_closed_form_consistency(self):
-        # F^2 == hs_inner(|phi><phi|, rho)
+        # F^2 == Tr(|phi><phi| rho)
         rng = np.random.default_rng(0)
         s = make_max_entangled(3)
         phi = joint_state_vector(s)
@@ -43,7 +42,7 @@ class TestFidelityPure:
         rho /= np.trace(rho).real
         f = fidelity_pure(rho, s)
         assert f**2 == pytest.approx(
-            hs_inner(np.outer(phi, phi.conj()), rho).real, abs=1e-10
+            np.vdot(np.outer(phi, phi.conj()), rho).real, abs=1e-10
         )
 
     def test_global_phase_invariance(self):

@@ -8,7 +8,6 @@ import cstomo.solver
 from cstomo.cli import main as cli_main
 from cstomo.correction import NoiseCorrectionConfig, _subset_gap, reconstruct_corrected
 from cstomo.errors import DegenerateIterateError, DegenerateSystemError
-from cstomo.linalg import eig_hermitian, frob_norm, hermiticity_error, mat, vec
 from cstomo.metrics import fidelity_pure
 from cstomo.serialize import report_to_dict, save_measurement_set
 from cstomo.simulate import (
@@ -26,6 +25,7 @@ from cstomo.solver import (
     ReconstructionConfig,
     _factor_inverse,
     clip_to_psd,
+    eig_hermitian,
     enforce_structure,
     kaczmarz_sweep,
     measurement_rows,
@@ -50,9 +50,9 @@ def hermitian_rows(n_rows, dim, rng):
     for i in range(n_rows):
         a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
         h = (a + a.conj().T) / 2
-        rows[i] = vec(h).conj()
+        rows[i] = h.reshape(-1, order="F").conj()
     x = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    x = vec((x + x.conj().T) / 2)
+    x = ((x + x.conj().T) / 2).reshape(-1, order="F")
     p = (rows @ x).real
     return rows, p, x
 
@@ -92,7 +92,7 @@ class TestVectorizeProjector:
         for d in (2, 3):
             signal, idler = random_arms(d, 1, rng)
             rho = random_pure_density(d * d, rng)
-            lhs = np.dot(vectorize_projector(signal, idler), vec(rho))
+            lhs = np.dot(vectorize_projector(signal, idler), rho.reshape(-1, order="F"))
             w = np.kron(signal[0], idler[0])
             assert lhs.real == pytest.approx(np.vdot(w, rho @ w).real, abs=1e-12)
             assert abs(lhs.imag) <= 1e-12
@@ -110,7 +110,8 @@ class TestVectorizeProjector:
         signal, idler = random_arms(3, 1, np.random.default_rng(3))
         w = np.kron(signal[0], idler[0])
         op = np.outer(w, w.conj())
-        assert np.allclose(vectorize_projector(signal, idler), vec(op).conj(), atol=1e-15)
+        assert np.allclose(vectorize_projector(signal, idler), op.reshape(-1, order="F").conj(),
+                           atol=1e-15)
 
 
 class TestOrthogonalize:
@@ -157,12 +158,49 @@ class TestOrthogonalize:
         assert np.abs(sysm.rows @ x - sysm.probs_prime).max() <= 1e-10
 
 
+def random_hermitian(n, rng):
+    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    return (a + a.conj().T) / 2
+
+
+class TestEigHermitian:
+    def test_identity(self):
+        w, v = eig_hermitian(np.eye(5, dtype=complex))
+        assert np.allclose(w, 1.0)
+        assert np.allclose(v.conj().T @ v, np.eye(5), atol=1e-12)
+
+    def test_pure_projector_spectrum(self):
+        rng = np.random.default_rng(4)
+        psi = rng.standard_normal(6) + 1j * rng.standard_normal(6)
+        psi /= np.linalg.norm(psi)
+        w, _ = eig_hermitian(np.outer(psi, psi.conj()))
+        assert w[0] == pytest.approx(1.0, abs=1e-12)
+        assert np.allclose(w[1:], 0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("n", [4, 30, 289])
+    def test_recomposition(self, n):
+        rng = np.random.default_rng(n)
+        m = random_hermitian(n, rng)
+        w, v = eig_hermitian(m)
+        assert np.all(np.diff(w) <= 0)  # descending
+        recomposed = (v * w) @ v.conj().T
+        assert np.linalg.norm(recomposed - m) <= 1e-10 * max(1.0, np.linalg.norm(m))
+        assert np.abs(v.conj().T @ v - np.eye(n)).max() <= 1e-10
+
+    def test_symmetrizes_input(self):
+        # rounding-level asymmetry must not leak through
+        m = np.array([[1.0, 0.5 + 1e-13], [0.5, 2.0]], dtype=complex)
+        w, v = eig_hermitian(m)
+        h = (m + m.conj().T) / 2
+        assert np.linalg.norm((v * w) @ v.conj().T - h) <= 1e-12
+
+
 class TestThresholdEigs:
     def test_rank1_unchanged(self):
         rng = np.random.default_rng(8)
         rho = random_pure_density(4, rng)
         for tau in (0.1, 0.4, 0.9):
-            assert frob_norm(threshold_eigs(rho, tau) - rho) <= 1e-10
+            assert np.linalg.norm(threshold_eigs(rho, tau) - rho) <= 1e-10
 
     def test_relative_rule_hand_case(self):
         out = threshold_eigs(np.diag([1.0, 0.3, 0.05]).astype(complex), 0.4)
@@ -204,7 +242,7 @@ class TestThresholdElements:
         a = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
         h = (a + a.conj().T) / 2
         out = threshold_elements(h, 0.3)
-        assert hermiticity_error(out) == 0.0
+        assert np.abs(out - out.conj().T).max() == 0.0
 
     def test_conjugate_symmetric_zeroing_on_asymmetric_input(self):
         # straddling pair: keep both when either side is above the cut
@@ -245,12 +283,12 @@ class TestNormalizeAndStructure:
     def test_structure_fixed_point_max_entangled(self):
         cfg = ReconstructionConfig()
         rho = state_to_density(make_max_entangled(3))
-        assert frob_norm(enforce_structure(rho, cfg) - rho) <= 1e-10
+        assert np.linalg.norm(enforce_structure(rho, cfg) - rho) <= 1e-10
 
     def test_structure_fixed_point_maximally_mixed(self):
         cfg = ReconstructionConfig()
         rho = np.eye(9, dtype=complex) / 9
-        assert frob_norm(enforce_structure(rho, cfg) - rho) <= 1e-12
+        assert np.linalg.norm(enforce_structure(rho, cfg) - rho) <= 1e-12
 
     def test_structure_output_valid_density(self):
         cfg = ReconstructionConfig()
@@ -259,7 +297,7 @@ class TestNormalizeAndStructure:
         rho = a @ a.conj().T
         out = enforce_structure(rho, cfg)
         assert np.trace(out).real == pytest.approx(1.0, abs=1e-12)
-        assert hermiticity_error(out) <= 1e-14
+        assert np.abs(out - out.conj().T).max() <= 1e-14
         assert np.linalg.eigvalsh(out)[0] >= -1e-10
 
 
@@ -295,9 +333,9 @@ class TestKaczmarzSweep:
         rng = np.random.default_rng(18)
         sysm, x = self._system(7, 3, rng)
         start = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        start = vec((start + start.conj().T) / 2)
-        out = mat(kaczmarz_sweep(start, sysm))
-        assert hermiticity_error(out) <= 1e-9
+        start = ((start + start.conj().T) / 2).reshape(-1, order="F")
+        out = kaczmarz_sweep(start, sysm).reshape(3, 3, order="F")
+        assert np.abs(out - out.conj().T).max() <= 1e-9
 
 
 class TestMeasurementOperator:
@@ -311,7 +349,7 @@ class TestMeasurementOperator:
         assert op.n_dropped == sysm.n_dropped  # d=1: every row after the first
         a = rng.standard_normal((d * d, d * d)) + 1j * rng.standard_normal((d * d, d * d))
         rho = (a + a.conj().T) / 2
-        expected = mat(kaczmarz_sweep(vec(rho), sysm))
+        expected = kaczmarz_sweep(rho.reshape(-1, order="F"), sysm).reshape(d * d, d * d, order="F")
         assert np.abs(op.project(rho, ms.probs[op.keep]) - expected).max() <= 1e-12
 
     def test_holds_projectors_only(self):
@@ -464,11 +502,11 @@ class TestReconstruct:
         probs = np.clip(expectations(joint_vectors(signal, idler), rho_true), 0, 1)
         ms = MeasurementSet(d=d, signal=signal, idler=idler, probs=probs)
         a_mat = measurement_rows(ms)
-        direct = mat(np.linalg.solve(a_mat, probs.astype(complex)))
+        direct = np.linalg.solve(a_mat, probs.astype(complex)).reshape(d * d, d * d, order="F")
         rep = reconstruct(ms)
         assert rep.converged
-        assert frob_norm(rep.rho_pre_gamma - direct) <= 1e-6
-        assert frob_norm(rep.rho - direct) <= 1e-6
+        assert np.linalg.norm(rep.rho_pre_gamma - direct) <= 1e-6
+        assert np.linalg.norm(rep.rho - direct) <= 1e-6
 
     def test_noiseless_d3_compressive_recovery(self):
         state = make_max_entangled(3)
@@ -486,7 +524,7 @@ class TestReconstruct:
         rep = reconstruct(ms)
         assert rep.converged
         assert rep.iterations <= 2
-        assert frob_norm(rep.rho - rho_mixed) <= 1e-8
+        assert np.linalg.norm(rep.rho - rho_mixed) <= 1e-8
 
     def test_report_contract(self):
         ms = simulate_measurements(3, 24, seed=4)
@@ -560,7 +598,7 @@ class TestReconstruct:
         op = MeasurementOperator(ms)
         first = op.project(normalize_trace(cut), ms.probs[op.keep])
         rep = reconstruct(ms, cfg)
-        assert rep.per_iteration_steps[0] == frob_norm(first - start)
+        assert rep.per_iteration_steps[0] == np.linalg.norm(first - start)
 
     def test_gamma_acts_on_the_extrapolated_point(self, monkeypatch):
         cut_inputs, iterates = [], [np.eye(9, dtype=complex) / 9]
@@ -585,7 +623,7 @@ class TestReconstruct:
             x, before = iterates[k], iterates[k - 1]
             assert np.array_equal(cut_inputs[k], x + 0.5 * (x - before))
         # the stopping rule and the reported matrices use the iterates
-        assert rep.per_iteration_steps[-1] == frob_norm(iterates[-1] - iterates[-2])
+        assert rep.per_iteration_steps[-1] == np.linalg.norm(iterates[-1] - iterates[-2])
         assert np.array_equal(rep.rho_pre_gamma, iterates[-1])
 
     @pytest.mark.parametrize("seed", range(7000, 7010))
@@ -610,6 +648,12 @@ class TestReconstruct:
         # thresholds are relative only: the mode field is gone
         with pytest.raises(TypeError, match="threshold_mode"):
             ReconstructionConfig(threshold_mode="relative")
+
+    @pytest.mark.parametrize("tol", [float("inf"), float("nan"), 1.0, 1e308, 0.0])
+    def test_step_tol_outside_the_unit_interval_rejected(self, tol):
+        # a tolerance of 1 or more stops every solve after one iteration
+        with pytest.raises(ValueError, match=r"step_tol_rel must lie in \(0, 1\)"):
+            ReconstructionConfig(step_tol_rel=tol)
 
 
 
@@ -639,7 +683,7 @@ class TestWarmStart:
         assert np.abs(op.residual(x0, p)).max() <= 1e-9
         first = op.project(normalize_trace(cstomo.solver._cut(x0, cfg)), p)
         rep = reconstruct(ms, cfg, operator=op, start=start)
-        assert rep.per_iteration_steps[0] == frob_norm(first - x0)
+        assert rep.per_iteration_steps[0] == np.linalg.norm(first - x0)
         assert max(rep.per_iteration_residuals) <= 1e-9
 
     @pytest.mark.parametrize("shape", [(24, 24), (25, 24), (25,)])
@@ -656,7 +700,7 @@ class TestPsdRepairOnReportedMatrices:
 
     @staticmethod
     def assert_density(rho):
-        assert hermiticity_error(rho) <= 1e-12
+        assert np.abs(rho - rho.conj().T).max() <= 1e-12
         assert np.linalg.eigvalsh(rho)[0] >= -1e-10
         assert np.trace(rho).real == pytest.approx(1.0, abs=1e-10)
         assert abs(np.trace(rho).imag) <= 1e-10

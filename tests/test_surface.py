@@ -1,12 +1,17 @@
-"""The number of values a caller or user can set in ``src/cstomo``.
+"""The number of values a caller or user can set in ``src/cstomo``, and the
+number of names it exports.
 
 Each independently settable value multiplies the configurations that the
-tests and the benchmark must cover. The figures below are the tree's: a
-change that moves one edits its line here and says why in CHANGES.md.
+tests and the benchmark must cover, and each exported name is a promise to
+library callers. The figures below are the tree's: a change that moves one
+edits its line here and says why in CHANGES.md.
 """
 
 import ast
+import types
 from pathlib import Path
+
+import cstomo
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "cstomo"
 
@@ -14,6 +19,8 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "cstomo"
 SETTABLE_VALUES = 71
 # add_argument call sites of the command line
 CLI_ARGUMENTS = 31
+# public names of the top-level package that are not submodules
+PUBLIC_NAMES = 34
 
 
 def _is_dataclass(cls: ast.ClassDef) -> bool:
@@ -63,3 +70,9 @@ def f(a, b=1, *, c, d=2):
 def test_package_surface():
     sources = [p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))]
     assert count(sources) == (SETTABLE_VALUES, CLI_ARGUMENTS)
+
+
+def test_public_names():
+    names = [name for name, value in vars(cstomo).items()
+             if not name.startswith("_") and not isinstance(value, types.ModuleType)]
+    assert len(names) == PUBLIC_NAMES, sorted(names)
