@@ -89,7 +89,7 @@ class SweepSpec:
         if int(self.repeats) < 1:
             raise ValueError("repeats must be at least 1")
         self.repeats = int(self.repeats)
-        check_mean_total_counts(self.mean_total_counts)
+        check_mean_total_counts(self.mean_total_counts, "mean_total_counts")
 
     def n_measurements(self, fraction: float) -> int:
         return max(1, round(float(fraction) * self.d**4))

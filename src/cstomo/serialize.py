@@ -16,7 +16,6 @@ first offence.
 from __future__ import annotations
 
 import json
-import math
 import os
 from itertools import chain
 from operator import itemgetter
@@ -204,10 +203,8 @@ def measurement_set_from_dict(doc: Any) -> MeasurementSet:
         if seed is not None and not _all_of([seed], int):
             raise SchemaError("measurement set: seed must be an integer")
         calibration = doc.get("calibration")
-        if calibration is not None and not (
-            _all_of([calibration], (int, float)) and math.isfinite(calibration)
-        ):
-            raise SchemaError("measurement set: calibration must be a finite number")
+        if calibration is not None and not _all_of([calibration], (int, float)):
+            raise SchemaError("measurement set: calibration must be a number")
         return MeasurementSet(
             d=d,
             signal=signal,

@@ -44,13 +44,13 @@ _NORM_TOL = 1e-12
 MAX_MEAN_TOTAL_COUNTS = 1e18
 
 
-def check_mean_total_counts(mean_total_counts) -> float:
-    """The calibration as a float; a ValueError unless it lies in
-    (0, MAX_MEAN_TOTAL_COUNTS], which NaN does not."""
+def check_mean_total_counts(mean_total_counts, name: str) -> float:
+    """The calibration as a float; a ValueError that names it ``name``
+    unless it lies in (0, MAX_MEAN_TOTAL_COUNTS], which NaN does not."""
     value = float(mean_total_counts)
     if not 0 < value <= MAX_MEAN_TOTAL_COUNTS:
         raise ValueError(
-            f"mean_total_counts must be positive and finite, at most {MAX_MEAN_TOTAL_COUNTS:g}"
+            f"{name} must be positive and finite, at most {MAX_MEAN_TOTAL_COUNTS:g}"
         )
     return value
 
@@ -119,7 +119,8 @@ class MeasurementSet:
     Projector i is the separable rank-1 operator of the mode vectors
     ``signal[i]`` and ``idler[i]``, rows of two (M, d) complex arrays; every
     row must be finite and of unit norm. ``calibration`` is the mean total
-    count at p = 1 used to normalize raw counts; the simulator records it
+    count at p = 1 used to normalize raw counts, in the range that
+    ``check_mean_total_counts`` allows; the simulator records it
     (and the RNG seed) so files replay exactly. ``truth`` is simulation-only
     metadata enabling downstream fidelity checks; strip it to emulate blind
     reconstruction.
@@ -158,6 +159,8 @@ class MeasurementSet:
                 raise ValueError("counts length differs from probabilities length")
             if self.counts.size and self.counts.min() < 0:
                 raise ValueError("counts must be non-negative")
+        if self.calibration is not None:
+            self.calibration = check_mean_total_counts(self.calibration, "calibration")
         if self.truth is not None and self.truth.d != self.d:
             raise ValueError(f"truth state has d={self.truth.d}, expected {self.d}")
 
@@ -259,7 +262,7 @@ def expectations(w: np.ndarray, rho: np.ndarray) -> np.ndarray:
 
 def counts_to_probs(counts, mean_total_counts: float) -> np.ndarray:
     """Normalize raw counts by the calibration constant, clamped to [0, 1]."""
-    mean_total_counts = check_mean_total_counts(mean_total_counts)
+    mean_total_counts = check_mean_total_counts(mean_total_counts, "mean_total_counts")
     return np.clip(np.asarray(counts, dtype=float) / mean_total_counts, 0.0, 1.0)
 
 
@@ -292,7 +295,7 @@ def simulate_measurements(
     # checked before the draws, whose time grows with n_measurements
     calibration = None
     if mean_total_counts is not None:
-        calibration = check_mean_total_counts(mean_total_counts)
+        calibration = check_mean_total_counts(mean_total_counts, "mean_total_counts")
     rng = np.random.default_rng(seed)
     rho = state_to_density(state)
     # projector by projector, signal before idler, each mode's real parts

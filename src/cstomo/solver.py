@@ -25,9 +25,15 @@ Measurement convention: every Â_i = |w_i⟩⟨w_i| is rank 1, so the system is 
 M×D matrix W of joint vectors, Tr[Â_i ρ] = ⟨w_i|ρ|w_i⟩, the operators' Gram
 matrix is G = |W̄Wᵀ|⊙² (real, M×M) and the projection is ρ + Σ_i c_i Â_i with
 G c = p − (Tr[Â_i ρ])_i; no M×D⁴ matrix is formed. Building a
-``MeasurementOperator`` runs one recursion by halves that factors G and
-inverts its Cholesky factor L (about 7M³/6 flops, nearly all in matrix
-products); a projection takes c = L⁻ᵀ(L⁻¹ r). G depends on the projectors
+``MeasurementOperator`` forms G's lower triangle in row blocks into one
+zeroed M×M buffer, half the products of the full W̄Wᵀ, then runs one
+recursion by halves that factors G and overwrites that buffer with the
+inverse of its Cholesky factor L (about 7M³/6 flops, nearly all in matrix
+products); a projection takes c = L⁻ᵀ(L⁻¹ r). The build needs the buffer,
+the M×D joint vectors, and one row block's temporaries or the
+factorization's (at most two (M/2)² blocks): under twice the buffer, 1.57×
+at d=7 with M = 1500 and 1.73× at d=17 with M = 2506. The operator then
+keeps the buffer and two M×D arrays, W and W̄. G depends on the projectors
 only, and the operator holds no probabilities, so the correction's raw and
 final solves project with one operator, each with its own probabilities.
 The test-only reference
@@ -82,6 +88,12 @@ _DROP_TOL = 1e-10
 
 # Up to this many rows _factor_inverse factors and inverts a block in LAPACK.
 _INV_LEAF = 64
+
+# The Gram matrix is formed this many rows at a time, each row block only up
+# to the diagonal (the lower triangle, which is all _factor_inverse reads):
+# half the products of a full W̄Wᵀ, and a block's temporaries take at most
+# 24·M bytes per row, under 4 MB at the paper's M = 2506 against G's 50 MB.
+_GRAM_ROWS = 64
 
 # Heavy-ball weight β: Γ acts on x_k + β(x_k − x_{k−1}), as in the
 # accelerated proximal gradient of Toh & Yun (Pac. J. Optim. 6, 615, 2010),
@@ -389,7 +401,11 @@ def _factor_inverse(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     of up to _INV_LEAF rows that drops none; any other goes by halves
     [[A, Bᵀ], [B, C]]: with X = B·L₁⁻ᵀ over A's kept rows, the second half is
     the Schur complement C − XXᵀ and L⁻¹'s off-diagonal block is −L₂⁻¹·X·L₁⁻¹.
-    ``g`` is overwritten, and L⁻¹ is a view of its leading block."""
+
+    Only the lower triangle of ``g``, its diagonal included, is read: the
+    strict upper triangle may hold anything, NaN included, without changing a
+    bit of the result. ``g`` is overwritten, and L⁻¹ is a view of its leading
+    block. At most two (M/2)² temporaries live at once, at the top level."""
     n = len(g)
     if n <= _INV_LEAF:
         try:
@@ -403,11 +419,21 @@ def _factor_inverse(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             return np.arange(0), g[:0, :0]
     h = n // 2
     keep1, inv1 = _factor_inverse(g[:h, :h])
+    k1 = len(keep1)
+    # B goes to BLAS as the column-ordered copy this index makes, even when
+    # every row is kept: as a row-ordered slice, OpenBLAS 0.3.31 rounds some
+    # shapes differently (h = 32 to 34; h = 81 to 100 at two threads). The
+    # copy is freed before XXᵀ is formed, so it does not raise the peak.
     x = g[h:, keep1] @ inv1.T
     g[h:, h:] -= x @ x.T
     keep2, inv2 = _factor_inverse(g[h:, h:])
-    k1, k = len(keep1), len(keep1) + len(keep2)
-    g[k1:k, :k1] = -inv2 @ (x[keep2] @ inv1)
+    k = k1 + len(keep2)
+    if len(keep2) < n - h:
+        x = x[keep2]
+    # B is spent: L⁻¹'s off-diagonal block goes straight into its place
+    off = g[k1:k, :k1]
+    np.matmul(inv2, x @ inv1, out=off)
+    np.negative(off, out=off)
     g[k1:k, k1:k] = inv2
     g[:k1, k1:k] = 0.0
     return np.concatenate([keep1, h + keep2]), g[:k, :k]
@@ -415,11 +441,17 @@ def _factor_inverse(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 class MeasurementOperator:
     """The orthogonal projection onto {ρ : Tr[Â_i ρ] = p_i} for the projectors
-    of a measurement set. Building it factors G = |W̄Wᵀ|⊙² in input order in
-    one recursion, drops the rows dependent on earlier ones (``n_dropped``;
-    ``keep`` holds the indices of the others) and inverts the lower Cholesky
-    factor L of the kept rows' block (``low_inv``), so a projection costs two
-    O(M·D²) products and two M×M matrix-vector products, c = L⁻ᵀ(L⁻¹ r).
+    of a measurement set. Building it forms the lower triangle of
+    G = |W̄Wᵀ|⊙² in blocks of ``_GRAM_ROWS`` rows into one zeroed M×M buffer
+    (half the products of the full W̄Wᵀ), factors G in input order in one
+    recursion, drops the rows dependent on earlier ones (``n_dropped``;
+    ``keep`` holds the indices of the others) and overwrites the buffer with
+    the inverse of the lower Cholesky factor L of the kept rows' block
+    (``low_inv``, a view of the buffer), so a projection costs two O(M·D²)
+    products and two M×M matrix-vector products, c = L⁻ᵀ(L⁻¹ r). Besides
+    the buffer, the build holds the M×D joint vectors W and one block's
+    temporaries or the factorization's, at most two (M/2)² blocks; W̄ is
+    made after the factorization, and W is kept as it is unless a row drops.
 
     The operator holds projectors only. The probabilities are data:
     ``residual`` and ``project`` take the kept rows' ``p = probs[keep]``, so
@@ -431,10 +463,22 @@ class MeasurementOperator:
             raise DegenerateSystemError("measurement set is empty")
         self.signal, self.idler = ms.signal, ms.idler
         w = joint_vectors(ms.signal, ms.idler)
-        self.keep, self.low_inv = _factor_inverse(np.abs(w.conj() @ w.T) ** 2)
-        self.w = w[self.keep]
+        m = len(w)
+        # zeroed, so the upper triangle the build leaves alone holds no
+        # uninitialised values
+        g = np.zeros((m, m))
+        # a last block of one row joins the block before it: numpy multiplies
+        # a single row by gemv, whose sums round differently from gemm's
+        edges = list(range(0, m, _GRAM_ROWS))
+        if len(edges) > 1 and m - edges[-1] == 1:
+            edges.pop()
+        for i, j in zip(edges, edges[1:] + [m]):
+            g[i:j, :j] = np.abs(w[i:j].conj() @ w[:j].T) ** 2
+        self.keep, self.low_inv = _factor_inverse(g)
+        self.n_dropped = m - len(self.keep)
+        self.w = w[self.keep] if self.n_dropped else w
+        # conjugated after the factorization, whose temporaries peak then
         self.w_conj = self.w.conj()
-        self.n_dropped = len(ms) - len(self.keep)
 
     def residual(self, rho: np.ndarray, p: np.ndarray) -> np.ndarray:
         """p_i − Tr[Â_i ρ] = p_i − ⟨w_i|ρ|w_i⟩ over the kept rows."""

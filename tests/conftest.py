@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 import cstomo.correction
@@ -23,6 +25,28 @@ def factorizations(monkeypatch):
 
     monkeypatch.setattr(cstomo.solver, "_factor_inverse", counting)
     return sizes
+
+
+@pytest.fixture
+def traced_peak():
+    """Call with a function and its arguments: the peak of the memory that
+    tracemalloc traces while the call runs, above what was traced before it.
+    Tracing starts and stops around the call unless it was on already."""
+
+    def measure(fn, *args):
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            fn(*args)
+            return tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if started:
+                tracemalloc.stop()
+
+    return measure
 
 
 class _NoPool:

@@ -22,6 +22,18 @@ from cstomo.solver import ReconstructionConfig
 
 
 COUNTS_ERROR = "error: mean_total_counts must be positive and finite, at most 1e+18\n"
+CALIBRATION_ERROR = (
+    "error: measurement set: calibration must be positive and finite, at most 1e+18\n")
+# calibrations that no simulation can record; NaN reaches the file as the
+# JSON literal NaN
+IMPOSSIBLE_CALIBRATIONS = pytest.mark.parametrize(
+    "calibration", [0, -5, 1e30, float("nan")], ids=["0", "-5", "1e30", "NaN"])
+
+
+def set_calibration(path, calibration):
+    doc = json.loads(path.read_text())
+    doc["calibration"] = calibration
+    path.write_text(json.dumps(doc))
 
 # the default correction (the raw solve's own gap) and two correction subsets
 CORRECTIONS = pytest.mark.parametrize("correction", [(), ("--subsets", "2")],
@@ -215,6 +227,16 @@ class TestReconstructCommand:
         assert err.count("\n") == 1
         assert not out.exists()
 
+    @IMPOSSIBLE_CALIBRATIONS
+    def test_impossible_calibration_exits_1(self, tmp_path, capsys, calibration):
+        inp = self.make_input(tmp_path, noise=True)
+        set_calibration(inp, calibration)
+        out = tmp_path / "report.json"
+        capsys.readouterr()
+        assert run("reconstruct", inp, "--out", out) == 1
+        assert capsys.readouterr().err == CALIBRATION_ERROR
+        assert not out.exists()
+
     def test_schema_error_no_partial_output(self, tmp_path, capsys):
         inp = self.make_input(tmp_path)
         doc = json.loads(inp.read_text())
@@ -379,6 +401,20 @@ class TestMetricsCommand:
         doc = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
         assert doc["fidelity"] == pytest.approx(1.0, abs=1e-9)
         assert doc["residual_inf"] <= 1e-12
+
+    @IMPOSSIBLE_CALIBRATIONS
+    def test_impossible_calibration_exits_1(self, tmp_path, capsys, calibration):
+        ms_path = tmp_path / "ms.json"
+        run("simulate", "--d", 3, "--measurements", 10, "--seed", 2,
+            "--mean-total-counts", 1e4, "--out", ms_path)
+        set_calibration(ms_path, calibration)
+        mat_path = tmp_path / "rho.json"
+        mat_path.write_text(json.dumps([[[1 / 9 if r == c else 0.0, 0.0] for c in range(9)]
+                                        for r in range(9)]))
+        capsys.readouterr()
+        assert run("metrics", mat_path, "--measurements", ms_path) == 1
+        captured = capsys.readouterr()
+        assert captured.err == CALIBRATION_ERROR and captured.out == ""
 
     def test_maximally_mixed_vs_d7_target(self, tmp_path, capsys):
         rho = np.eye(49) / 49

@@ -106,6 +106,18 @@ class TestTypes:
         with pytest.raises(ValueError, match=r"^projectors\[3\]\.signal has a non-finite amplitude$"):
             MeasurementSet(d=3, signal=signal, idler=idler, probs=np.zeros(5))
 
+    @pytest.mark.parametrize("calibration", [0, -5, 1e30, np.nan, np.inf])
+    def test_impossible_calibration_rejected(self, calibration):
+        # the range the simulator accepts for the mean total counts
+        signal, idler = random_arms(3, 1, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="^calibration must be positive and finite, at most 1e"):
+            MeasurementSet(d=3, signal=signal, idler=idler, probs=[0.5], calibration=calibration)
+
+    def test_calibration_kept_as_a_float(self):
+        signal, idler = random_arms(3, 1, np.random.default_rng(0))
+        ms = MeasurementSet(d=3, signal=signal, idler=idler, probs=[0.5], calibration=300)
+        assert type(ms.calibration) is float and ms.calibration == 300.0
+
 
 class TestStates:
     def test_max_entangled_d1(self):

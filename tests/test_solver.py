@@ -20,6 +20,7 @@ from cstomo.simulate import (
     state_to_density,
 )
 from cstomo.solver import (
+    _GRAM_ROWS,
     _INV_LEAF,
     MeasurementOperator,
     ReconstructionConfig,
@@ -463,23 +464,45 @@ def assert_whitens(g, keep, low_inv):
     assert np.abs(low_inv @ g_keep @ low_inv.T - np.eye(len(keep))).max() <= 1e-12
 
 
+WHITEN_SIZES = [1, 2, _INV_LEAF - 1, _INV_LEAF, _INV_LEAF + 1, 2 * _INV_LEAF + 1, 720]
+
+# (n, at, of, seed): a copy inside one LAPACK leaf, one whose original sits
+# across the top split, and one that drops from the first half, so the second
+# half's inverse moves up into the kept rows' block
+DUPLICATES = [(60, 30, 12, 6), (130, 90, 20, 5), (200, 50, 10, 7)]
+
+
+def whiten_gram(n):
+    return gram_of(*random_arms(7, n, np.random.default_rng(n)))
+
+
 class TestFactorInverse:
-    @pytest.mark.parametrize("n", [1, 2, _INV_LEAF - 1, _INV_LEAF, _INV_LEAF + 1, 2 * _INV_LEAF + 1, 720])
+    @pytest.mark.parametrize("n", WHITEN_SIZES)
     def test_whitens_gram(self, n):
-        g = gram_of(*random_arms(7, n, np.random.default_rng(n)))
+        g = whiten_gram(n)
         keep, low_inv = _factor_inverse(g.copy())
         assert np.array_equal(keep, np.arange(n))
         assert_whitens(g, keep, low_inv)
 
-    # (n, at, of, seed): a copy inside one LAPACK leaf, one whose original
-    # sits across the top split, and one that drops from the first half, so
-    # the second half's inverse moves up into the kept rows' block
-    @pytest.mark.parametrize("n,at,of,seed", [(60, 30, 12, 6), (130, 90, 20, 5), (200, 50, 10, 7)])
+    @pytest.mark.parametrize("n,at,of,seed", DUPLICATES)
     def test_duplicate_dropped_in_input_order(self, n, at, of, seed):
         g = gram_with_duplicate(n, at, of, seed)
         keep, low_inv = _factor_inverse(g.copy())
         assert np.array_equal(keep, np.delete(np.arange(n + 1), at))
         assert_whitens(g, keep, low_inv)
+
+    # the operator's build fills only the lower triangle, so the strict upper
+    # one must not reach the result: NaN there changes no bit and raises no
+    # floating-point warning
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("case", [*WHITEN_SIZES, *DUPLICATES], ids=str)
+    def test_reads_the_lower_triangle_only(self, case):
+        g = whiten_gram(case) if isinstance(case, int) else gram_with_duplicate(*case)
+        keep, low_inv = _factor_inverse(g.copy())
+        g[np.triu_indices(len(g), 1)] = np.nan
+        keep_lower, low_inv_lower = _factor_inverse(g)
+        assert np.array_equal(keep_lower, keep)
+        assert low_inv_lower.tobytes() == low_inv.tobytes()
 
     # d² × d² Hermitian operators span d⁴ real dimensions, so the in-order
     # rule keeps the first d⁴ rows of a random campaign. A spanning set of
@@ -490,6 +513,50 @@ class TestFactorInverse:
         keep, low_inv = _factor_inverse(g.copy())
         assert np.array_equal(keep, np.arange(d**4))
         assert np.abs(low_inv @ g[:d**4, :d**4] @ low_inv.T - np.eye(d**4)).max() <= 1e-9
+
+
+def assert_built_from_the_full_gram(ms):
+    """The operator's keep, L⁻¹ and joint vectors are the bits of a
+    factorization of the whole Gram matrix W̄Wᵀ, formed in one product."""
+    w = joint_vectors(ms.signal, ms.idler)
+    keep, low_inv = _factor_inverse(np.abs(w.conj() @ w.T) ** 2)
+    op = MeasurementOperator(ms)
+    assert np.array_equal(op.keep, keep)
+    assert op.low_inv.tobytes() == low_inv.tobytes()
+    assert op.w.tobytes() == w[keep].tobytes()
+    assert op.w_conj.tobytes() == w[keep].conj().tobytes()
+    return op
+
+
+class TestOperatorBuild:
+    """The Gram matrix is formed in lower-triangle blocks of _GRAM_ROWS rows."""
+
+    @pytest.mark.parametrize("m", [1, _GRAM_ROWS - 1, _GRAM_ROWS, _GRAM_ROWS + 1,
+                                   2 * _GRAM_ROWS + 1, 720])
+    def test_same_bits_as_the_full_gram(self, m):
+        assert_built_from_the_full_gram(simulate_measurements(7, m, seed=m))
+
+    # a projector and its copy on the two sides of the first block edge, the
+    # original before it or after it
+    @pytest.mark.parametrize("of,at", [(_GRAM_ROWS - 1, _GRAM_ROWS), (_GRAM_ROWS, _GRAM_ROWS - 1)])
+    def test_repeated_projector_across_a_block_edge(self, of, at):
+        ms = simulate_measurements(7, 2 * _GRAM_ROWS, seed=of)
+        dup = MeasurementSet(
+            d=7,
+            signal=np.insert(ms.signal, at, ms.signal[of], axis=0),
+            idler=np.insert(ms.idler, at, ms.idler[of], axis=0),
+            probs=np.insert(ms.probs, at, ms.probs[of]),
+        )
+        op = assert_built_from_the_full_gram(dup)
+        assert np.array_equal(op.keep, np.delete(np.arange(len(dup)), max(of + 1, at)))
+
+    def test_peak_memory_within_twice_the_gram_buffer(self, traced_peak):
+        # the M×M float64 buffer, the M×D joint vectors and the factorization's
+        # temporaries; three full-size temporaries for the Gram read 3.07×
+        m = 1500
+        ms = simulate_measurements(7, m, seed=1)
+        peak = traced_peak(MeasurementOperator, ms)
+        assert peak <= 2 * 8 * m * m, f"{peak / (8 * m * m):.2f}× the Gram buffer"
 
 
 class TestReconstruct:
