@@ -5,11 +5,12 @@ The correction sums structural gaps (a solution minus its structural
 projection) into a displacement estimate, and subtracts the implied
 probability error before re-solving. By default the gap is the raw solve's
 own, so the correction costs one extra solve; with ``n_subsets`` N ≥ 2 it
-reconstructs N disjoint measurement subsets and sums theirs.
+reconstructs N disjoint measurement subsets and sums theirs. Every solve,
+raw, subset and final, runs with the one solver configuration passed to
+``reconstruct_corrected``.
 """
 
 from cstomo import (
-    NoiseCorrectionConfig,
     ReconstructionConfig,
     fidelity_pure,
     make_max_entangled,
@@ -23,9 +24,9 @@ ms = simulate_measurements(d, 60, state=state, seed=0, mean_total_counts=1e4)
 print(f"d={d}, {len(ms)} measurements, Poisson noise with {ms.calibration:.0f} "
       f"mean total counts\n")
 
-base = ReconstructionConfig(tau=0.7, step_tol_rel=1e-6)
+cfg = ReconstructionConfig(tau=0.7, step_tol_rel=1e-6)
 for n_subsets in (1, 2):
-    report = reconstruct_corrected(ms, NoiseCorrectionConfig(n_subsets=n_subsets, base=base))
+    report = reconstruct_corrected(ms, cfg, n_subsets=n_subsets)
     corr = report.correction
 
     print(f"subsets: {corr.n_subsets} of sizes {corr.subset_sizes}")

@@ -2,11 +2,7 @@
 from a small number of random projective measurements, with measurement
 simulation, shot-noise correction, and fidelity benchmarking."""
 
-from .correction import (
-    CorrectionDiagnostics,
-    NoiseCorrectionConfig,
-    reconstruct_corrected,
-)
+from .correction import CorrectionDiagnostics, reconstruct_corrected
 from .errors import (
     DegenerateIterateError,
     DegenerateSystemError,

@@ -16,13 +16,14 @@ from __future__ import annotations
 
 import argparse
 import csv
+import inspect
 import json
 import sys
 
 import numpy as np
 
 from . import __version__
-from .correction import NoiseCorrectionConfig, reconstruct_corrected
+from .correction import reconstruct_corrected
 from .errors import (
     DegenerateIterateError,
     DegenerateSystemError,
@@ -61,6 +62,10 @@ SPIRAL_WIDTH = 2.5
 # the largest entrywise |m - m†| that ``metrics`` accepts in a stored matrix
 _HERMITIAN_TOL = 1e-12
 
+# the subsets when --subsets is left out (it defaults to None, so that
+# --no-correction can refuse it): reconstruct_corrected's own default
+_SUBSETS_DEFAULT = inspect.signature(reconstruct_corrected).parameters["n_subsets"].default
+
 
 def _add_solver_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--tau", type=float, default=ReconstructionConfig.tau,
@@ -98,11 +103,6 @@ def _make_state(name: str, d: int, spiral_width: float | None):
         return make_downconversion_state(
             d, SPIRAL_WIDTH if spiral_width is None else spiral_width)
     return make_max_entangled(d)
-
-
-def _correction_config(args) -> NoiseCorrectionConfig:
-    n_subsets = NoiseCorrectionConfig.n_subsets if args.subsets is None else args.subsets
-    return NoiseCorrectionConfig(n_subsets=n_subsets, base=_solver_config(args))
 
 
 def _moot_flag(args) -> str | None:
@@ -149,7 +149,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-correction", action="store_true",
                    help="skip the noise correction: one raw solve")
     p.add_argument("--subsets", type=int, default=None,
-                   help=f"correction subsets (default {NoiseCorrectionConfig.n_subsets}: "
+                   help=f"correction subsets (default {_SUBSETS_DEFAULT}: "
                         "the raw solve's own structural gap; N >= 2 sums the gaps of "
                         "N disjoint subsets, solved after it)")
     p.add_argument("--diagnostics", default=None,
@@ -238,7 +238,8 @@ def _cmd_reconstruct(args) -> int:
         if args.no_correction:
             report = reconstruct(ms, cfg, on_iteration=on_iteration)
         else:
-            report = reconstruct_corrected(ms, _correction_config(args),
+            n_subsets = _SUBSETS_DEFAULT if args.subsets is None else args.subsets
+            report = reconstruct_corrected(ms, cfg, n_subsets=n_subsets,
                                            on_iteration=on_iteration)
     finally:
         if diag_fh is not None:

@@ -7,9 +7,10 @@ subset solution sits from the structured set (solution minus its structural
 projection), sum those gaps into a displacement estimate, map it back onto
 the probabilities, and re-run the solver on the corrected system.
 
-By default there is one subset, the whole campaign, whose solve is the raw
-solve: ``reconstruct_corrected`` takes the raw report's own gap and makes
-exactly two solves, raw then final.
+Every solve, raw, subset and final, runs with the one ``ReconstructionConfig``
+passed to ``reconstruct_corrected``. By default there is one subset, the
+whole campaign, whose solve is the raw solve: the raw report's own gap is
+taken, and exactly two solves run, raw then final.
 
 The raw and final solves measure with the same projectors, so they share
 one ``MeasurementOperator``: ``reconstruct_corrected`` builds it, which
@@ -59,31 +60,11 @@ from .solver import (
 )
 
 __all__ = [
-    "NoiseCorrectionConfig",
     "CorrectionDiagnostics",
     "partition",
     "correct_probabilities",
     "reconstruct_corrected",
 ]
-
-@dataclass
-class NoiseCorrectionConfig:
-    """Correction knobs.
-
-    n_subsets: number of disjoint subsets, at least 1. The default 1 is the
-        whole campaign, whose gap is the raw solve's own. N ≥ 2 partitions
-        the campaign round-robin and solves each subset apart; every subset
-        must keep at least D measurements, a floor that keeps it solvable
-        for near-pure states.
-    base: solver configuration of the raw, subset and final solves.
-    """
-
-    n_subsets: int = 1
-    base: ReconstructionConfig = field(default_factory=ReconstructionConfig)
-
-    def __post_init__(self):
-        if int(self.n_subsets) < 1:
-            raise ValueError(f"n_subsets must be at least 1, got {self.n_subsets}")
 
 
 @dataclass(eq=False)
@@ -128,12 +109,14 @@ class CorrectionDiagnostics:
         return 0.0 if self.delta is None else float(np.linalg.norm(self.delta))
 
 
-def partition(ms: MeasurementSet, cfg: NoiseCorrectionConfig) -> list[MeasurementSet]:
-    """Split a measurement set round-robin into disjoint subsets covering
-    it exactly: subset j holds measurements j, j + N, j + 2N, ..."""
+def partition(ms: MeasurementSet, n_subsets: int) -> list[MeasurementSet]:
+    """Split a measurement set round-robin into N = ``n_subsets`` disjoint
+    subsets covering it exactly: subset j holds measurements j, j + N, ...
+    ValueError if a subset would keep fewer than D measurements, the floor
+    that keeps it solvable for near-pure states."""
     m = len(ms)
     dim = ms.d**2
-    n = int(cfg.n_subsets)
+    n = int(n_subsets)
     if m // n < dim:
         raise ValueError(
             f"{m} measurements over {n} subsets leaves {m // n} per subset, "
@@ -215,17 +198,20 @@ def correct_probabilities(
 
 def reconstruct_corrected(
     ms: MeasurementSet,
-    cfg: NoiseCorrectionConfig | None = None,
+    cfg: ReconstructionConfig | None = None,
     *,
+    n_subsets: int = 1,
     on_iteration=None,
 ) -> ReconstructionReport:
     """Full pipeline: raw solve, structural-gap displacement estimate,
     probability correction, corrected solve started from the raw solve's
     ``rho_pre_gamma``.
 
-    With one subset (the default) the estimate is the raw solve's own gap.
-    With N ≥ 2 the subsets are solved after the raw solve, in subset order,
-    as ``estimate_delta_rho`` reads their gaps.
+    ``cfg`` configures every solve. ``n_subsets``, at least 1 (else
+    ValueError), counts the disjoint subsets: with one (the default) the
+    estimate is the raw solve's own gap; with N ≥ 2 the subsets are solved
+    after the raw solve, in subset order, as ``estimate_delta_rho`` reads
+    their gaps.
 
     The returned report is the corrected run with ``correction`` filled in,
     including the raw run's report. If the raw solve does not converge (one
@@ -233,23 +219,25 @@ def reconstruct_corrected(
     raw report is returned with ``correction.applied`` False and a warning
     that gives ``correction.reason``.
     """
+    if int(n_subsets) < 1:
+        raise ValueError(f"n_subsets must be at least 1, got {n_subsets}")
     if cfg is None:
-        cfg = NoiseCorrectionConfig()
+        cfg = ReconstructionConfig()
     # one factorization for both solves, made here
     op = MeasurementOperator(ms)
-    raw = reconstruct(ms, cfg.base, on_iteration=on_iteration, operator=op)
-    if cfg.n_subsets == 1:  # the one subset is the campaign, solved just now
-        gap = _gap(raw, cfg.base)
+    raw = reconstruct(ms, cfg, on_iteration=on_iteration, operator=op)
+    if n_subsets == 1:  # the one subset is the campaign, solved just now
+        gap = _gap(raw, cfg)
         diag = estimate_delta_rho([ms], [gap])
         if isinstance(gap, str):
             diag.reason = f"raw solve {gap}"
     else:
         try:
-            subsets = partition(ms, cfg)
+            subsets = partition(ms, n_subsets)
         except ValueError as exc:
             diag = CorrectionDiagnostics(reason=str(exc))
         else:
-            diag = estimate_delta_rho(subsets, (_subset_gap(sub, cfg.base) for sub in subsets))
+            diag = estimate_delta_rho(subsets, (_subset_gap(sub, cfg) for sub in subsets))
     if diag.n_omitted == diag.n_subsets:  # no subset contributed
         if not diag.reason:
             diag.reason = "every subset failed to converge"
@@ -258,7 +246,7 @@ def reconstruct_corrected(
         return raw
 
     corrected_ms, diag.n_clamped = correct_probabilities(ms, diag.delta)
-    out = reconstruct(corrected_ms, cfg.base, on_iteration=on_iteration, operator=op,
+    out = reconstruct(corrected_ms, cfg, on_iteration=on_iteration, operator=op,
                       start=raw.rho_pre_gamma)
     diag.raw_report = raw
     out.correction = diag

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .correction import NoiseCorrectionConfig, reconstruct_corrected
+from .correction import reconstruct_corrected
 from .metrics import fidelity_pure
 from .simulate import (
     TwoPhotonState,
@@ -137,7 +137,7 @@ def run_sweep_cell(spec: SweepSpec, fraction_index: int, repeat_index: int) -> S
         )
         start = time.perf_counter()
         if spec.with_correction:
-            rep = reconstruct_corrected(ms, NoiseCorrectionConfig(base=spec.solver))
+            rep = reconstruct_corrected(ms, spec.solver)
             if rep.correction is not None and rep.correction.applied:
                 fid_corr = fidelity_pure(rep.rho, target)
                 fid_raw = fidelity_pure(rep.correction.raw_report.rho, target)

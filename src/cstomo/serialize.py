@@ -101,6 +101,15 @@ def _bulk_cvecs(vectors: list, d: int) -> np.ndarray | None:
     return parts.view(complex).reshape(len(vectors), d)
 
 
+def _number_array(values: list, dtype, what: str) -> np.ndarray:
+    """A list of JSON numbers as one array of ``dtype``; a SchemaError that
+    names the list ``what`` if an entry is beyond the type's range."""
+    try:
+        return np.asarray(values, dtype=dtype)
+    except OverflowError as exc:
+        raise SchemaError(f"measurement set: {what}: {exc}") from exc
+
+
 def dump_json(obj: Any, path: str) -> None:
     """Serialize deterministically and write atomically (temp file + rename);
     a failed write or rename removes the temp file."""
@@ -209,8 +218,8 @@ def measurement_set_from_dict(doc: Any) -> MeasurementSet:
             d=d,
             signal=signal,
             idler=idler,
-            probs=np.asarray(raw_probs, dtype=float),
-            counts=None if counts is None else np.asarray(counts, dtype=np.int64),
+            probs=_number_array(raw_probs, float, "probs"),
+            counts=None if counts is None else _number_array(counts, np.int64, "counts"),
             seed=seed,
             calibration=calibration,
             truth=truth,

@@ -47,7 +47,10 @@ MAX_MEAN_TOTAL_COUNTS = 1e18
 def check_mean_total_counts(mean_total_counts, name: str) -> float:
     """The calibration as a float; a ValueError that names it ``name``
     unless it lies in (0, MAX_MEAN_TOTAL_COUNTS], which NaN does not."""
-    value = float(mean_total_counts)
+    try:
+        value = float(mean_total_counts)
+    except OverflowError:  # an integer beyond float range
+        value = float("inf")
     if not 0 < value <= MAX_MEAN_TOTAL_COUNTS:
         raise ValueError(
             f"{name} must be positive and finite, at most {MAX_MEAN_TOTAL_COUNTS:g}"

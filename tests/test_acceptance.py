@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from cstomo.cli import main as cli_main
-from cstomo.correction import NoiseCorrectionConfig, reconstruct_corrected
+from cstomo.correction import reconstruct_corrected
 from cstomo.experiments import SweepSpec, run_sweep, summarize_sweep
 from cstomo.metrics import fidelity_pure
 from cstomo.simulate import (
@@ -269,7 +269,7 @@ def test_criterion_4_stretch_d17(traced_peak):
     ms = simulate_measurements(d, 2506, state=truth, seed=0, mean_total_counts=1e6)
     gram_bytes = 8 * len(ms) ** 2
     build_peak = traced_peak(MeasurementOperator, ms)
-    report = reconstruct_corrected(ms, NoiseCorrectionConfig())
+    report = reconstruct_corrected(ms)
     fid = fidelity_pure(report.rho, ms.truth)
     elapsed = time.perf_counter() - start
     ceiling = abs(np.vdot(joint_state_vector(target), joint_state_vector(truth)))
@@ -381,11 +381,10 @@ class TestCriterion5InvariantSuite:
         base = ReconstructionConfig(tau=0.7, step_tol_rel=1e-9)
         worst = {}
         for n_subsets in (1, 2):
-            cfg = NoiseCorrectionConfig(n_subsets=n_subsets, base=base)
             worst[n_subsets] = 0.0
             for seed in self.SEEDS:
                 ms = simulate_measurements(3, 60, seed=seed)
-                corrected = reconstruct_corrected(ms, cfg)
+                corrected = reconstruct_corrected(ms, base, n_subsets=n_subsets)
                 raw = corrected.correction.raw_report
                 assert corrected.correction.applied
                 gap = np.linalg.norm(corrected.rho - raw.rho)

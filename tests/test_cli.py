@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import inspect
 import json
 import multiprocessing
 import os
@@ -12,8 +13,8 @@ import pytest
 
 import cstomo
 import cstomo.experiments
-from cstomo.cli import _build_parser, _correction_config, _solver_config, main
-from cstomo.correction import NoiseCorrectionConfig, reconstruct_corrected
+from cstomo.cli import _build_parser, _solver_config, main
+from cstomo.correction import reconstruct_corrected
 from cstomo.errors import InvariantViolation
 from cstomo.experiments import SweepSpec, cell_seed
 from cstomo.serialize import load_measurement_set, report_to_dict, save_measurement_set
@@ -68,10 +69,22 @@ def strip_runtime(text):
 class TestParserDefaults:
     """The command line's defaults are the library's."""
 
-    def test_reconstruct(self):
+    def test_reconstruct(self, tmp_path, monkeypatch):
         args = _build_parser().parse_args(["reconstruct", "x", "--out", "y"])
         assert _solver_config(args) == ReconstructionConfig()
-        assert _correction_config(args) == NoiseCorrectionConfig()
+        # without flags the command runs the library's default correction
+        calls = []
+
+        def spy(ms, cfg, **kwargs):
+            calls.append((cfg, kwargs["n_subsets"]))
+            return reconstruct_corrected(ms, cfg, **kwargs)
+
+        monkeypatch.setattr("cstomo.cli.reconstruct_corrected", spy)
+        inp = tmp_path / "c.json"
+        save_measurement_set(simulate_measurements(3, 40, seed=0), str(inp))
+        run("reconstruct", inp, "--out", tmp_path / "r.json")
+        default = inspect.signature(reconstruct_corrected).parameters["n_subsets"].default
+        assert calls == [(ReconstructionConfig(), default)]
 
     def test_sweep(self):
         args = _build_parser().parse_args(["sweep", "--d", "3", "--fractions", "0.5",
@@ -227,6 +240,36 @@ class TestReconstructCommand:
         assert err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("key, index, value, message", [
+        ("calibration", None, 10**400, CALIBRATION_ERROR),
+        ("probs", 4, 10**400,
+         "error: measurement set: probs: int too large to convert to float\n"),
+        ("counts", 3, 10**30,
+         "error: measurement set: counts: Python int too large to convert to C long\n"),
+    ], ids=["calibration", "probs", "counts"])
+    def test_number_beyond_range_names_its_field(self, tmp_path, capsys, key, index,
+                                                 value, message):
+        inp = self.make_input(tmp_path, noise=True)
+        doc = json.loads(inp.read_text())
+        if index is None:
+            doc[key] = value
+        else:
+            doc[key][index] = value
+        inp.write_text(json.dumps(doc))
+        out = tmp_path / "report.json"
+        capsys.readouterr()
+        assert run("reconstruct", inp, "--out", out, "--no-correction") == 1
+        assert capsys.readouterr().err == message
+        assert not out.exists()
+
+    def test_zero_subsets_exits_1(self, tmp_path, capsys):
+        inp = self.make_input(tmp_path, noise=True)
+        out = tmp_path / "report.json"
+        capsys.readouterr()
+        assert run("reconstruct", inp, "--out", out, "--subsets", 0) == 1
+        assert capsys.readouterr().err == "error: n_subsets must be at least 1, got 0\n"
+        assert not out.exists()
+
     @IMPOSSIBLE_CALIBRATIONS
     def test_impossible_calibration_exits_1(self, tmp_path, capsys, calibration):
         inp = self.make_input(tmp_path, noise=True)
@@ -325,8 +368,8 @@ class TestReconstructCommand:
         assert run("reconstruct", inp, "--out", out, "--tau", 0.7, "--subsets", 6) == 0
         doc = json.loads(out.read_text())
         del doc["metrics"], doc["correction"]["raw"]["metrics"]
-        cfg = NoiseCorrectionConfig(n_subsets=6, base=ReconstructionConfig(tau=0.7))
-        want = report_to_dict(reconstruct_corrected(load_measurement_set(str(inp)), cfg), d=3)
+        want = report_to_dict(reconstruct_corrected(
+            load_measurement_set(str(inp)), ReconstructionConfig(tau=0.7), n_subsets=6), d=3)
         assert want["correction"]["n_subsets"] == 6
         assert json.dumps(doc, sort_keys=True) == json.dumps(want, sort_keys=True)
 

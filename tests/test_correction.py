@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import json
 import multiprocessing
 import warnings
@@ -9,7 +10,6 @@ import pytest
 import cstomo.correction
 from cstomo.correction import (
     CorrectionDiagnostics,
-    NoiseCorrectionConfig,
     _subset_gap,
     correct_probabilities,
     partition,
@@ -25,43 +25,50 @@ from cstomo.solver import MeasurementOperator, ReconstructionConfig, reconstruct
 D3_CFG = ReconstructionConfig(tau=0.7)  # small-instance threshold (see solver tests)
 
 
-def d3_correction_config(**kw):
-    kw.setdefault("base", D3_CFG)
-    return NoiseCorrectionConfig(**kw)
+def no_solve(*args, **kwargs):
+    raise AssertionError("a solve ran")
 
 
 class TestConfig:
-    def test_rejects_no_subsets(self):
-        with pytest.raises(ValueError, match="at least 1"):
-            NoiseCorrectionConfig(n_subsets=0)
+    def test_rejects_no_subsets(self, monkeypatch, factorizations):
+        # checked before the operator is built or anything is solved
+        monkeypatch.setattr("cstomo.correction.reconstruct", no_solve)
+        ms = simulate_measurements(3, 17, seed=0)
+        with pytest.raises(ValueError) as exc:
+            reconstruct_corrected(ms, D3_CFG, n_subsets=0)
+        assert str(exc.value) == "n_subsets must be at least 1, got 0"
+        assert factorizations == []
 
-    @pytest.mark.parametrize("field", ["subset_assignment", "seed"])
+    @pytest.mark.parametrize("field", ["subset_assignment", "seed", "base"])
     def test_removed_fields_are_rejected(self, field):
-        # the partition is round-robin only: no assignment to choose, no seed
+        # the partition is round-robin only: no assignment to choose, no
+        # seed; the solves' configuration is the positional ``cfg``
+        ms = simulate_measurements(3, 17, seed=0)
         with pytest.raises(TypeError, match=field):
-            NoiseCorrectionConfig(n_subsets=2, **{field: 0})
+            reconstruct_corrected(ms, n_subsets=2, **{field: 0})
 
     def test_default_subset_count(self):
         # one subset, the whole campaign, by default; two subsets of 17
         # measurements fall below the floor of D=9 each
         ms = simulate_measurements(3, 17, seed=0)
-        assert NoiseCorrectionConfig().n_subsets == 1
-        assert [len(s) for s in partition(ms, NoiseCorrectionConfig())] == [17]
+        default = inspect.signature(reconstruct_corrected).parameters["n_subsets"].default
+        assert default == 1
+        assert [len(s) for s in partition(ms, default)] == [17]
         with pytest.raises(ValueError, match="floor"):
-            partition(ms, NoiseCorrectionConfig(n_subsets=2))
+            partition(ms, 2)
 
 
 class TestPartition:
     def test_round_robin_sizes(self):
         ms = simulate_measurements(3, 100, seed=0)
-        subs = partition(ms, d3_correction_config(n_subsets=4))
+        subs = partition(ms, 4)
         assert [len(s) for s in subs] == [25, 25, 25, 25]
 
     @pytest.mark.parametrize("n_subsets", [2, 3, 4])
     def test_round_robin_order(self, n_subsets):
         # subset j holds measurements j, j + N, j + 2N, ..., in campaign order
         ms = simulate_measurements(3, 103, seed=2, mean_total_counts=1e4)
-        subs = partition(ms, d3_correction_config(n_subsets=n_subsets))
+        subs = partition(ms, n_subsets)
         assert [len(s) for s in subs] == [len(range(j, 103, n_subsets))
                                           for j in range(n_subsets)]
         for j, sub in enumerate(subs):
@@ -72,7 +79,7 @@ class TestPartition:
 
     def test_disjoint_exact_cover(self):
         ms = simulate_measurements(3, 40, seed=1, mean_total_counts=1e4)
-        subs = partition(ms, d3_correction_config(n_subsets=2))
+        subs = partition(ms, 2)
         all_probs = np.concatenate([s.probs for s in subs])
         assert sorted(all_probs.tolist()) == sorted(ms.probs.tolist())
         assert sum(len(s) for s in subs) == len(ms)
@@ -90,7 +97,7 @@ class TestPartition:
         # only the per-measurement arrays are sliced or replaced
         ms = simulate_measurements(3, 40, seed=19, mean_total_counts=counts)
         assert (ms.counts is None) == (counts is None)
-        for j, sub in enumerate(partition(ms, d3_correction_config(n_subsets=2))):
+        for j, sub in enumerate(partition(ms, 2)):
             assert (sub.d, sub.seed, sub.calibration) == (ms.d, ms.seed, ms.calibration)
             assert sub.truth is ms.truth
             for name in ("signal", "idler", "probs", "counts"):
@@ -111,26 +118,23 @@ class TestPartition:
     def test_too_few_measurements(self):
         ms = simulate_measurements(3, 20, seed=3)
         with pytest.raises(ValueError, match="floor|infeasible"):
-            partition(ms, d3_correction_config(n_subsets=4))
+            partition(ms, 4)
 
 
 class TestEstimateDeltaRho:
     def test_noiseless_sparse_state_gives_tiny_delta(self):
         # subsets of 30: deep lock onto the structured fixed point
         ms = simulate_measurements(3, 60, seed=4)
-        cfg = d3_correction_config(
-            n_subsets=2, base=ReconstructionConfig(tau=0.7, step_tol_rel=1e-9)
-        )
-        est = reconstruct_corrected(ms, cfg).correction
+        cfg = ReconstructionConfig(tau=0.7, step_tol_rel=1e-9)
+        est = reconstruct_corrected(ms, cfg, n_subsets=2).correction
         assert np.linalg.norm(est.delta) <= 1e-6
         assert est.subset_converged == [True, True]
 
     def test_delta_is_the_summed_gap_matrix(self):
         # Δ is the D×D sum of the subsets' solution − structural stage
         ms = simulate_measurements(3, 60, seed=18, mean_total_counts=2e3)
-        cfg = d3_correction_config(n_subsets=2)
-        c = reconstruct_corrected(ms, cfg).correction
-        gaps = [_subset_gap(sub, cfg.base) for sub in partition(ms, cfg)]
+        c = reconstruct_corrected(ms, D3_CFG, n_subsets=2).correction
+        gaps = [_subset_gap(sub, D3_CFG) for sub in partition(ms, 2)]
         assert c.subset_converged == [True, True]
         assert c.delta.shape == (9, 9)
         assert np.array_equal(c.delta, gaps[0] + gaps[1])
@@ -142,7 +146,7 @@ class TestEstimateDeltaRho:
         # 17 measurements of D=9 cannot form 2 subsets of 9: no estimate
         ms = simulate_measurements(3, 17, seed=5)
         with pytest.warns(UserWarning, match="floor"):
-            est = reconstruct_corrected(ms, d3_correction_config(n_subsets=2)).correction
+            est = reconstruct_corrected(ms, D3_CFG, n_subsets=2).correction
         assert est.n_subsets == 0 and est.delta is None and not est.applied
         assert est.reason == (
             "17 measurements over 2 subsets leaves 8 per subset, below the floor of D=9"
@@ -153,7 +157,7 @@ class TestEstimateDeltaRho:
         ms = simulate_measurements(3, 17, seed=5)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            est = reconstruct_corrected(ms, d3_correction_config()).correction
+            est = reconstruct_corrected(ms, D3_CFG).correction
         assert est.applied and est.reason == ""
         assert est.subset_sizes == [17] and est.subset_converged == [True]
 
@@ -162,10 +166,8 @@ class TestEstimateDeltaRho:
         # moderate shot noise; the estimated displacement then cancels part of
         # the probability error, shrinking the residual at the true state
         ms = simulate_measurements(3, 60, seed=0, mean_total_counts=1e4)
-        cfg = d3_correction_config(
-            n_subsets=2, base=ReconstructionConfig(tau=0.7, step_tol_rel=1e-6)
-        )
-        est = reconstruct_corrected(ms, cfg).correction
+        cfg = ReconstructionConfig(tau=0.7, step_tol_rel=1e-6)
+        est = reconstruct_corrected(ms, cfg, n_subsets=2).correction
         assert np.linalg.norm(est.delta) > 1e-4
         corrected, _ = correct_probabilities(ms, est.delta)
         truth_vec = state_to_density(ms.truth).reshape(-1, order="F")
@@ -178,12 +180,9 @@ class TestEstimateDeltaRho:
 
     def test_unconverged_subsets_flagged(self):
         ms = simulate_measurements(3, 60, seed=7, mean_total_counts=500.0)
-        cfg = d3_correction_config(
-            n_subsets=2,
-            base=ReconstructionConfig(tau=0.7, step_tol_rel=1e-12, k_max=1),
-        )
+        cfg = ReconstructionConfig(tau=0.7, step_tol_rel=1e-12, k_max=1)
         with pytest.warns(UserWarning) as caught:
-            est = reconstruct_corrected(ms, cfg).correction
+            est = reconstruct_corrected(ms, cfg, n_subsets=2).correction
         assert est.subset_converged == [False, False]
         assert est.n_omitted == 2
         assert np.linalg.norm(est.delta) == 0.0
@@ -205,7 +204,7 @@ class TestEstimateDeltaRho:
         ms = simulate_measurements(3, 60, seed=0, mean_total_counts=1e4)
         monkeypatch.setattr("cstomo.correction.reconstruct", broken)
         with pytest.raises(InvariantViolation, match="constraint residual"):
-            reconstruct_corrected(ms, d3_correction_config(n_subsets=2))
+            reconstruct_corrected(ms, D3_CFG, n_subsets=2)
         assert solves == [60, 30]
 
 
@@ -217,11 +216,11 @@ class TestSubsetsInLine:
         # d=5, 4 subsets of 50, which need 107, 495, 91 and 275 iterations,
         # so k_max=200 omits subsets 1 and 3 while the other two converge
         ms = simulate_measurements(5, 200, seed=0, mean_total_counts=300)
-        cfg = NoiseCorrectionConfig(n_subsets=4, base=ReconstructionConfig(k_max=200))
+        cfg = ReconstructionConfig(k_max=200)
         delta = np.zeros((25, 25), dtype=complex)
         converged, norms = [], []
-        for sub in partition(ms, cfg):
-            rep = reconstruct(sub, cfg.base)
+        for sub in partition(ms, 4):
+            rep = reconstruct(sub, cfg)
             converged.append(rep.converged)
             norms.append(float("nan"))
             if rep.converged:
@@ -232,7 +231,7 @@ class TestSubsetsInLine:
 
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            est = reconstruct_corrected(ms, cfg).correction
+            est = reconstruct_corrected(ms, cfg, n_subsets=4).correction
         assert np.array_equal(est.delta, delta)
         assert est.subset_converged == converged
         assert np.array_equal(est.subset_delta_norms, norms, equal_nan=True)
@@ -261,7 +260,7 @@ class TestSubsetsInLine:
         monkeypatch.setattr("cstomo.correction.estimate_delta_rho", estimate)
         ms = simulate_measurements(3, 60, seed=16, mean_total_counts=2e3)
         before = set(multiprocessing.active_children())
-        rep = reconstruct_corrected(ms, d3_correction_config(n_subsets=2))
+        rep = reconstruct_corrected(ms, D3_CFG, n_subsets=2)
         assert set(multiprocessing.active_children()) == before
         assert rep.correction.applied
         assert events == [
@@ -324,41 +323,38 @@ class TestCorrectProbabilities:
 class TestReconstructCorrected:
     def test_noiseless_correction_is_noop(self):
         ms = simulate_measurements(3, 60, seed=15)
-        cfg = d3_correction_config(
-            n_subsets=2, base=ReconstructionConfig(tau=0.7, step_tol_rel=1e-9)
-        )
-        corrected = reconstruct_corrected(ms, cfg)
+        cfg = ReconstructionConfig(tau=0.7, step_tol_rel=1e-9)
+        corrected = reconstruct_corrected(ms, cfg, n_subsets=2)
         raw = corrected.correction.raw_report
         assert corrected.correction.applied
         assert np.linalg.norm(corrected.rho - raw.rho) <= 1e-6
 
     def test_deterministic(self):
         ms = simulate_measurements(3, 60, seed=16, mean_total_counts=2e3)
-        cfg = d3_correction_config(n_subsets=2)
-        a = reconstruct_corrected(ms, cfg)
-        b = reconstruct_corrected(ms, cfg)
+        a = reconstruct_corrected(ms, D3_CFG, n_subsets=2)
+        b = reconstruct_corrected(ms, D3_CFG, n_subsets=2)
         assert np.array_equal(a.rho, b.rho)
         assert a.correction.delta_norm == b.correction.delta_norm
 
     def test_fallback_when_partition_infeasible(self):
         ms = simulate_measurements(3, 12, seed=17)  # cannot form 2 subsets of 9
         with pytest.warns(UserWarning, match="skipped"):
-            rep = reconstruct_corrected(ms, d3_correction_config(n_subsets=2))
+            rep = reconstruct_corrected(ms, D3_CFG, n_subsets=2)
         assert rep.correction is not None
         assert not rep.correction.applied
         assert rep.correction.reason
 
     def test_fallback_when_every_subset_omitted(self):
         ms = simulate_measurements(3, 60, seed=7, mean_total_counts=500.0)
-        cfg = d3_correction_config(n_subsets=2, base=ReconstructionConfig(tau=0.7, k_max=1))
+        cfg = ReconstructionConfig(tau=0.7, k_max=1)
         with pytest.warns(UserWarning) as caught:
-            rep = reconstruct_corrected(ms, cfg)
+            rep = reconstruct_corrected(ms, cfg, n_subsets=2)
         assert [str(w.message) for w in caught] == [
             "subset did not converge within k_max=1; contribution omitted",
             "subset did not converge within k_max=1; contribution omitted",
             "noise correction skipped: every subset failed to converge",
         ]
-        raw = reconstruct(ms, cfg.base)
+        raw = reconstruct(ms, cfg)
         assert np.array_equal(rep.rho, raw.rho)
         assert rep.iterations == raw.iterations == 1
         c = rep.correction
@@ -382,7 +378,7 @@ class TestReconstructCorrected:
 
     def test_report_carries_diagnostics(self):
         ms = simulate_measurements(3, 60, seed=18, mean_total_counts=2e3)
-        rep = reconstruct_corrected(ms, d3_correction_config(n_subsets=2))
+        rep = reconstruct_corrected(ms, D3_CFG, n_subsets=2)
         c = rep.correction
         assert c.applied
         assert c.n_subsets == 2
@@ -417,7 +413,7 @@ class TestOneOperatorPerCampaign:
 
     def test_subsets_build_their_own(self, factorizations):
         ms = simulate_measurements(3, 60, seed=16, mean_total_counts=2e3)
-        rep = reconstruct_corrected(ms, d3_correction_config(n_subsets=2))
+        rep = reconstruct_corrected(ms, D3_CFG, n_subsets=2)
         assert rep.correction.applied
         assert sorted(factorizations) == [30, 30, 60]
 
@@ -436,7 +432,7 @@ class TestOwnGap:
         monkeypatch.setattr("cstomo.correction.reconstruct", counting)
         ms = simulate_measurements(3, 60, seed=16, mean_total_counts=2e3)
         before = set(multiprocessing.active_children())
-        rep = reconstruct_corrected(ms, d3_correction_config())
+        rep = reconstruct_corrected(ms, D3_CFG)
         assert rep.correction.applied
         assert solves == [60, 60]
         assert set(multiprocessing.active_children()) == before
@@ -444,15 +440,15 @@ class TestOwnGap:
     @pytest.mark.parametrize("d, m, counts", [(3, 60, 2e3), (5, 200, 300.0)])
     def test_equals_the_one_subset_estimator_by_hand(self, d, m, counts):
         ms = simulate_measurements(d, m, seed=21, mean_total_counts=counts)
-        cfg = d3_correction_config() if d == 3 else NoiseCorrectionConfig()
-        (sub,) = partition(ms, dataclasses.replace(cfg, n_subsets=1))
-        sub_rep = reconstruct(sub, cfg.base)
+        cfg = D3_CFG if d == 3 else ReconstructionConfig()
+        (sub,) = partition(ms, 1)
+        sub_rep = reconstruct(sub, cfg)
         assert sub_rep.converged
         gap = sub_rep.rho_pre_gamma - sub_rep.rho
         corrected_ms, n_clamped = correct_probabilities(ms, gap)
         op = MeasurementOperator(ms)
-        raw = reconstruct(ms, cfg.base, operator=op)
-        want = reconstruct(corrected_ms, cfg.base, operator=op, start=raw.rho_pre_gamma)
+        raw = reconstruct(ms, cfg, operator=op)
+        want = reconstruct(corrected_ms, cfg, operator=op, start=raw.rho_pre_gamma)
         want.correction = CorrectionDiagnostics(
             subset_sizes=[m],
             subset_converged=[True],
@@ -486,14 +482,14 @@ class TestOwnGap:
 
     def test_skipped_when_the_raw_solve_does_not_converge(self):
         ms = simulate_measurements(3, 60, seed=7, mean_total_counts=500.0)
-        cfg = d3_correction_config(base=ReconstructionConfig(tau=0.7, k_max=1))
+        cfg = ReconstructionConfig(tau=0.7, k_max=1)
         with pytest.warns(UserWarning) as caught:
             rep = reconstruct_corrected(ms, cfg)
         # one warning, naming the raw solve: the default path has no subsets
         assert [str(w.message) for w in caught] == [
             "noise correction skipped: raw solve did not converge within k_max=1",
         ]
-        assert np.array_equal(rep.rho, reconstruct(ms, cfg.base).rho)
+        assert np.array_equal(rep.rho, reconstruct(ms, cfg).rho)
         c = rep.correction
         assert not c.applied and c.subset_sizes == [60] and c.subset_converged == [False]
         assert c.reason == "raw solve did not converge within k_max=1"

@@ -212,7 +212,23 @@ class TestReportSerialization:
     def test_probs_integer_beyond_double_range(self, noisy_ms):
         doc = measurement_set_to_dict(noisy_ms)
         doc["probs"][4] = 10**400
-        with pytest.raises(SchemaError, match="int too large"):
+        with pytest.raises(SchemaError, match=re.escape(
+                "measurement set: probs: int too large to convert to float")):
+            measurement_set_from_dict(doc)
+
+    def test_calibration_integer_beyond_double_range(self, noisy_ms):
+        # out of the calibration's range like any other too-large value
+        doc = measurement_set_to_dict(noisy_ms)
+        doc["calibration"] = 10**400
+        with pytest.raises(SchemaError, match=re.escape(
+                "measurement set: calibration must be positive and finite, at most 1e+18")):
+            measurement_set_from_dict(doc)
+
+    @pytest.mark.parametrize("count", [10**30, -10**30, 2**63])
+    def test_counts_integer_beyond_int64_range(self, noisy_ms, count):
+        doc = measurement_set_to_dict(noisy_ms)
+        doc["counts"][3] = count
+        with pytest.raises(SchemaError, match=r"^measurement set: counts: .*too large"):
             measurement_set_from_dict(doc)
 
     def test_matrix_object_without_rho(self, tmp_path):
@@ -247,12 +263,10 @@ class TestPairWriter:
         assert all(type(c) is int for c in doc["counts"])
 
     def test_report(self):
-        from cstomo.correction import NoiseCorrectionConfig, reconstruct_corrected
+        from cstomo.correction import reconstruct_corrected
 
         ms = simulate_measurements(3, 40, seed=1, mean_total_counts=1e4)
-        rep = reconstruct_corrected(
-            ms, NoiseCorrectionConfig(n_subsets=2, base=ReconstructionConfig(tau=0.7))
-        )
+        rep = reconstruct_corrected(ms, ReconstructionConfig(tau=0.7), n_subsets=2)
         doc = report_to_dict(rep, d=3)
         assert doc["rho"] == per_element_pairs(rep.rho)
         assert doc["rho_pre_gamma"] == per_element_pairs(rep.rho_pre_gamma)

@@ -6,7 +6,7 @@ import pytest
 
 import cstomo.solver
 from cstomo.cli import main as cli_main
-from cstomo.correction import NoiseCorrectionConfig, _subset_gap, reconstruct_corrected
+from cstomo.correction import _subset_gap, reconstruct_corrected
 from cstomo.errors import DegenerateIterateError, DegenerateSystemError
 from cstomo.metrics import fidelity_pure
 from cstomo.serialize import report_to_dict, save_measurement_set
@@ -791,7 +791,7 @@ class TestPsdRepairOnReportedMatrices:
 
     def test_reported_rho_is_repaired(self, campaign):
         # the corrected report and its raw report, the plain solve's report
-        rep = reconstruct_corrected(campaign, NoiseCorrectionConfig(base=self.CFG, n_subsets=2))
+        rep = reconstruct_corrected(campaign, self.CFG, n_subsets=2)
         raw = rep.correction.raw_report
         assert raw is not None
         for r in (rep, raw):
