@@ -31,7 +31,7 @@ from .errors import (
     SchemaError,
     WorkerPoolError,
 )
-from .experiments import CSV_COLUMNS, SUMMARY_COLUMNS, SweepSpec, run_sweep, summarize_sweep
+from .experiments import SweepSpec, run_sweep, summarize_sweep
 from .metrics import summarize
 from .serialize import (
     _metrics_to_dict,
@@ -247,7 +247,7 @@ def _cmd_reconstruct(args) -> int:
 
     metrics = summarize(report.rho, measurements=ms, target=ms.truth)
     raw_metrics = None
-    if report.correction is not None and report.correction.raw_report is not None:
+    if report.correction is not None and report.correction.applied:
         raw_metrics = summarize(
             report.correction.raw_report.rho, measurements=ms, target=ms.truth
         )
@@ -263,19 +263,21 @@ def _cmd_reconstruct(args) -> int:
     return EXIT_OK if report.converged else EXIT_NOT_CONVERGED
 
 
-def _write_csv(path: str, columns: tuple[str, ...], records: list[dict]) -> None:
-    """One line per record, its ``columns`` in order; floats at full precision.
-    A cell that holds a comma or a quote, such as a failed cell's status, is
-    quoted."""
+def _write_csv(path: str, records: list[dict]) -> None:
+    """A header of the first record's keys, then one line per record, its
+    values in that order; floats at full precision. A cell that holds a comma
+    or a quote, such as a failed cell's status, is quoted. ``records`` is
+    never empty: ``SweepSpec`` rejects empty ``fractions`` and ``repeats``
+    below 1."""
 
     def cell(x) -> str:
         return format_float(x) if isinstance(x, float) else str(x)
 
     with open(path, "w", encoding="utf-8", newline="") as fh:
         out = csv.writer(fh, lineterminator="\n")
-        out.writerow(columns)
+        out.writerow(records[0].keys())
         for rec in records:
-            out.writerow([cell(rec[c]) for c in columns])
+            out.writerow([cell(x) for x in rec.values()])
 
 
 def _cmd_sweep(args) -> int:
@@ -291,9 +293,9 @@ def _cmd_sweep(args) -> int:
         solver=_solver_config(args),
     )
     rows = run_sweep(spec, jobs=args.jobs)
-    _write_csv(args.out, CSV_COLUMNS, [vars(r) for r in rows])
+    _write_csv(args.out, [vars(r) for r in rows])
     summary_path = args.summary or f"{args.out}.summary.csv"
-    _write_csv(summary_path, SUMMARY_COLUMNS, summarize_sweep(rows))
+    _write_csv(summary_path, summarize_sweep(rows))
     n_failed = sum(r.status != "ok" for r in rows)
     print(f"wrote {args.out} ({len(rows)} cells, {n_failed} failed) and {summary_path}")
     return EXIT_OK

@@ -207,11 +207,11 @@ def reconstruct_corrected(
     probability correction, corrected solve started from the raw solve's
     ``rho_pre_gamma``.
 
-    ``cfg`` configures every solve. ``n_subsets``, at least 1 (else
-    ValueError), counts the disjoint subsets: with one (the default) the
-    estimate is the raw solve's own gap; with N ≥ 2 the subsets are solved
-    after the raw solve, in subset order, as ``estimate_delta_rho`` reads
-    their gaps.
+    ``cfg`` configures every solve. ``n_subsets``, an integer of at least
+    1 (else ValueError; a bool is not one), counts the disjoint subsets:
+    with one (the default) the estimate is the raw solve's own gap; with
+    N ≥ 2 the subsets are solved after the raw solve, in subset order, as
+    ``estimate_delta_rho`` reads their gaps.
 
     The returned report is the corrected run with ``correction`` filled in,
     including the raw run's report. If the raw solve does not converge (one
@@ -219,7 +219,9 @@ def reconstruct_corrected(
     raw report is returned with ``correction.applied`` False and a warning
     that gives ``correction.reason``.
     """
-    if int(n_subsets) < 1:
+    if isinstance(n_subsets, bool) or not isinstance(n_subsets, (int, np.integer)):
+        raise ValueError(f"n_subsets must be an integer, got {n_subsets!r}")
+    if n_subsets < 1:
         raise ValueError(f"n_subsets must be at least 1, got {n_subsets}")
     if cfg is None:
         cfg = ReconstructionConfig()

@@ -18,6 +18,7 @@ not depend on where it ran (its wall-clock ``runtime_seconds`` aside).
 
 from __future__ import annotations
 
+import dataclasses
 import time
 from dataclasses import dataclass, field
 
@@ -35,27 +36,6 @@ from .solver import ReconstructionConfig, reconstruct
 from .workers import ordered_map
 
 __all__ = ["SweepSpec", "SweepRow", "cell_seed", "run_sweep_cell", "run_sweep", "summarize_sweep"]
-
-CSV_COLUMNS = (
-    "fraction",
-    "repeat",
-    "seed",
-    "fidelity_raw",
-    "fidelity_corrected",
-    "iterations",
-    "runtime_seconds",
-    "status",
-)
-
-SUMMARY_COLUMNS = (
-    "fraction",
-    "n",
-    "fidelity_raw_mean",
-    "fidelity_raw_std",
-    "fidelity_corrected_mean",
-    "fidelity_corrected_std",
-)
-
 
 @dataclass
 class SweepSpec:
@@ -103,7 +83,8 @@ class SweepRow:
     ``iterations`` counts the solve of the returned report: the final solve
     when the correction applied, else the raw one. The final solve starts
     from the raw solution and often takes one iteration, so the column does
-    not measure a corrected cell's work; ``runtime_seconds`` does."""
+    not measure a corrected cell's work; ``runtime_seconds`` does. The
+    fields, in order, are the columns of ``cstomo sweep``'s CSV."""
 
     fraction: float
     repeat: int
@@ -126,6 +107,8 @@ def run_sweep_cell(spec: SweepSpec, fraction_index: int, repeat_index: int) -> S
     the cell's row."""
     fraction = spec.fractions[fraction_index]
     seed = cell_seed(spec.seed, fraction_index, repeat_index)
+    # the failed row; a cell that runs replaces its outcome
+    row = SweepRow(fraction, repeat_index, seed, float("nan"), float("nan"), 0, 0.0)
     target = make_max_entangled(spec.d)
     try:
         ms = simulate_measurements(
@@ -136,39 +119,21 @@ def run_sweep_cell(spec: SweepSpec, fraction_index: int, repeat_index: int) -> S
             mean_total_counts=spec.mean_total_counts,
         )
         start = time.perf_counter()
-        if spec.with_correction:
-            rep = reconstruct_corrected(ms, spec.solver)
-            if rep.correction is not None and rep.correction.applied:
-                fid_corr = fidelity_pure(rep.rho, target)
-                fid_raw = fidelity_pure(rep.correction.raw_report.rho, target)
-            else:  # fell back: the report is the raw run
-                fid_corr = float("nan")
-                fid_raw = fidelity_pure(rep.rho, target)
-        else:
-            rep = reconstruct(ms, spec.solver)
-            fid_raw = fidelity_pure(rep.rho, target)
-            fid_corr = float("nan")
-        elapsed = time.perf_counter() - start
-        return SweepRow(
-            fraction=fraction,
-            repeat=repeat_index,
-            seed=seed,
+        rep = (reconstruct_corrected if spec.with_correction else reconstruct)(ms, spec.solver)
+        corr = rep.correction
+        # the raw run: the report itself unless a correction applied
+        raw = corr.raw_report if corr is not None and corr.applied else rep
+        fid_raw = fidelity_pure(raw.rho, target)
+        fid_corr = float("nan") if raw is rep else fidelity_pure(rep.rho, target)
+        return dataclasses.replace(
+            row,
             fidelity_raw=fid_raw,
             fidelity_corrected=fid_corr,
             iterations=rep.iterations,
-            runtime_seconds=elapsed,
+            runtime_seconds=time.perf_counter() - start,
         )
     except Exception as exc:
-        return SweepRow(
-            fraction=fraction,
-            repeat=repeat_index,
-            seed=seed,
-            fidelity_raw=float("nan"),
-            fidelity_corrected=float("nan"),
-            iterations=0,
-            runtime_seconds=0.0,
-            status=f"failed: {exc}",
-        )
+        return dataclasses.replace(row, status=f"failed: {exc}")
 
 
 def run_sweep(spec: SweepSpec, jobs: int = 1, on_row=None) -> list[SweepRow]:
@@ -182,7 +147,7 @@ def run_sweep(spec: SweepSpec, jobs: int = 1, on_row=None) -> list[SweepRow]:
     n_cells = len(spec.fractions) * spec.repeats
     cells = [(spec, *divmod(i, spec.repeats)) for i in range(n_cells)]
     rows = []
-    results = ordered_map(run_sweep_cell, cells, min(jobs, n_cells), "sweep")
+    results = ordered_map(run_sweep_cell, cells, min(jobs, n_cells))
     try:
         for row in results:
             rows.append(row)
@@ -195,7 +160,8 @@ def run_sweep(spec: SweepSpec, jobs: int = 1, on_row=None) -> list[SweepRow]:
 
 def summarize_sweep(rows: list[SweepRow]) -> list[dict]:
     """Aggregate mean ± sample std of the fidelities per fraction (failed
-    cells excluded; std is NaN for a single sample)."""
+    cells excluded; std is NaN for a single sample). The keys of a record,
+    in order, are the columns of ``cstomo sweep``'s summary CSV."""
     out = []
     for fraction in sorted({row.fraction for row in rows}):
         ok = [r for r in rows if r.fraction == fraction and r.status == "ok"]

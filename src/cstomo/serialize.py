@@ -15,6 +15,7 @@ first offence.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 from itertools import chain
@@ -249,15 +250,8 @@ def load_measurement_set(path: str) -> MeasurementSet:
 
 
 def _metrics_to_dict(metrics: MetricsSummary) -> dict:
-    out: dict[str, Any] = {
-        "purity": float(metrics.purity),
-        "effective_rank": int(metrics.effective_rank),
-    }
-    if metrics.fidelity is not None:
-        out["fidelity"] = float(metrics.fidelity)
-    if metrics.residual_inf is not None:
-        out["residual_inf"] = float(metrics.residual_inf)
-    return out
+    """The summary's fields, less those that are None."""
+    return {k: v for k, v in dataclasses.asdict(metrics).items() if v is not None}
 
 
 def report_to_dict(

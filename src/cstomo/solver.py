@@ -33,9 +33,9 @@ products); a projection takes c = L⁻ᵀ(L⁻¹ r). The build needs the buffer,
 the M×D joint vectors, and one row block's temporaries or the
 factorization's (at most two (M/2)² blocks): under twice the buffer, 1.57×
 at d=7 with M = 1500 and 1.73× at d=17 with M = 2506. The operator then
-keeps the buffer and two M×D arrays, W and W̄. G depends on the projectors
-only, and the operator holds no probabilities, so the correction's raw and
-final solves project with one operator, each with its own probabilities.
+keeps the buffer and one M×D array, W. G depends on the projectors only,
+and the operator holds no probabilities, so the correction's raw and final
+solves project with one operator, each with its own probabilities.
 The test-only reference
 ``measurement_rows`` → ``orthogonalize`` → ``kaczmarz_sweep`` computes the same
 projection from the Gram-Schmidt orthonormalized rows u, each a conjugated Â
@@ -62,7 +62,7 @@ from typing import TYPE_CHECKING, Callable
 import numpy as np
 
 from .errors import DegenerateIterateError, DegenerateSystemError, InvariantViolation
-from .simulate import MeasurementSet, joint_vectors
+from .simulate import MeasurementSet, expectations, joint_vectors
 
 if TYPE_CHECKING:
     from .correction import CorrectionDiagnostics
@@ -450,8 +450,8 @@ class MeasurementOperator:
     (``low_inv``, a view of the buffer), so a projection costs two O(M·D²)
     products and two M×M matrix-vector products, c = L⁻ᵀ(L⁻¹ r). Besides
     the buffer, the build holds the M×D joint vectors W and one block's
-    temporaries or the factorization's, at most two (M/2)² blocks; W̄ is
-    made after the factorization, and W is kept as it is unless a row drops.
+    temporaries or the factorization's, at most two (M/2)² blocks; the
+    operator keeps W as it is unless a row drops.
 
     The operator holds projectors only. The probabilities are data:
     ``residual`` and ``project`` take the kept rows' ``p = probs[keep]``, so
@@ -477,19 +477,17 @@ class MeasurementOperator:
         self.keep, self.low_inv = _factor_inverse(g)
         self.n_dropped = m - len(self.keep)
         self.w = w[self.keep] if self.n_dropped else w
-        # conjugated after the factorization, whose temporaries peak then
-        self.w_conj = self.w.conj()
 
     def residual(self, rho: np.ndarray, p: np.ndarray) -> np.ndarray:
         """p_i − Tr[Â_i ρ] = p_i − ⟨w_i|ρ|w_i⟩ over the kept rows."""
-        return p - ((self.w_conj @ rho) * self.w).sum(axis=1).real
+        return p - expectations(self.w, rho)
 
     def project(self, rho: np.ndarray, p: np.ndarray) -> np.ndarray:
         """ρ + Σ_i c_i Â_i with G c = p − (Tr[Â_i ρ])_i: the matrix nearest ρ
         in Frobenius norm that meets every kept constraint. c is real, so a
         Hermitian ρ stays Hermitian."""
         c = self.low_inv.T @ (self.low_inv @ self.residual(rho, p))
-        return rho + (self.w.T * c) @ self.w_conj
+        return rho + (self.w.T * c) @ self.w.conj()
 
 
 def reconstruct(

@@ -55,13 +55,13 @@ def _max_workers() -> int:
     return max(1, cpus // blas_threads)
 
 
-def ordered_map(fn: Callable, tasks: list[tuple], workers: int, what: str) -> Iterator:
+def ordered_map(fn: Callable, tasks: list[tuple], workers: int) -> Iterator:
     """Yield fn(*task) for every task, in task order, from up to ``workers``
-    forked processes, and no more than ``_max_workers()``; ``what`` names
-    them in errors. In-line, each task runs as it is read. Closing the
-    generator before its end cancels the tasks not yet started and stops
-    the workers. A worker that cannot start or dies raises WorkerPoolError;
-    an exception a task raises propagates."""
+    forked processes, and no more than ``_max_workers()``. In-line, each
+    task runs as it is read. Closing the generator before its end cancels
+    the tasks not yet started and stops the workers. A worker that cannot
+    start or dies raises WorkerPoolError; an exception a task raises
+    propagates."""
     workers = min(workers, _max_workers())
     if (
         workers < 2
@@ -83,10 +83,10 @@ def ordered_map(fn: Callable, tasks: list[tuple], workers: int, what: str) -> It
             for proc in set(multiprocessing.active_children()) - running:
                 proc.kill()
                 proc.join()
-            raise WorkerPoolError(f"could not start {what} workers: {exc}") from exc
+            raise WorkerPoolError(f"could not start sweep workers: {exc}") from exc
         for future in futures:
             yield future.result()
     except BrokenProcessPool as exc:
-        raise WorkerPoolError(f"a {what} worker died: {exc}") from exc
+        raise WorkerPoolError(f"a sweep worker died: {exc}") from exc
     finally:
         executor.shutdown(cancel_futures=True)

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import hashlib
 import inspect
 import json
@@ -17,6 +18,7 @@ from cstomo.cli import _build_parser, _solver_config, main
 from cstomo.correction import reconstruct_corrected
 from cstomo.errors import InvariantViolation
 from cstomo.experiments import SweepSpec, cell_seed
+from cstomo.metrics import MetricsSummary
 from cstomo.serialize import load_measurement_set, report_to_dict, save_measurement_set
 from cstomo.simulate import make_max_entangled, simulate_measurements, state_to_density
 from cstomo.solver import ReconstructionConfig
@@ -445,6 +447,26 @@ class TestMetricsCommand:
         assert doc["fidelity"] == pytest.approx(1.0, abs=1e-9)
         assert doc["residual_inf"] <= 1e-12
 
+    @pytest.mark.parametrize("strip", [(), ("--strip-truth",)], ids=["truth", "no-truth"])
+    def test_keys_are_the_summarys_fields_that_are_set(self, tmp_path, capsys, strip):
+        # a metrics block holds MetricsSummary's fields less those that are
+        # None: the fidelity without a truth, the residual without a campaign
+        inp, out = tmp_path / "in.json", tmp_path / "report.json"
+        assert run("simulate", "--d", 3, "--measurements", 40, "--seed", 1,
+                   "--mean-total-counts", 1e4, "--out", inp, *strip) == 0
+        assert run("reconstruct", inp, "--out", out, "--tau", 0.7) == 0
+        doc = json.loads(out.read_text())
+        assert doc["correction"]["applied"] is True
+        fields = {f.name for f in dataclasses.fields(MetricsSummary)}
+        with_campaign = fields - {"fidelity"} if strip else fields
+        assert set(doc["metrics"]) == with_campaign
+        assert set(doc["correction"]["raw"]["metrics"]) == with_campaign
+        capsys.readouterr()
+        assert run("metrics", out, "--measurements", inp) == 0
+        assert set(json.loads(capsys.readouterr().out)) == with_campaign
+        assert run("metrics", out) == 0
+        assert set(json.loads(capsys.readouterr().out)) == fields - {"fidelity", "residual_inf"}
+
     @IMPOSSIBLE_CALIBRATIONS
     def test_impossible_calibration_exits_1(self, tmp_path, capsys, calibration):
         ms_path = tmp_path / "ms.json"
@@ -507,10 +529,13 @@ class TestSweepCommand:
                    "--out", out)
         assert code == 0
         lines = out.read_text().strip().splitlines()
-        assert lines[0].startswith("fraction,repeat,seed,fidelity_raw,fidelity_corrected")
+        assert lines[0] == ("fraction,repeat,seed,fidelity_raw,fidelity_corrected,"
+                            "iterations,runtime_seconds,status")
         assert len(lines) == 2  # header + one data row
         assert lines[1].endswith(",ok")
         summary = (tmp_path / "sweep.csv.summary.csv").read_text().strip().splitlines()
+        assert summary[0] == ("fraction,n,fidelity_raw_mean,fidelity_raw_std,"
+                              "fidelity_corrected_mean,fidelity_corrected_std")
         assert len(summary) == 2
 
     def test_row_count_and_determinism(self, tmp_path):

@@ -39,6 +39,22 @@ class TestConfig:
         assert str(exc.value) == "n_subsets must be at least 1, got 0"
         assert factorizations == []
 
+    @pytest.mark.parametrize("n_subsets", [2.5, True, 1.0])
+    def test_rejects_a_count_that_is_not_an_integer(self, monkeypatch, factorizations,
+                                                    n_subsets):
+        # 2.5 would run 2 subsets, and True or 1.0 the default, without a word
+        monkeypatch.setattr("cstomo.correction.reconstruct", no_solve)
+        ms = simulate_measurements(3, 17, seed=0)
+        with pytest.raises(ValueError) as exc:
+            reconstruct_corrected(ms, D3_CFG, n_subsets=n_subsets)
+        assert str(exc.value) == f"n_subsets must be an integer, got {n_subsets!r}"
+        assert factorizations == []
+
+    def test_accepts_a_numpy_integer_count(self):
+        ms = simulate_measurements(3, 40, seed=0)
+        got = reconstruct_corrected(ms, D3_CFG, n_subsets=np.int64(2))
+        assert got.correction.n_subsets == 2
+
     @pytest.mark.parametrize("field", ["subset_assignment", "seed", "base"])
     def test_removed_fields_are_rejected(self, field):
         # the partition is round-robin only: no assignment to choose, no
