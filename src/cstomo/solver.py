@@ -31,9 +31,10 @@ recursion by halves that factors G and overwrites that buffer with the
 inverse of its Cholesky factor L (about 7M³/6 flops, nearly all in matrix
 products); a projection takes c = L⁻ᵀ(L⁻¹ r). The build needs the buffer,
 the M×D joint vectors, and one row block's temporaries or the
-factorization's (at most two (M/2)² blocks): under twice the buffer, 1.57×
-at d=7 with M = 1500 and 1.73× at d=17 with M = 2506. The operator then
-keeps the buffer and one M×D array, W. G depends on the projectors only,
+factorization's (one (M/2)² block at a time: the factorization keeps its
+intermediate product in the buffer's free upper triangle): 1.32× the
+buffer at d=7 with M = 1500 and 1.48× at d=17 with M = 2506. The operator
+then keeps the buffer and one M×D array, W. G depends on the projectors only,
 and the operator holds no probabilities, so the correction's raw and final
 solves project with one operator, each with its own probabilities.
 The test-only reference
@@ -405,7 +406,9 @@ def _factor_inverse(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Only the lower triangle of ``g``, its diagonal included, is read: the
     strict upper triangle may hold anything, NaN included, without changing a
     bit of the result. ``g`` is overwritten, and L⁻¹ is a view of its leading
-    block. At most two (M/2)² temporaries live at once, at the top level."""
+    block. Xᵀ is written into the free upper-right block, so one (M/2)²
+    temporary lives at a time, at the top level (two when a row of the second
+    half drops)."""
     n = len(g)
     if n <= _INV_LEAF:
         try:
@@ -420,16 +423,14 @@ def _factor_inverse(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     h = n // 2
     keep1, inv1 = _factor_inverse(g[:h, :h])
     k1 = len(keep1)
-    # B goes to BLAS as the column-ordered copy this index makes, even when
-    # every row is kept: as a row-ordered slice, OpenBLAS 0.3.31 rounds some
-    # shapes differently (h = 32 to 34; h = 81 to 100 at two threads). The
-    # copy is freed before XXᵀ is formed, so it does not raise the peak.
-    x = g[h:, keep1] @ inv1.T
-    g[h:, h:] -= x @ x.T
+    # Xᵀ = L₁⁻¹Bᵀ goes into the upper-right block, which is free; B is read as
+    # a slice unless a row of the first half dropped
+    xt = g[:k1, h:]
+    np.matmul(inv1, (g[h:, :h] if k1 == h else g[h:, keep1]).T, out=xt)
+    g[h:, h:] -= xt.T @ xt
     keep2, inv2 = _factor_inverse(g[h:, h:])
     k = k1 + len(keep2)
-    if len(keep2) < n - h:
-        x = x[keep2]
+    x = xt.T if len(keep2) == n - h else xt[:, keep2].T
     # B is spent: L⁻¹'s off-diagonal block goes straight into its place
     off = g[k1:k, :k1]
     np.matmul(inv2, x @ inv1, out=off)
@@ -450,7 +451,7 @@ class MeasurementOperator:
     (``low_inv``, a view of the buffer), so a projection costs two O(M·D²)
     products and two M×M matrix-vector products, c = L⁻ᵀ(L⁻¹ r). Besides
     the buffer, the build holds the M×D joint vectors W and one block's
-    temporaries or the factorization's, at most two (M/2)² blocks; the
+    temporaries or the factorization's, one (M/2)² block at a time; the
     operator keeps W as it is unless a row drops.
 
     The operator holds projectors only. The probabilities are data:

@@ -56,8 +56,10 @@ class _NoPool:
 
 @pytest.fixture
 def no_pool(monkeypatch):
-    """Fail the test if a worker pool starts."""
-    monkeypatch.setattr("cstomo.workers.ProcessPoolExecutor", _NoPool)
+    """Fail the test if a worker pool starts. ``workers.ordered_map`` imports
+    the executor from ``concurrent.futures`` only when it forks, so the name
+    is replaced there."""
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", _NoPool)
 
 
 @pytest.fixture

@@ -260,8 +260,9 @@ def test_criterion_4_stretch_d17(traced_peak):
     # reconstruction would also score against it; against the truth an
     # accurate one reads at least 0.999 (0.99992 corrected, 0.99993 raw).
     # Building the campaign's operator, once more under tracemalloc, peaks at
-    # most at twice its 48 MiB Gram buffer (1.73×; 3.23× with the Gram formed
-    # from three full-size temporaries).
+    # most at 1.6 times its 48 MiB Gram buffer (1.48×; 1.73× with Xᵀ in a
+    # second temporary instead of the buffer, 3.23× with the Gram formed from
+    # three full-size temporaries).
     start = time.perf_counter()
     d = 17
     truth = make_downconversion_state(d, 6.0)
@@ -282,7 +283,7 @@ def test_criterion_4_stretch_d17(traced_peak):
         f"{build_peak / gram_bytes:.2f}× the {gram_bytes / 2**20:.0f} MiB Gram buffer"
     )
     assert fid >= 0.999
-    assert build_peak <= 2 * gram_bytes
+    assert build_peak <= 1.6 * gram_bytes
     assert elapsed <= 5 * 3 * 3600
     print("ACCEPTANCE 4: PASS")
 

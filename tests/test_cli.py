@@ -57,6 +57,15 @@ def no_solve(*args, **kwargs):
     raise AssertionError("a solve ran")
 
 
+def fresh_process_env():
+    """The environment of a fresh interpreter that imports this cstomo, with
+    BLAS pinned to one thread."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    src = str(Path(cstomo.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
 def strip_runtime(text):
     """A sweep CSV with its wall-clock runtime_seconds column blanked."""
     out = []
@@ -387,9 +396,7 @@ class TestReconstructCommand:
     def test_byte_identical_across_processes(self, tmp_path, correction):
         # the README's determinism scope: one numpy/BLAS build, fixed thread count
         inp = self.make_input(tmp_path, n=60, noise=True)
-        env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
-        src = str(Path(cstomo.__file__).resolve().parents[1])
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        env = fresh_process_env()
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         for out in (a, b):
             subprocess.run([sys.executable, "-m", "cstomo", "reconstruct", str(inp),
@@ -685,6 +692,36 @@ class TestSweepCommand:
         assert len(forks) == 2
         assert not stray
         assert not out.exists()
+
+
+# run in a fresh interpreter: the pool modules, once loaded, stay in
+# sys.modules, and the test process loads them itself
+IMPORT_GRAPH_SCRIPT = """
+import sys
+import cstomo
+import cstomo.cli
+from cstomo.experiments import SweepSpec, run_sweep
+from cstomo.solver import ReconstructionConfig
+
+campaign, report = sys.argv[1:]
+assert cstomo.cli.main(["simulate", "--d", "3", "--measurements", "40", "--seed", "1",
+                        "--mean-total-counts", "5e4", "--out", campaign]) == 0
+for flags in ([], ["--no-correction"]):
+    assert cstomo.cli.main(["reconstruct", campaign, "--out", report, "--tau", "0.7",
+                            *flags]) == 0
+spec = SweepSpec(d=3, fractions=[0.75], repeats=2, solver=ReconstructionConfig(tau=0.7))
+assert all(row.status == "ok" for row in run_sweep(spec, jobs=1))
+loaded = sorted({"multiprocessing", "concurrent.futures"} & set(sys.modules))
+assert not loaded, f"loaded without a fork: {loaded}"
+"""
+
+
+def test_pool_modules_load_only_when_a_sweep_forks(tmp_path):
+    # reconstruct, with and without the correction, and an in-line sweep
+    # never fork, so they must not pay for importing the pool
+    subprocess.run([sys.executable, "-c", IMPORT_GRAPH_SCRIPT, str(tmp_path / "c.json"),
+                    str(tmp_path / "r.json")], env=fresh_process_env(), check=True,
+                   timeout=120)
 
 
 @pytest.mark.filterwarnings("error")

@@ -548,13 +548,15 @@ class TestOperatorBuild:
         op = assert_built_from_the_full_gram(dup)
         assert np.array_equal(op.keep, np.delete(np.arange(len(dup)), max(of + 1, at)))
 
-    def test_peak_memory_within_twice_the_gram_buffer(self, traced_peak):
-        # the M×M float64 buffer, the M×D joint vectors and the factorization's
-        # temporaries; three full-size temporaries for the Gram read 3.07×
+    def test_peak_memory_within_1_45_times_the_gram_buffer(self, traced_peak):
+        # the M×M float64 buffer, the M×D joint vectors and one (M/2)²
+        # factorization temporary read 1.32×; with Xᵀ in a second temporary
+        # instead of the buffer 1.57×, and with three full-size temporaries
+        # for the Gram 3.07×
         m = 1500
         ms = simulate_measurements(7, m, seed=1)
         peak = traced_peak(MeasurementOperator, ms)
-        assert peak <= 2 * 8 * m * m, f"{peak / (8 * m * m):.2f}× the Gram buffer"
+        assert peak <= 1.45 * 8 * m * m, f"{peak / (8 * m * m):.2f}× the Gram buffer"
 
 
 class TestReconstruct:
