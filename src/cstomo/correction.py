@@ -51,7 +51,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateIterateError, DegenerateSystemError
-from .simulate import MeasurementSet, expectations, joint_vectors
+from .simulate import MeasurementSet, check_count, expectations, joint_vectors
 from .solver import (
     MeasurementOperator,
     ReconstructionConfig,
@@ -112,11 +112,11 @@ class CorrectionDiagnostics:
 def partition(ms: MeasurementSet, n_subsets: int) -> list[MeasurementSet]:
     """Split a measurement set round-robin into N = ``n_subsets`` disjoint
     subsets covering it exactly: subset j holds measurements j, j + N, ...
-    ValueError if a subset would keep fewer than D measurements, the floor
-    that keeps it solvable for near-pure states."""
+    ValueError for a bad count, or if a subset would keep fewer than D
+    measurements, the floor that keeps it solvable for near-pure states."""
     m = len(ms)
     dim = ms.d**2
-    n = int(n_subsets)
+    n = check_count(n_subsets, "n_subsets")
     if m // n < dim:
         raise ValueError(
             f"{m} measurements over {n} subsets leaves {m // n} per subset, "
@@ -219,10 +219,7 @@ def reconstruct_corrected(
     raw report is returned with ``correction.applied`` False and a warning
     that gives ``correction.reason``.
     """
-    if isinstance(n_subsets, bool) or not isinstance(n_subsets, (int, np.integer)):
-        raise ValueError(f"n_subsets must be an integer, got {n_subsets!r}")
-    if n_subsets < 1:
-        raise ValueError(f"n_subsets must be at least 1, got {n_subsets}")
+    n_subsets = check_count(n_subsets, "n_subsets")
     if cfg is None:
         cfg = ReconstructionConfig()
     # one factorization for both solves, made here

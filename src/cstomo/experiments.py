@@ -28,6 +28,8 @@ from .correction import reconstruct_corrected
 from .metrics import fidelity_pure
 from .simulate import (
     TwoPhotonState,
+    _check_mode_count,
+    check_count,
     check_mean_total_counts,
     make_max_entangled,
     simulate_measurements,
@@ -41,6 +43,7 @@ __all__ = ["SweepSpec", "SweepRow", "cell_seed", "run_sweep_cell", "run_sweep", 
 class SweepSpec:
     """One fidelity-vs-fraction experiment.
 
+    d is odd, as the maximally entangled target needs, and matches ``state``.
     fractions are of the informationally complete budget d⁴ (1.0 means d⁴
     random projective measurements) and must be sorted ascending in (0, 1].
     with_correction=True scores both the raw and the corrected
@@ -66,9 +69,10 @@ class SweepSpec:
         if fr != sorted(fr):
             raise ValueError("fractions must be sorted ascending")
         self.fractions = fr
-        if int(self.repeats) < 1:
-            raise ValueError("repeats must be at least 1")
-        self.repeats = int(self.repeats)
+        self.d = _check_mode_count(self.d, require_odd=True)
+        if self.state is not None and self.state.d != self.d:
+            raise ValueError(f"state has d={self.state.d}, expected {self.d}")
+        self.repeats = check_count(self.repeats, "repeats")
         check_mean_total_counts(self.mean_total_counts, "mean_total_counts")
 
     def n_measurements(self, fraction: float) -> int:
@@ -141,9 +145,8 @@ def run_sweep(spec: SweepSpec, jobs: int = 1, on_row=None) -> list[SweepRow]:
     worker processes, and return the rows sorted by (fraction index,
     repeat). ``on_row`` sees each row in that order as soon as it and every
     row before it are done. A worker that dies or cannot start raises
-    WorkerPoolError; ``jobs`` below 1 raises ValueError."""
-    if jobs < 1:
-        raise ValueError(f"jobs must be at least 1, got {jobs}")
+    WorkerPoolError; a ``jobs`` that ``check_count`` refuses raises ValueError."""
+    jobs = check_count(jobs, "jobs")
     n_cells = len(spec.fractions) * spec.repeats
     cells = [(spec, *divmod(i, spec.repeats)) for i in range(n_cells)]
     rows = []

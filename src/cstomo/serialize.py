@@ -7,10 +7,10 @@ separators, no timestamps) so identical inputs produce byte-identical files;
 floats use Python's shortest round-trip repr in JSON and 17-significant-digit
 scientific notation in CSV.
 
-A measurement set's projectors are read straight into its two (M, d) arm
-arrays by one bulk conversion of every amplitude. Only a file that breaks the
-format is read again, projector by projector, so the error can name the
-first offence.
+Every complex array a file holds (projectors, truth coefficients, a stored
+matrix) is read by one bulk conversion of all its numbers, flattened.
+Only a file that breaks the format is read again, vector by vector, so the
+error can name the first offence.
 """
 
 from __future__ import annotations
@@ -20,13 +20,13 @@ import json
 import os
 from itertools import chain
 from operator import itemgetter
-from typing import Any
+from typing import Any, Iterable
 
 import numpy as np
 
 from .errors import SchemaError
 from .metrics import MetricsSummary
-from .simulate import MeasurementSet, TwoPhotonState, _check_rows
+from .simulate import MeasurementSet, TwoPhotonState, _check_rows, check_count
 from .solver import ReconstructionReport
 
 __all__ = [
@@ -53,16 +53,18 @@ def _to_pairs(a: np.ndarray) -> list:
     return a.view(float).reshape(*a.shape, 2).tolist()
 
 
+def _all_of(items: Iterable, kinds) -> bool:
+    """Every item is an instance of ``kinds`` and not a bool, decided once per
+    distinct type rather than once per item."""
+    return all(issubclass(t, kinds) and t is not bool for t in set(map(type, items)))
+
+
 def _pairs_to_cvec(pairs: Any, what: str, expected_len: int) -> np.ndarray:
     if not isinstance(pairs, list):
         raise SchemaError(f"{what}: expected a list of [re, im] pairs")
     out = np.empty(len(pairs), dtype=complex)
     for i, item in enumerate(pairs):
-        if (
-            not isinstance(item, list)
-            or len(item) != 2
-            or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in item)
-        ):
+        if not isinstance(item, list) or len(item) != 2 or not _all_of(item, (int, float)):
             raise SchemaError(f"{what}[{i}]: expected a [re, im] pair of numbers")
         try:
             out[i] = complex(item[0], item[1])
@@ -75,31 +77,23 @@ def _pairs_to_cvec(pairs: Any, what: str, expected_len: int) -> np.ndarray:
     return out
 
 
-def _all_of(items: list, kinds) -> bool:
-    """Every item is an instance of ``kinds`` and not a bool, decided once per
-    distinct type rather than once per item."""
-    return all(issubclass(t, kinds) and t is not bool for t in set(map(type, items)))
-
-
 def _bulk_cvecs(vectors: list, d: int) -> np.ndarray | None:
-    """Convert n ≥ 1 lists of d [re, im] pairs into an (n, d) complex array
-    with one type scan per nesting level and one ``np.array``, bit-identical
-    to ``_pairs_to_cvec``. Returns None when any of them breaks the format;
-    ``_pairs_to_cvec`` then locates and reports the first offence."""
-    if not set(map(type, vectors)) <= {list}:
+    """Convert n ≥ 1 lists of d [re, im] pairs into an (n, d) complex array:
+    one type and length scan per nesting level, then one ``np.fromiter`` over
+    all the numbers, flattened, bit-identical to ``_pairs_to_cvec``. None when
+    any breaks the format; ``_pairs_to_cvec`` then names the first offence."""
+    if not _all_of(vectors, list) or set(map(len, vectors)) != {d}:
         return None
     pairs = list(chain.from_iterable(vectors))
-    if not set(map(type, pairs)) <= {list}:
+    if not _all_of(pairs, list) or set(map(len, pairs)) != {2}:
         return None
-    if not set(map(type, chain.from_iterable(pairs))) <= {int, float}:
+    if not _all_of(chain.from_iterable(pairs), (int, float)):
         return None
     try:
-        parts = np.array(vectors, dtype=float)
-    except (ValueError, OverflowError):  # ragged, or an int beyond double range
+        parts = np.fromiter(chain.from_iterable(pairs), dtype=float, count=2 * len(pairs))
+    except OverflowError:  # an int beyond double range
         return None
-    if parts.shape != (len(vectors), d, 2) or not np.isfinite(parts).all():
-        return None
-    return parts.view(complex).reshape(len(vectors), d)
+    return parts.view(complex).reshape(len(vectors), d) if np.isfinite(parts).all() else None
 
 
 def _number_array(values: list, dtype, what: str) -> np.ndarray:
@@ -113,10 +107,13 @@ def _number_array(values: list, dtype, what: str) -> np.ndarray:
 
 def dump_json(obj: Any, path: str) -> None:
     """Serialize deterministically and write atomically (temp file + rename);
-    a failed write or rename removes the temp file."""
+    a failed open names ``path``; a failed write or rename removes the temp file."""
     text = json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
     tmp = f"{path}.tmp"
-    fh = open(tmp, "w", encoding="utf-8")
+    try:
+        fh = open(tmp, "w", encoding="utf-8")
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from exc
     try:
         with fh:
             fh.write(text)
@@ -184,9 +181,10 @@ def measurement_set_from_dict(doc: Any) -> MeasurementSet:
     for key in ("d", "projectors", "probs"):
         if key not in doc:
             raise SchemaError(f"measurement set: missing required key '{key}'")
-    d = doc["d"]
-    if not isinstance(d, int) or isinstance(d, bool) or d < 1:
-        raise SchemaError("measurement set: 'd' must be a positive integer")
+    try:
+        d = check_count(doc["d"], "d")
+    except ValueError:
+        raise SchemaError("measurement set: 'd' must be a positive integer") from None
     raw_projs = doc["projectors"]
     raw_probs = doc["probs"]
     if not isinstance(raw_projs, list) or not isinstance(raw_probs, list):
@@ -208,7 +206,9 @@ def measurement_set_from_dict(doc: Any) -> MeasurementSet:
         if truth is not None:
             if not isinstance(truth, dict) or "coeffs" not in truth:
                 raise SchemaError("measurement set: truth must be an object with 'coeffs'")
-            truth = TwoPhotonState(_pairs_to_cvec(truth["coeffs"], "truth.coeffs", d))
+            coeffs = _bulk_cvecs([truth["coeffs"]], d)
+            truth = TwoPhotonState(coeffs[0] if coeffs is not None
+                                   else _pairs_to_cvec(truth["coeffs"], "truth.coeffs", d))
         seed = doc.get("seed")
         if seed is not None and not _all_of([seed], int):
             raise SchemaError("measurement set: seed must be an integer")
@@ -309,9 +309,9 @@ def _parse_cmat(rows: Any, what: str) -> np.ndarray:
     if not isinstance(rows, list) or not rows:
         raise SchemaError(f"{what}: expected a non-empty list of rows")
     n = len(rows)
-    out = np.empty((n, n), dtype=complex)
-    for i, row in enumerate(rows):
-        out[i] = _pairs_to_cvec(row, f"{what}[{i}]", n)
+    out = _bulk_cvecs(rows, n)
+    if out is None:  # a row breaks the format: read row by row to name it
+        out = np.array([_pairs_to_cvec(row, f"{what}[{i}]", n) for i, row in enumerate(rows)])
     return out
 
 

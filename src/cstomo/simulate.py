@@ -58,10 +58,18 @@ def check_mean_total_counts(mean_total_counts, name: str) -> float:
     return value
 
 
+def check_count(value, name: str) -> int:
+    """A count setting as an int; a ValueError that names it ``name`` unless
+    it is an integer (a numpy one too, not a bool or a float) of at least 1."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise ValueError(f"{name} must be at least 1, got {value}")
+    return int(value)
+
+
 def _check_mode_count(d: int, require_odd: bool = False) -> int:
-    d = int(d)
-    if d < 1:
-        raise ValueError(f"mode count d must be a positive integer, got {d}")
+    d = check_count(d, "d")
     if require_odd and d % 2 == 0:
         raise ValueError(f"mode count d must be odd (d = 2L+1), got {d}")
     return d
@@ -72,17 +80,6 @@ def ell_range(d: int) -> np.ndarray:
     d = _check_mode_count(d, require_odd=True)
     half = (d - 1) // 2
     return np.arange(-half, half + 1)
-
-
-def _check_unit(amps: np.ndarray, what: str) -> np.ndarray:
-    amps = np.asarray(amps, dtype=complex)
-    if amps.ndim != 1:
-        raise ValueError(f"{what} amplitudes must be 1-D, got shape {amps.shape}")
-    _check_mode_count(amps.size)
-    power = float(np.sum(np.abs(amps) ** 2))
-    if not abs(power - 1.0) <= _NORM_TOL:  # NaN and inf are bad too
-        raise ValueError(f"{what} is not normalized: sum |a|^2 = {power!r}")
-    return amps
 
 
 def _check_rows(signal: np.ndarray, idler: np.ndarray) -> None:
@@ -108,7 +105,13 @@ class TwoPhotonState:
     coeffs: np.ndarray
 
     def __post_init__(self):
-        self.coeffs = _check_unit(self.coeffs, "two-photon state")
+        amps = self.coeffs = np.asarray(self.coeffs, dtype=complex)
+        if amps.ndim != 1:
+            raise ValueError(f"two-photon state amplitudes must be 1-D, got shape {amps.shape}")
+        check_count(amps.size, "d")
+        power = float(np.sum(np.abs(amps) ** 2))
+        if not abs(power - 1.0) <= _NORM_TOL:  # NaN and inf are bad too
+            raise ValueError(f"two-photon state is not normalized: sum |a|^2 = {power!r}")
 
     @property
     def d(self) -> int:
@@ -183,7 +186,6 @@ def make_downconversion_state(d: int, spiral_width: float) -> TwoPhotonState:
     A configurable stand-in for a physical downconversion spectrum; large
     widths approach the maximally entangled state, small ones a product state.
     """
-    d = _check_mode_count(d, require_odd=True)
     spiral_width = float(spiral_width)
     # spiral_width**2 overflows above about 1.3e154 and is 0 below about 1.6e-162;
     # from 1e154 up every c_ℓ is exp(-0) = 1
@@ -288,9 +290,7 @@ def simulate_measurements(
     probability zero, raises ValueError.
     """
     d = _check_mode_count(d)
-    n_measurements = int(n_measurements)
-    if n_measurements < 1:
-        raise ValueError(f"need at least one measurement, got {n_measurements}")
+    n_measurements = check_count(n_measurements, "n_measurements")
     if state is None:
         state = make_max_entangled(d)
     if state.d != d:

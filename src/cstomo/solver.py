@@ -63,7 +63,7 @@ from typing import TYPE_CHECKING, Callable
 import numpy as np
 
 from .errors import DegenerateIterateError, DegenerateSystemError, InvariantViolation
-from .simulate import MeasurementSet, expectations, joint_vectors
+from .simulate import MeasurementSet, check_count, expectations, joint_vectors
 
 if TYPE_CHECKING:
     from .correction import CorrectionDiagnostics
@@ -125,7 +125,7 @@ class ReconstructionConfig:
         iterates falls below step_tol_rel × (norm of the current iterate);
         in (0, 1), since a tolerance of 1 or more stops every solve after
         its first iteration.
-    k_max: iteration cap; hitting it is reported, not raised.
+    k_max: iteration cap, an integer of at least 1; hitting it is reported, not raised.
     """
 
     tau: float = 0.4
@@ -134,15 +134,11 @@ class ReconstructionConfig:
     k_max: int = 500
 
     def __post_init__(self):
-        if not 0.0 < self.tau < 1.0:
-            raise ValueError(f"tau must lie in (0, 1), got {self.tau}")
-        if not 0.0 < self.tau_ell < 1.0:
-            raise ValueError(f"tau_ell must lie in (0, 1), got {self.tau_ell}")
-        if not 0.0 < self.step_tol_rel < 1.0:
-            raise ValueError(f"step_tol_rel must lie in (0, 1), got {self.step_tol_rel}")
-        if int(self.k_max) < 1:
-            raise ValueError("k_max must be at least 1")
-        self.k_max = int(self.k_max)
+        for name in ("tau", "tau_ell", "step_tol_rel"):
+            value = getattr(self, name)
+            if not 0.0 < value < 1.0:
+                raise ValueError(f"{name} must lie in (0, 1), got {value}")
+        self.k_max = check_count(self.k_max, "k_max")
 
 
 @dataclass(eq=False)

@@ -822,6 +822,18 @@ class TestParser:
         assert err.startswith("error:") and "Traceback" not in err
         assert not list(tmp_path.glob("*.tmp"))
 
+    def test_output_in_a_missing_directory_names_the_requested_file(
+            self, tmp_path, capsys, monkeypatch):
+        # the report is written through a temporary file beside it; the
+        # error names the file asked for, not the temporary one
+        monkeypatch.chdir(tmp_path)
+        assert run("simulate", "--d", 3, "--measurements", 12, "--out", "c.json") == 0
+        capsys.readouterr()
+        assert run("reconstruct", "c.json", "--out", "missing/r.json", "--tau", 0.7,
+                   "--no-correction") == 1
+        assert capsys.readouterr().err == (
+            "error: [Errno 2] No such file or directory: 'missing/r.json'\n")
+
     @pytest.mark.parametrize("command", [["reconstruct", "--out", "{tmp}/r.json"], ["metrics"]],
                              ids=["reconstruct", "metrics"])
     def test_deeply_nested_json_exits_1(self, tmp_path, capsys, command):

@@ -13,7 +13,7 @@ from cstomo.experiments import (
     run_sweep_cell,
     summarize_sweep,
 )
-from cstomo.simulate import MAX_MEAN_TOTAL_COUNTS
+from cstomo.simulate import MAX_MEAN_TOTAL_COUNTS, make_max_entangled
 from cstomo.solver import ReconstructionConfig
 
 def small_spec(**kw):
@@ -46,6 +46,17 @@ class TestSweepSpec:
         # a corrected cell always runs the default correction
         with pytest.raises(TypeError, match="n_subsets"):
             small_spec(n_subsets=2)
+
+    @pytest.mark.parametrize("kw,message", [
+        ({"d": 3.7}, "d must be an integer, got 3.7"),
+        ({"d": 4}, "mode count d must be odd (d = 2L+1), got 4"),
+        ({"d": 3, "state": make_max_entangled(5)}, "state has d=5, expected 3"),
+    ], ids=["float", "even", "state-of-another-d"])
+    def test_rejects_a_mode_count_at_construction(self, kw, message):
+        # refused when the spec is built, not at its first cell
+        with pytest.raises(ValueError) as exc:
+            small_spec(**kw)
+        assert str(exc.value) == message
 
     def test_budget_arithmetic(self):
         spec = small_spec()

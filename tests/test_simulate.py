@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
 
+import cstomo.experiments
+from cstomo.correction import partition, reconstruct_corrected
+from cstomo.experiments import SweepSpec, run_sweep
 from cstomo.simulate import (
     MAX_MEAN_TOTAL_COUNTS,
     MeasurementSet,
@@ -16,6 +19,7 @@ from cstomo.simulate import (
     simulate_measurements,
     state_to_density,
 )
+from cstomo.solver import ReconstructionConfig
 
 
 def random_arms(d, n, rng):
@@ -423,7 +427,7 @@ class TestSimulateMeasurements:
         assert np.array_equal(a.idler, b.idler)
 
     def test_rejects_zero_measurements(self):
-        with pytest.raises(ValueError, match="at least one"):
+        with pytest.raises(ValueError, match="^n_measurements must be at least 1, got 0$"):
             simulate_measurements(3, 0, seed=0)
 
     @pytest.mark.parametrize("counts", [0.0, -1.0, float("inf"), float("nan"), 1e30,
@@ -460,3 +464,66 @@ class TestSimulateMeasurements:
         ms = simulate_measurements(3, 5, seed=0, mean_total_counts=MAX_MEAN_TOTAL_COUNTS)
         assert ms.calibration == MAX_MEAN_TOTAL_COUNTS
         assert np.array_equal(ms.probs, np.clip(ms.counts / MAX_MEAN_TOTAL_COUNTS, 0, 1))
+
+
+def sweep_workers(jobs):
+    """The worker count that run_sweep hands its map for three cells; no
+    cell runs."""
+    seen = []
+
+    def record(fn, tasks, workers):
+        seen.append(workers)
+        yield from ()
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cstomo.experiments, "ordered_map", record)
+        run_sweep(SweepSpec(d=3, fractions=[0.5], repeats=3), jobs=jobs)
+    return seen[0]
+
+
+def empty_set(d):
+    return MeasurementSet(d=d, signal=np.zeros((0, 3)), idler=np.zeros((0, 3)), probs=[])
+
+
+# every count setting: its name in the error, and the count it keeps
+COUNT_SITES = [
+    pytest.param("k_max", lambda n: ReconstructionConfig(k_max=n).k_max, id="config-k_max"),
+    pytest.param("repeats", lambda n: SweepSpec(d=3, fractions=[0.5], repeats=n).repeats,
+                 id="sweep-repeats"),
+    pytest.param("d", lambda n: SweepSpec(d=n, fractions=[0.5]).d, id="sweep-d"),
+    pytest.param("jobs", sweep_workers, id="run_sweep-jobs"),
+    pytest.param("d", lambda n: empty_set(n).d, id="measurement-set-d"),
+    pytest.param("d", lambda n: make_max_entangled(n).d, id="max-entangled-d"),
+    pytest.param("d", lambda n: make_downconversion_state(n, 2.5).d, id="downconversion-d"),
+    pytest.param("d", lambda n: ell_range(n).size, id="ell_range-d"),
+    pytest.param("d", lambda n: random_mode(n, np.random.default_rng(0)).size,
+                 id="random_mode-d"),
+    pytest.param("d", lambda n: simulate_measurements(n, 4, seed=0).d, id="simulate-d"),
+    pytest.param("n_measurements", lambda n: len(simulate_measurements(3, n, seed=0)),
+                 id="simulate-n_measurements"),
+    pytest.param("n_subsets", lambda n: len(partition(simulate_measurements(3, 40, seed=0), n)),
+                 id="partition-n_subsets"),
+    pytest.param("n_subsets", lambda n: reconstruct_corrected(
+        simulate_measurements(3, 40, seed=0), ReconstructionConfig(tau=0.7),
+        n_subsets=n).correction.n_subsets, id="corrected-n_subsets"),
+]
+
+
+class TestCountSettings:
+    @pytest.mark.parametrize("name,site", COUNT_SITES)
+    @pytest.mark.parametrize("value,error", [
+        (2.5, "integer"), (2.0, "integer"), (True, "integer"), (np.float64(3.0), "integer"),
+        (0, "at least 1"), (-1, "at least 1"), (np.int64(3), None),
+    ], ids=["2.5", "2.0", "True", "float64", "0", "-1", "int64"])
+    def test_a_count_is_an_integer_of_at_least_one(self, name, site, value, error):
+        # a float or a bool is refused, never truncated
+        if error is None:
+            got = site(value)
+            assert type(got) is int and got == 3
+            return
+        with pytest.raises(ValueError) as exc:
+            site(value)
+        if error == "integer":
+            assert str(exc.value) == f"{name} must be an integer, got {value!r}"
+        else:
+            assert str(exc.value) == f"{name} must be at least 1, got {value}"
