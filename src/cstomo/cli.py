@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import inspect
 import json
 import sys
@@ -46,6 +47,7 @@ from .simulate import (
     make_downconversion_state,
     make_max_entangled,
     simulate_measurements,
+    total_power,
 )
 from .solver import ReconstructionConfig, reconstruct
 
@@ -201,7 +203,7 @@ def _cmd_simulate(args) -> int:
         seed=args.seed,
         mean_total_counts=args.mean_total_counts,
     )
-    save_measurement_set(ms, args.out, strip_truth=args.strip_truth)
+    save_measurement_set(dataclasses.replace(ms, truth=None) if args.strip_truth else ms, args.out)
     print(f"wrote {args.out}: d={ms.d}, {len(ms)} measurements, seed={ms.seed}")
     return EXIT_OK
 
@@ -251,10 +253,7 @@ def _cmd_reconstruct(args) -> int:
         raw_metrics = summarize(
             report.correction.raw_report.rho, measurements=ms, target=ms.truth
         )
-    save_report(
-        report_to_dict(report, d=ms.d, metrics=metrics, raw_metrics=raw_metrics),
-        args.out,
-    )
+    save_report(report_to_dict(report, metrics=metrics, raw_metrics=raw_metrics), args.out)
     fid = "n/a" if metrics.fidelity is None else f"{metrics.fidelity:.6f}"
     print(
         f"wrote {args.out}: converged={report.converged} "
@@ -303,6 +302,11 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_metrics(args) -> int:
     rho = load_matrix(args.matrix)
+    # every entry of m ± m†, every eigenvalue and every score is bounded by
+    # Σ|m|² or its root, so a finite Σ|m|² keeps them finite, without overflow
+    power = float(total_power(rho.ravel()))
+    if not np.isfinite(power):
+        raise SchemaError(f"{args.matrix}: matrix too large to score: sum |m|^2 = {power!r}")
     err = float(np.abs(rho - rho.conj().T).max())
     if err > _HERMITIAN_TOL:
         raise SchemaError(
@@ -323,7 +327,7 @@ def _cmd_metrics(args) -> int:
             )
         target = _make_state(args.target, d, args.spiral_width)
     m = summarize(rho, measurements=ms, target=target)
-    print(json.dumps(_metrics_to_dict(m), sort_keys=True))
+    print(json.dumps(_metrics_to_dict(m), sort_keys=True, allow_nan=False))
     return EXIT_OK
 
 

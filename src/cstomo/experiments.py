@@ -31,6 +31,7 @@ from .simulate import (
     _check_mode_count,
     check_count,
     check_mean_total_counts,
+    check_seed,
     make_max_entangled,
     simulate_measurements,
 )
@@ -73,6 +74,7 @@ class SweepSpec:
         if self.state is not None and self.state.d != self.d:
             raise ValueError(f"state has d={self.state.d}, expected {self.d}")
         self.repeats = check_count(self.repeats, "repeats")
+        self.seed = check_seed(self.seed)
         check_mean_total_counts(self.mean_total_counts, "mean_total_counts")
 
     def n_measurements(self, fraction: float) -> int:
@@ -102,7 +104,7 @@ class SweepRow:
 
 def cell_seed(base_seed: int, fraction_index: int, repeat_index: int) -> int:
     """Deterministic, well-mixed per-cell seed, reusable with cmd_simulate."""
-    ss = np.random.SeedSequence([int(base_seed), int(fraction_index), int(repeat_index)])
+    ss = np.random.SeedSequence([base_seed, fraction_index, repeat_index])
     return int(ss.generate_state(1, np.uint64)[0])
 
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import os
 from itertools import chain
 from operator import itemgetter
@@ -123,7 +124,7 @@ def dump_json(obj: Any, path: str) -> None:
         raise
 
 
-def measurement_set_to_dict(ms: MeasurementSet, *, strip_truth: bool = False) -> dict:
+def measurement_set_to_dict(ms: MeasurementSet) -> dict:
     doc: dict[str, Any] = {
         "d": int(ms.d),
         "projectors": [
@@ -138,7 +139,7 @@ def measurement_set_to_dict(ms: MeasurementSet, *, strip_truth: bool = False) ->
         doc["calibration"] = float(ms.calibration)
     if ms.counts is not None:
         doc["counts"] = ms.counts.tolist()
-    if ms.truth is not None and not strip_truth:
+    if ms.truth is not None:
         doc["truth"] = {"coeffs": _to_pairs(ms.truth.coeffs)}
     return doc
 
@@ -231,8 +232,8 @@ def measurement_set_from_dict(doc: Any) -> MeasurementSet:
         raise SchemaError(f"measurement set: {exc}") from exc
 
 
-def save_measurement_set(ms: MeasurementSet, path: str, *, strip_truth: bool = False) -> None:
-    dump_json(measurement_set_to_dict(ms, strip_truth=strip_truth), path)
+def save_measurement_set(ms: MeasurementSet, path: str) -> None:
+    dump_json(measurement_set_to_dict(ms), path)
 
 
 def _load_json(path: str):
@@ -257,12 +258,11 @@ def _metrics_to_dict(metrics: MetricsSummary) -> dict:
 def report_to_dict(
     report: ReconstructionReport,
     *,
-    d: int,
     metrics: MetricsSummary | None = None,
     raw_metrics: MetricsSummary | None = None,
 ) -> dict:
     doc: dict[str, Any] = {
-        "d": int(d),
+        "d": math.isqrt(len(report.rho)),  # ρ is D×D, D = d²
         "rho": _to_pairs(report.rho),
         "rho_pre_gamma": _to_pairs(report.rho_pre_gamma),
         "converged": bool(report.converged),

@@ -58,14 +58,24 @@ def check_mean_total_counts(mean_total_counts, name: str) -> float:
     return value
 
 
-def check_count(value, name: str) -> int:
-    """A count setting as an int; a ValueError that names it ``name`` unless
-    it is an integer (a numpy one too, not a bool or a float) of at least 1."""
+def _check_integer(value, name: str, least: int) -> int:
+    """``value`` as an int; a ValueError that names it ``name`` unless it is
+    an integer (a numpy one too, not a bool or a float) of at least ``least``."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < 1:
-        raise ValueError(f"{name} must be at least 1, got {value}")
+    if value < least:
+        raise ValueError(f"{name} must be at least {least}, got {value}")
     return int(value)
+
+
+def check_count(value, name: str) -> int:
+    """A count setting, an integer of at least 1, as an int."""
+    return _check_integer(value, name, 1)
+
+
+def check_seed(seed) -> int:
+    """A campaign seed, an integer of at least 0, as an int."""
+    return _check_integer(seed, "seed", 0)
 
 
 def _check_mode_count(d: int, require_odd: bool = False) -> int:
@@ -82,10 +92,17 @@ def ell_range(d: int) -> np.ndarray:
     return np.arange(-half, half + 1)
 
 
+def total_power(amps: np.ndarray):
+    """Σ|a|² over the last axis; inf, with no warning, where a square
+    overflows (|a| above about 1.3e154)."""
+    with np.errstate(over="ignore"):
+        return np.sum(np.abs(amps) ** 2, axis=-1)
+
+
 def _check_rows(signal: np.ndarray, idler: np.ndarray) -> None:
     """Every row of both (M, d) arms is finite and of unit norm. The error
     names the first bad row, the signal arm before the idler arm."""
-    power = np.stack([np.sum(np.abs(amps) ** 2, axis=1) for amps in (signal, idler)], axis=1)
+    power = np.stack([total_power(amps) for amps in (signal, idler)], axis=1)
     bad = np.argwhere(~(np.abs(power - 1.0) <= _NORM_TOL))  # NaN and inf are bad too
     if bad.size:
         i, k = bad[0]
@@ -109,7 +126,7 @@ class TwoPhotonState:
         if amps.ndim != 1:
             raise ValueError(f"two-photon state amplitudes must be 1-D, got shape {amps.shape}")
         check_count(amps.size, "d")
-        power = float(np.sum(np.abs(amps) ** 2))
+        power = float(total_power(amps))
         if not abs(power - 1.0) <= _NORM_TOL:  # NaN and inf are bad too
             raise ValueError(f"two-photon state is not normalized: sum |a|^2 = {power!r}")
 
@@ -128,8 +145,8 @@ class MeasurementSet:
     count at p = 1 used to normalize raw counts, in the range that
     ``check_mean_total_counts`` allows; the simulator records it
     (and the RNG seed) so files replay exactly. ``truth`` is simulation-only
-    metadata enabling downstream fidelity checks; strip it to emulate blind
-    reconstruction.
+    metadata enabling downstream fidelity checks; strip it
+    (``dataclasses.replace(ms, truth=None)``) to emulate blind reconstruction.
     """
 
     d: int
@@ -291,6 +308,7 @@ def simulate_measurements(
     """
     d = _check_mode_count(d)
     n_measurements = check_count(n_measurements, "n_measurements")
+    seed = check_seed(seed)
     if state is None:
         state = make_max_entangled(d)
     if state.d != d:

@@ -380,7 +380,7 @@ class TestReconstructCommand:
         doc = json.loads(out.read_text())
         del doc["metrics"], doc["correction"]["raw"]["metrics"]
         want = report_to_dict(reconstruct_corrected(
-            load_measurement_set(str(inp)), ReconstructionConfig(tau=0.7), n_subsets=6), d=3)
+            load_measurement_set(str(inp)), ReconstructionConfig(tau=0.7), n_subsets=6))
         assert want["correction"]["n_subsets"] == 6
         assert json.dumps(doc, sort_keys=True) == json.dumps(want, sort_keys=True)
 
@@ -526,6 +526,18 @@ class TestMetricsCommand:
         assert run("metrics", mat_path) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["purity"] == pytest.approx(0.5)
+
+    def test_non_finite_score_is_not_printed(self, tmp_path, capsys, monkeypatch):
+        # stdout is JSON: a NaN or an infinity is an error, not a bare literal
+        monkeypatch.setattr("cstomo.cli.summarize", lambda *a, **kw: MetricsSummary(
+            fidelity=float("nan"), purity=float("inf"), effective_rank=1, residual_inf=None))
+        mat_path = tmp_path / "m.json"
+        mat_path.write_text(json.dumps([[[1.0, 0.0]]]))
+        assert run("metrics", mat_path) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: Out of range float values are not JSON compliant")
+        assert err.count("\n") == 1
 
 
 class TestSweepCommand:
@@ -798,6 +810,15 @@ class TestParser:
         assert "unrecognized arguments: --rank-tol 1e-3" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("command", ["simulate", "sweep"])
+    def test_negative_seed_exits_1(self, tmp_path, capsys, command):
+        out = tmp_path / "out"
+        argv = (["simulate", "--d", 3, "--measurements", 12] if command == "simulate"
+                else ["sweep", "--d", 3, "--fractions", "0.75", "--repeats", 1])
+        assert run(*argv, "--seed", -1, "--out", out) == 1
+        assert capsys.readouterr().err == "error: seed must be at least 0, got -1\n"
+        assert not list(tmp_path.iterdir())
+
     def test_missing_input_file(self, tmp_path):
         assert run("reconstruct", tmp_path / "nope.json",
                    "--out", tmp_path / "r.json") == 1
@@ -946,3 +967,46 @@ class TestOutOfMemory:
         rows = out.read_text().strip().splitlines()[1:]
         assert [row.split(",")[-1] for row in rows] == [
             "failed: Unable to allocate 122. GiB for an array"] * 2
+
+
+def with_huge_amplitude(path, where):
+    """The campaign at ``path`` with one finite amplitude, [1e308, 0], whose
+    square overflows: the first projector's or the truth's."""
+    doc = json.loads(path.read_text())
+    amps = doc["projectors"][0]["signal"] if where == "projector" else doc["truth"]["coeffs"]
+    amps[0] = [1e308, 0.0]
+    path.write_text(json.dumps(doc))
+
+
+class TestHugeFiniteValues:
+    """A finite value whose square overflows is refused with one error line,
+    in a process where numpy's RuntimeWarnings are errors."""
+
+    def cstomo(self, *argv):
+        return subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "cstomo", *map(str, argv)],
+            env=fresh_process_env(), capture_output=True, text=True, timeout=120)
+
+    @pytest.mark.parametrize("where, error", [
+        ("projector", "projectors[0].signal is not normalized: sum |a|^2 = inf"),
+        ("truth", "two-photon state is not normalized: sum |a|^2 = inf"),
+    ], ids=["projector", "truth"])
+    def test_campaign_amplitude(self, tmp_path, where, error):
+        campaign, out = tmp_path / "c.json", tmp_path / "r.json"
+        assert run("simulate", "--d", 3, "--measurements", 12, "--out", campaign) == 0
+        with_huge_amplitude(campaign, where)
+        proc = self.cstomo("reconstruct", campaign, "--out", out)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            1, "", f"error: measurement set: {error}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("entry", [1e308, 1e200])
+    def test_metrics_matrix(self, tmp_path, entry):
+        # 1e200 warned nowhere, but its purity overflowed to a bare Infinity
+        matrix = [[[0.0, 0.0]] * 9 for _ in range(9)]
+        matrix[0][0] = [entry, 0.0]
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(matrix))
+        proc = self.cstomo("metrics", path)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            1, "", f"error: {path}: matrix too large to score: sum |m|^2 = inf\n")

@@ -380,7 +380,7 @@ class TestReconstructCorrected:
         assert c.subset_sizes == [30, 30]
         assert c.subset_converged == [False, False]
         assert np.isnan(c.subset_delta_norms).all() and len(c.subset_delta_norms) == 2
-        doc = report_to_dict(rep, d=3)["correction"]
+        doc = report_to_dict(rep)["correction"]
         assert json.dumps(doc, sort_keys=True) == json.dumps({
             "applied": False,
             "n_subsets": 2,
@@ -423,8 +423,8 @@ class TestOneOperatorPerCampaign:
         want = reconstruct_corrected(ms)
         # the shared operator, built and unused, then one per solve
         assert factorizations == [200] * 4
-        assert json.dumps(report_to_dict(got, d=5), sort_keys=True) == json.dumps(
-            report_to_dict(want, d=5), sort_keys=True
+        assert json.dumps(report_to_dict(got), sort_keys=True) == json.dumps(
+            report_to_dict(want), sort_keys=True
         )
 
     def test_subsets_build_their_own(self, factorizations):
@@ -476,10 +476,10 @@ class TestOwnGap:
 
         got = reconstruct_corrected(ms, cfg)
         assert np.array_equal(got.correction.delta, gap)
-        assert json.dumps(report_to_dict(got, d=d), sort_keys=True) == json.dumps(
-            report_to_dict(want, d=d), sort_keys=True
+        assert json.dumps(report_to_dict(got), sort_keys=True) == json.dumps(
+            report_to_dict(want), sort_keys=True
         )
-        assert report_to_dict(got, d=d)["correction"]["subset_sizes"] == [m]
+        assert report_to_dict(got)["correction"]["subset_sizes"] == [m]
 
     def test_final_solve_keeps_the_raw_recovery(self):
         # a sweep-d5 cell (d=5, 10 % of d⁴, 5·10⁴ counts, maximally
@@ -509,4 +509,4 @@ class TestOwnGap:
         c = rep.correction
         assert not c.applied and c.subset_sizes == [60] and c.subset_converged == [False]
         assert c.reason == "raw solve did not converge within k_max=1"
-        assert report_to_dict(rep, d=3)["correction"]["reason"] == c.reason
+        assert report_to_dict(rep)["correction"]["reason"] == c.reason

@@ -1,9 +1,11 @@
+import dataclasses
 import json
 import re
 
 import numpy as np
 import pytest
 
+from cstomo.cli import main
 from cstomo.errors import SchemaError
 from cstomo.metrics import summarize
 from cstomo.serialize import (
@@ -40,11 +42,18 @@ class TestMeasurementSetRoundTrip:
         assert back.signal.tobytes() == noisy_ms.signal.tobytes()
         assert back.idler.tobytes() == noisy_ms.idler.tobytes()
 
-    def test_strip_truth(self, tmp_path, noisy_ms):
-        path = tmp_path / "ms.json"
-        save_measurement_set(noisy_ms, str(path), strip_truth=True)
-        back = load_measurement_set(str(path))
-        assert back.truth is None
+    @pytest.mark.parametrize("d", [1, 3, 5])
+    def test_strip_truth(self, tmp_path, d):
+        # the writer writes what the set holds: the set less its truth is
+        # the file that `simulate --strip-truth` writes
+        ms = simulate_measurements(d, 12, seed=1, mean_total_counts=1e4)
+        path, cli_path = tmp_path / "ms.json", tmp_path / "cli.json"
+        save_measurement_set(dataclasses.replace(ms, truth=None), str(path))
+        assert main(["simulate", "--d", str(d), "--measurements", "12", "--seed", "1",
+                     "--mean-total-counts", "1e4", "--strip-truth", "--out", str(cli_path)]) == 0
+        assert path.read_bytes() == cli_path.read_bytes()
+        assert "truth" not in json.loads(path.read_text())
+        assert load_measurement_set(str(path)).truth is None
 
     def test_schema_keys(self, noisy_ms):
         doc = measurement_set_to_dict(noisy_ms)
@@ -184,14 +193,17 @@ class TestDeepMalformedAmplitude:
 
 
 class TestReportSerialization:
-    def test_report_schema_and_rho_round_trip(self, tmp_path, noisy_ms):
-        rep = reconstruct(noisy_ms, ReconstructionConfig(tau=0.7))
-        metrics = summarize(rep.rho, measurements=noisy_ms, target=noisy_ms.truth)
-        doc = report_to_dict(rep, d=noisy_ms.d, metrics=metrics)
+    @pytest.mark.parametrize("d", [1, 3, 5])
+    def test_report_schema_and_rho_round_trip(self, tmp_path, d):
+        ms = simulate_measurements(d, 12, seed=1, mean_total_counts=1e4)
+        rep = reconstruct(ms, ReconstructionConfig(tau=0.7))
+        metrics = summarize(rep.rho, measurements=ms, target=ms.truth)
+        doc = report_to_dict(rep, metrics=metrics)
         for key in ("rho", "rho_pre_gamma", "converged", "iterations", "metrics"):
             assert key in doc
         path = tmp_path / "report.json"
         save_report(doc, str(path))
+        assert json.loads(path.read_text())["d"] == ms.d  # read from the report's ρ
         rho_back = load_matrix(str(path))
         assert np.array_equal(rho_back, rep.rho)
 
@@ -267,12 +279,12 @@ class TestPairWriter:
 
         ms = simulate_measurements(3, 40, seed=1, mean_total_counts=1e4)
         rep = reconstruct_corrected(ms, ReconstructionConfig(tau=0.7), n_subsets=2)
-        doc = report_to_dict(rep, d=3)
+        doc = report_to_dict(rep)
         assert doc["rho"] == per_element_pairs(rep.rho)
         assert doc["rho_pre_gamma"] == per_element_pairs(rep.rho_pre_gamma)
         assert doc["correction"]["raw"]["rho"] == per_element_pairs(rep.correction.raw_report.rho)
         rep.rho = np.asfortranarray(rep.rho)  # any memory layout, same pairs
-        assert report_to_dict(rep, d=3) == doc
+        assert report_to_dict(rep) == doc
 
 
 class TestFormatting:

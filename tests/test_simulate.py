@@ -527,3 +527,30 @@ class TestCountSettings:
             assert str(exc.value) == f"{name} must be an integer, got {value!r}"
         else:
             assert str(exc.value) == f"{name} must be at least 1, got {value}"
+
+
+# every seed setting, and the seed it keeps
+SEED_SITES = [
+    pytest.param(lambda s: SweepSpec(d=3, fractions=[0.5], seed=s).seed, id="sweep-seed"),
+    pytest.param(lambda s: simulate_measurements(3, 4, seed=s).seed, id="simulate-seed"),
+]
+
+
+class TestSeedSettings:
+    @pytest.mark.parametrize("site", SEED_SITES)
+    @pytest.mark.parametrize("value", [2.5, True, np.float64(3.0), -1],
+                             ids=["2.5", "True", "float64", "-1"])
+    def test_a_seed_is_an_integer_of_at_least_zero(self, site, value):
+        # a float or a bool is refused, never truncated
+        with pytest.raises(ValueError) as exc:
+            site(value)
+        if value == -1:
+            assert str(exc.value) == "seed must be at least 0, got -1"
+        else:
+            assert str(exc.value) == f"seed must be an integer, got {value!r}"
+
+    @pytest.mark.parametrize("site", SEED_SITES)
+    @pytest.mark.parametrize("value", [0, 3, np.int64(3)], ids=["0", "3", "int64"])
+    def test_accepted(self, site, value):
+        got = site(value)
+        assert type(got) is int and got == value

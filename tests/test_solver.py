@@ -402,7 +402,7 @@ class TestSharedOperator:
         op = MeasurementOperator(ms)
 
         def report(campaign, **kw):
-            return json.dumps(report_to_dict(reconstruct(campaign, **kw), d=5), sort_keys=True)
+            return json.dumps(report_to_dict(reconstruct(campaign, **kw)), sort_keys=True)
 
         assert report(other, operator=op) == report(other)
         # the operator holds no probabilities: the other campaign's solve

@@ -16,7 +16,7 @@ import cstomo
 SRC = Path(__file__).resolve().parents[1] / "src" / "cstomo"
 
 # dataclass fields plus function parameters that have a default value
-SETTABLE_VALUES = 70
+SETTABLE_VALUES = 68
 # add_argument call sites of the command line
 CLI_ARGUMENTS = 31
 # public names of the top-level package that are not submodules
