@@ -64,6 +64,12 @@ SPIRAL_WIDTH = 2.5
 # the largest entrywise |m - m†| that ``metrics`` accepts in a stored matrix
 _HERMITIAN_TOL = 1e-12
 
+# how far a stored matrix's trace may stray from 1, and its least eigenvalue
+# below 0, for ``metrics`` to score it: a reconstruction is PSD and of trace 1
+# up to rounding of order D·ε (about 6e-14 at d = 17), which its file's
+# shortest-repr floats keep; 1e-9 is the solver's own invariant tolerance
+_DENSITY_TOL = 1e-9
+
 # the subsets when --subsets is left out (it defaults to None, so that
 # --no-correction can refuse it): reconstruct_corrected's own default
 _SUBSETS_DEFAULT = inspect.signature(reconstruct_corrected).parameters["n_subsets"].default
@@ -312,6 +318,14 @@ def _cmd_metrics(args) -> int:
         raise SchemaError(
             f"matrix is not Hermitian: max |m - m†| = {err:.3e} > {_HERMITIAN_TOL:.1e}"
         )
+    eigs = np.linalg.eigvalsh(rho)  # their sum is the trace
+    trace, least = float(eigs.sum()), float(eigs[0])
+    if not abs(trace - 1.0) <= _DENSITY_TOL:
+        raise SchemaError(f"{args.matrix}: not a density matrix: trace = {trace!r}, "
+                          f"expected 1 within {_DENSITY_TOL:.1e}")
+    if least < -_DENSITY_TOL:
+        raise SchemaError(f"{args.matrix}: not a density matrix: least eigenvalue = "
+                          f"{least!r} < -{_DENSITY_TOL:.1e}")
 
     ms = None
     target = None

@@ -8,9 +8,11 @@ floats use Python's shortest round-trip repr in JSON and 17-significant-digit
 scientific notation in CSV.
 
 Every complex array a file holds (projectors, truth coefficients, a stored
-matrix) is read by one bulk conversion of all its numbers, flattened.
-Only a file that breaks the format is read again, vector by vector, so the
-error can name the first offence.
+matrix) is read by ``_cvecs``: one scan per nesting level, then one bulk
+conversion of all its numbers, flattened. Only when a scan fails is its
+first offence looked up, so that the error can name it. A file's format is
+checked before its values, which ``MeasurementSet`` and ``TwoPhotonState``
+check.
 """
 
 from __future__ import annotations
@@ -21,13 +23,13 @@ import math
 import os
 from itertools import chain
 from operator import itemgetter
-from typing import Any, Iterable
+from typing import Any, Callable, Iterable
 
 import numpy as np
 
 from .errors import SchemaError
 from .metrics import MetricsSummary
-from .simulate import MeasurementSet, TwoPhotonState, _check_rows, check_count
+from .simulate import MeasurementSet, TwoPhotonState, check_count
 from .solver import ReconstructionReport
 
 __all__ = [
@@ -60,41 +62,35 @@ def _all_of(items: Iterable, kinds) -> bool:
     return all(issubclass(t, kinds) and t is not bool for t in set(map(type, items)))
 
 
-def _pairs_to_cvec(pairs: Any, what: str, expected_len: int) -> np.ndarray:
-    if not isinstance(pairs, list):
-        raise SchemaError(f"{what}: expected a list of [re, im] pairs")
-    out = np.empty(len(pairs), dtype=complex)
-    for i, item in enumerate(pairs):
-        if not isinstance(item, list) or len(item) != 2 or not _all_of(item, (int, float)):
-            raise SchemaError(f"{what}[{i}]: expected a [re, im] pair of numbers")
-        try:
-            out[i] = complex(item[0], item[1])
-        except OverflowError as exc:  # an integer beyond double range
-            raise SchemaError(f"{what}[{i}]: {exc}") from exc
-    if out.size != expected_len:
-        raise SchemaError(f"{what}: expected length {expected_len}, got {out.size}")
-    if not np.isfinite(out.view(float)).all():
-        raise SchemaError(f"{what}: non-finite value")
-    return out
-
-
-def _bulk_cvecs(vectors: list, d: int) -> np.ndarray | None:
-    """Convert n ≥ 1 lists of d [re, im] pairs into an (n, d) complex array:
-    one type and length scan per nesting level, then one ``np.fromiter`` over
-    all the numbers, flattened, bit-identical to ``_pairs_to_cvec``. None when
-    any breaks the format; ``_pairs_to_cvec`` then names the first offence."""
-    if not _all_of(vectors, list) or set(map(len, vectors)) != {d}:
-        return None
+def _cvecs(vectors: list, d: int, name: Callable[[int], str]) -> np.ndarray:
+    """Convert n lists of d [re, im] pairs into an (n, d) complex array: one
+    type and length scan per nesting level, then one ``np.fromiter`` over all
+    the numbers, flattened, then one finiteness check. When a scan fails,
+    the SchemaError names its first offence, vector k as ``name(k)``."""
+    if not _all_of(vectors, list):
+        k = next(k for k, v in enumerate(vectors) if not isinstance(v, list))
+        raise SchemaError(f"{name(k)}: expected a list of [re, im] pairs")
+    if set(map(len, vectors)) - {d}:
+        k = next(k for k, v in enumerate(vectors) if len(v) != d)
+        raise SchemaError(f"{name(k)}: expected length {d}, got {len(vectors[k])}")
     pairs = list(chain.from_iterable(vectors))
-    if not _all_of(pairs, list) or set(map(len, pairs)) != {2}:
-        return None
-    if not _all_of(chain.from_iterable(pairs), (int, float)):
-        return None
+    if not (_all_of(pairs, list) and set(map(len, pairs)) <= {2}
+            and _all_of(chain.from_iterable(pairs), (int, float))):
+        p = next(p for p, pair in enumerate(pairs) if not (
+            isinstance(pair, list) and len(pair) == 2 and _all_of(pair, (int, float))))
+        raise SchemaError(f"{name(p // d)}[{p % d}]: expected a [re, im] pair of numbers")
     try:
         parts = np.fromiter(chain.from_iterable(pairs), dtype=float, count=2 * len(pairs))
-    except OverflowError:  # an int beyond double range
-        return None
-    return parts.view(complex).reshape(len(vectors), d) if np.isfinite(parts).all() else None
+    except OverflowError as exc:  # an int beyond double range
+        for p, pair in enumerate(pairs):
+            try:
+                complex(*pair)
+            except OverflowError:
+                raise SchemaError(f"{name(p // d)}[{p % d}]: {exc}") from exc
+    if not np.isfinite(parts).all():
+        k = np.flatnonzero(~np.isfinite(parts))[0] // (2 * d)
+        raise SchemaError(f"{name(k)}: non-finite value")
+    return parts.view(complex).reshape(len(vectors), d)
 
 
 def _number_array(values: list, dtype, what: str) -> np.ndarray:
@@ -134,7 +130,7 @@ def measurement_set_to_dict(ms: MeasurementSet) -> dict:
         "probs": ms.probs.tolist(),
     }
     if ms.seed is not None:
-        doc["seed"] = int(ms.seed)
+        doc["seed"] = ms.seed
     if ms.calibration is not None:
         doc["calibration"] = float(ms.calibration)
     if ms.counts is not None:
@@ -145,35 +141,18 @@ def measurement_set_to_dict(ms: MeasurementSet) -> dict:
 
 
 def _parse_projectors(raw_projs: list, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """The (M, d) signal and idler arrays of every projector in one bulk
-    conversion. When an entry breaks the format, it is read again entry by
-    entry up to the first offence, which the error then names; an earlier
-    row that is not of unit norm is the first offence."""
-    m = len(raw_projs)
-    if m and set(map(type, raw_projs)) <= {dict}:
-        try:
-            vectors = list(map(itemgetter("signal"), raw_projs))
-            vectors += map(itemgetter("idler"), raw_projs)
-        except KeyError:
-            pass
-        else:
-            amps = _bulk_cvecs(vectors, d)
-            if amps is not None:
-                return amps[:m], amps[m:]
-    signal, idler = [], []
-    for i, entry in enumerate(raw_projs):
-        try:
-            if not isinstance(entry, dict) or "signal" not in entry or "idler" not in entry:
-                raise SchemaError(
-                    f"projectors[{i}]: expected an object with 'signal' and 'idler'"
-                )
-            sig = _pairs_to_cvec(entry["signal"], f"projectors[{i}].signal", d)
-            idler.append(_pairs_to_cvec(entry["idler"], f"projectors[{i}].idler", d))
-            signal.append(sig)
-        except SchemaError:
-            _check_rows(np.reshape(signal, (i, d)), np.reshape(idler, (i, d)))
-            raise
-    return np.reshape(signal, (m, d)), np.reshape(idler, (m, d))
+    """The (M, d) signal and idler arrays of every projector, read by one
+    ``_cvecs`` call over their vectors in file order."""
+    try:
+        vectors = list(chain.from_iterable(map(itemgetter("signal", "idler"), raw_projs)))
+    except (KeyError, TypeError):  # an entry that is not an object with both keys
+        i = next(i for i, entry in enumerate(raw_projs) if not (
+            isinstance(entry, dict) and "signal" in entry and "idler" in entry))
+        raise SchemaError(
+            f"projectors[{i}]: expected an object with 'signal' and 'idler'") from None
+    amps = _cvecs(vectors, d, lambda k: f"projectors[{k // 2}].{('signal', 'idler')[k % 2]}")
+    amps = amps.reshape(len(raw_projs), 2, d)
+    return amps[:, 0].copy(), amps[:, 1].copy()
 
 
 def measurement_set_from_dict(doc: Any) -> MeasurementSet:
@@ -203,26 +182,21 @@ def measurement_set_from_dict(doc: Any) -> MeasurementSet:
         if counts is not None:
             if not isinstance(counts, list) or not _all_of(counts, int):
                 raise SchemaError("measurement set: counts must be a list of integers")
+        calibration = doc.get("calibration")
+        if calibration is not None and not _all_of([calibration], (int, float)):
+            raise SchemaError("measurement set: calibration must be a number")
         truth = doc.get("truth")
         if truth is not None:
             if not isinstance(truth, dict) or "coeffs" not in truth:
                 raise SchemaError("measurement set: truth must be an object with 'coeffs'")
-            coeffs = _bulk_cvecs([truth["coeffs"]], d)
-            truth = TwoPhotonState(coeffs[0] if coeffs is not None
-                                   else _pairs_to_cvec(truth["coeffs"], "truth.coeffs", d))
-        seed = doc.get("seed")
-        if seed is not None and not _all_of([seed], int):
-            raise SchemaError("measurement set: seed must be an integer")
-        calibration = doc.get("calibration")
-        if calibration is not None and not _all_of([calibration], (int, float)):
-            raise SchemaError("measurement set: calibration must be a number")
+            truth = TwoPhotonState(_cvecs([truth["coeffs"]], d, lambda k: "truth.coeffs")[0])
         return MeasurementSet(
             d=d,
             signal=signal,
             idler=idler,
             probs=_number_array(raw_probs, float, "probs"),
             counts=None if counts is None else _number_array(counts, np.int64, "counts"),
-            seed=seed,
+            seed=doc.get("seed"),
             calibration=calibration,
             truth=truth,
         )
@@ -308,11 +282,7 @@ def save_report(report_doc: dict, path: str) -> None:
 def _parse_cmat(rows: Any, what: str) -> np.ndarray:
     if not isinstance(rows, list) or not rows:
         raise SchemaError(f"{what}: expected a non-empty list of rows")
-    n = len(rows)
-    out = _bulk_cvecs(rows, n)
-    if out is None:  # a row breaks the format: read row by row to name it
-        out = np.array([_pairs_to_cvec(row, f"{what}[{i}]", n) for i, row in enumerate(rows)])
-    return out
+    return _cvecs(rows, len(rows), lambda k: f"{what}[{k}]")
 
 
 def load_matrix(path: str) -> np.ndarray:

@@ -141,12 +141,14 @@ class MeasurementSet:
 
     Projector i is the separable rank-1 operator of the mode vectors
     ``signal[i]`` and ``idler[i]``, rows of two (M, d) complex arrays; every
-    row must be finite and of unit norm. ``calibration`` is the mean total
+    row must be finite and of unit norm. ``counts``, when given, is an array
+    of an integer dtype, never truncated. ``calibration`` is the mean total
     count at p = 1 used to normalize raw counts, in the range that
-    ``check_mean_total_counts`` allows; the simulator records it
-    (and the RNG seed) so files replay exactly. ``truth`` is simulation-only
-    metadata enabling downstream fidelity checks; strip it
-    (``dataclasses.replace(ms, truth=None)``) to emulate blind reconstruction.
+    ``check_mean_total_counts`` allows; the simulator records it (and the
+    RNG seed, an integer that ``check_seed`` accepts) so files replay
+    exactly. ``truth`` is simulation-only metadata enabling downstream
+    fidelity checks; strip it (``dataclasses.replace(ms, truth=None)``) to
+    emulate blind reconstruction.
     """
 
     d: int
@@ -177,11 +179,16 @@ class MeasurementSet:
         if self.probs.size and (self.probs.min() < 0.0 or self.probs.max() > 1.0):
             raise ValueError("probabilities must lie in [0, 1]")
         if self.counts is not None:
-            self.counts = np.asarray(self.counts, dtype=np.int64)
+            counts = np.asarray(self.counts)
+            if counts.size and not np.issubdtype(counts.dtype, np.integer):
+                raise ValueError(f"counts must be integers, got dtype {counts.dtype}")
+            self.counts = counts.astype(np.int64, copy=False)
             if self.counts.size != self.probs.size:
                 raise ValueError("counts length differs from probabilities length")
             if self.counts.size and self.counts.min() < 0:
                 raise ValueError("counts must be non-negative")
+        if self.seed is not None:
+            self.seed = check_seed(self.seed)
         if self.calibration is not None:
             self.calibration = check_mean_total_counts(self.calibration, "calibration")
         if self.truth is not None and self.truth.d != self.d:

@@ -235,6 +235,7 @@ class TestReconstructCommand:
 
     @pytest.mark.parametrize("key, value", [
         ("seed", ["x"]), ("seed", "abc"), ("seed", {"a": 1}), ("seed", 1.5), ("seed", True),
+        ("seed", -1),
         ("calibration", "300"), ("calibration", True), ("calibration", [1.0]),
         ("calibration", float("inf")),
     ])
@@ -498,6 +499,21 @@ class TestMetricsCommand:
         doc = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
         assert doc["fidelity"] == pytest.approx(1 / 7, abs=1e-9)
         assert doc["effective_rank"] == 49
+
+    @pytest.mark.parametrize("diagonal, target, error", [
+        ([2 / 9] * 9, ["--target", "max-entangled"],
+         "trace = 2.0, expected 1 within 1.0e-09"),
+        ([1e150] + [0.0] * 8, [], "trace = 1e+150, expected 1 within 1.0e-09"),
+        ([1.5, -0.5] + [0.0] * 7, [], "least eigenvalue = -0.5 < -1.0e-09"),
+    ], ids=["trace-2", "trace-1e150", "negative-eigenvalue"])
+    def test_not_a_density_matrix_exits_1(self, tmp_path, capsys, diagonal, target, error):
+        # a score of a matrix that is no density matrix would mean nothing:
+        # the first read a fidelity of 0.4714 and the last a purity of 2.5
+        mat_path = tmp_path / "m.json"
+        mat_path.write_text(json.dumps([[[diagonal[i] if i == j else 0.0, 0.0]
+                                         for j in range(9)] for i in range(9)]))
+        assert run("metrics", mat_path, *target) == 1
+        assert capsys.readouterr() == ("", f"error: {mat_path}: not a density matrix: {error}\n")
 
     def test_non_hermitian_file_rejected(self, tmp_path, capsys):
         mat_path = tmp_path / "bad.json"

@@ -137,36 +137,50 @@ class TestSchemaValidation:
 
 
 class TestDeepMalformedAmplitude:
-    """One bad amplitude deep in a file: the error names it exactly."""
+    """One bad amplitude deep in a file: the error names it exactly, in each
+    reader of a complex array."""
 
     @pytest.fixture(scope="class")
     def doc(self):
         return measurement_set_to_dict(simulate_measurements(3, 600, seed=2))
 
+    @pytest.mark.parametrize("where", ["projectors[500].idler", "truth.coeffs", "matrix[5]"],
+                             ids=["projector", "truth", "matrix"])
     @pytest.mark.parametrize(
         "value, message",
         [
-            ([True, 0.0], "projectors[500].idler[2]: expected a [re, im] pair of numbers"),
-            (["0.5", 0.0], "projectors[500].idler[2]: expected a [re, im] pair of numbers"),
-            ([0.5], "projectors[500].idler[2]: expected a [re, im] pair of numbers"),
-            ([0.5, 0.0, 0.0], "projectors[500].idler[2]: expected a [re, im] pair of numbers"),
-            ((0.5, 0.0), "projectors[500].idler[2]: expected a [re, im] pair of numbers"),
-            (None, "projectors[500].idler: expected length 3, got 2"),
-            ([float("inf"), 0.0], "projectors[500].idler: non-finite value"),
-            ([10**400, 0], "projectors[500].idler[2]: int too large to convert to float"),
+            ([True, 0.0], "{where}[2]: expected a [re, im] pair of numbers"),
+            (["0.5", 0.0], "{where}[2]: expected a [re, im] pair of numbers"),
+            ([0.5], "{where}[2]: expected a [re, im] pair of numbers"),
+            ([0.5, 0.0, 0.0], "{where}[2]: expected a [re, im] pair of numbers"),
+            ((0.5, 0.0), "{where}[2]: expected a [re, im] pair of numbers"),
+            (None, "{where}: expected length {n}, got {short}"),
+            ([float("inf"), 0.0], "{where}: non-finite value"),
+            ([10**400, 0], "{where}[2]: int too large to convert to float"),
         ],
         ids=["bool", "string", "short-pair", "long-pair", "tuple", "length",
              "non-finite", "overflow"],
     )
-    def test_first_offence_named(self, doc, value, message):
-        bad = json.loads(json.dumps(doc))
-        idler = bad["projectors"][500]["idler"]
-        if value is None:
-            idler.pop()
+    def test_first_offence_named(self, doc, monkeypatch, where, value, message):
+        if where == "matrix[5]":
+            # a bare 9×9 matrix, handed to load_matrix as its decoded file so
+            # that a tuple, which JSON cannot hold, reaches the reader too
+            bad = [[[1 / 9 if i == j else 0.0, 0.0] for j in range(9)] for i in range(9)]
+            vector = bad[5]
+            monkeypatch.setattr("cstomo.serialize._load_json", lambda path: bad)
+            read, arg = load_matrix, "m.json"
         else:
-            idler[2] = value
+            bad = json.loads(json.dumps(doc))
+            vector = (bad["truth"]["coeffs"] if where == "truth.coeffs"
+                      else bad["projectors"][500]["idler"])
+            read, arg = measurement_set_from_dict, bad
+        message = message.format(where=where, n=len(vector), short=len(vector) - 1)
+        if value is None:
+            vector.pop()
+        else:
+            vector[2] = value
         with pytest.raises(SchemaError, match=f"^{re.escape(message)}$"):
-            measurement_set_from_dict(bad)
+            read(arg)
 
     def test_not_a_list(self, doc):
         bad = json.loads(json.dumps(doc))
@@ -175,21 +189,45 @@ class TestDeepMalformedAmplitude:
                 "projectors[500].signal: expected a list of [re, im] pairs")):
             measurement_set_from_dict(bad)
 
-    def test_earlier_offence_wins(self, doc):
+    @pytest.mark.parametrize("earlier, later, message", [
+        # the format before the values: a row that is not of unit norm is
+        # found only once the whole file holds [re, im] pairs
+        ([[2.0, 0.0]] * 3, [[1.0, 0.0], [0.0, 0.0], [True, 0.0]],
+         "projectors[500].idler[2]: expected a [re, im] pair of numbers"),
+        # one scan per nesting level: a vector of the wrong length before a bad pair
+        ([[True, 0.0], [0.0, 0.0], [0.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]],
+         "projectors[500].idler: expected length 3, got 2"),
+        # within a scan, the first offence in file order
+        ([[1.0, 0.0], [0.5], [0.0, 0.0]], [[1.0, 0.0], [0.0, 0.0], [True, 0.0]],
+         "projectors[3].signal[1]: expected a [re, im] pair of numbers"),
+        ([[1.0, 0.0], [0.0, 0.0], [0.0, float("nan")]],
+         [[1.0, 0.0], [0.0, 0.0], [float("inf"), 0.0]],
+         "projectors[3].signal: non-finite value"),
+    ], ids=["format-before-values", "length-before-pair", "file-order", "file-order-finite"])
+    def test_first_scan_that_fails_names_its_first_offence(self, doc, earlier, later, message):
         bad = json.loads(json.dumps(doc))
-        bad["projectors"][500]["idler"][2] = [True, 0.0]
-        bad["projectors"][3]["signal"] = [[2.0, 0.0]] * 3
-        with pytest.raises(SchemaError, match="not normalized"):
+        bad["projectors"][3]["signal"] = earlier
+        bad["projectors"][500]["idler"] = later
+        with pytest.raises(SchemaError, match=f"^{re.escape(message)}$"):
             measurement_set_from_dict(bad)
 
-    def test_integer_amplitudes_same_bits(self, doc):
-        # integer parts convert exactly as complex(re, im) converts them
-        bad = json.loads(json.dumps(doc))
-        bad["projectors"][7]["signal"] = [[1, 0], [0, 0], [0, 0]]
-        ms = measurement_set_from_dict(bad)
+    def test_integer_amplitudes_same_bits(self, doc, tmp_path):
+        # every reader converts a pair exactly as complex(re, im) does,
+        # integer parts and -0.0 included
+        good = json.loads(json.dumps(doc))
+        good["projectors"][7]["signal"] = [[1, 0], [-0.0, 0], [0, -0.0]]
+        good["truth"]["coeffs"] = [[0, 0], [1, -0.0], [0.0, 0]]
+        ms = measurement_set_from_dict(good)
         assert ms.signal[7].tolist() == [1 + 0j, 0j, 0j]
-        want = np.array([[complex(*p) for p in entry["idler"]] for entry in doc["projectors"]])
-        assert ms.idler.tobytes() == want.tobytes()
+        for arm, got in (("signal", ms.signal), ("idler", ms.idler)):
+            want = np.array([[complex(*p) for p in entry[arm]] for entry in good["projectors"]])
+            assert got.tobytes() == want.tobytes()
+        want = np.array([complex(*p) for p in good["truth"]["coeffs"]])
+        assert ms.truth.coeffs.tobytes() == want.tobytes()
+        rows = [[[1, 0], [0.5, -0.0]], [[0.5, 0.0], [0, 1e-300]]]
+        (tmp_path / "m.json").write_text(json.dumps(rows))
+        want = np.array([[complex(*p) for p in row] for row in rows])
+        assert load_matrix(str(tmp_path / "m.json")).tobytes() == want.tobytes()
 
 
 class TestReportSerialization:

@@ -4,6 +4,7 @@ import pytest
 import cstomo.experiments
 from cstomo.correction import partition, reconstruct_corrected
 from cstomo.experiments import SweepSpec, run_sweep
+from cstomo.serialize import measurement_set_from_dict
 from cstomo.simulate import (
     MAX_MEAN_TOTAL_COUNTS,
     MeasurementSet,
@@ -116,6 +117,21 @@ class TestTypes:
         signal, idler = random_arms(3, 1, np.random.default_rng(0))
         with pytest.raises(ValueError, match="^calibration must be positive and finite, at most 1e"):
             MeasurementSet(d=3, signal=signal, idler=idler, probs=[0.5], calibration=calibration)
+
+    @pytest.mark.parametrize("counts", [[805.7], np.array([805.0]), [True], ["1"]],
+                             ids=["float", "float-array", "bool", "string"])
+    def test_counts_are_never_truncated(self, counts):
+        signal, idler = random_arms(3, 1, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="^counts must be integers, got dtype "):
+            MeasurementSet(d=3, signal=signal, idler=idler, probs=[0.5], counts=counts)
+
+    @pytest.mark.parametrize("counts", [[], [805], np.array([805], dtype=np.uint16)],
+                             ids=["empty", "int", "uint16"])
+    def test_integer_counts_kept_as_int64(self, counts):
+        signal, idler = random_arms(3, len(counts), np.random.default_rng(0))
+        ms = MeasurementSet(d=3, signal=signal.reshape(-1, 3), idler=idler.reshape(-1, 3),
+                            probs=[0.5] * len(counts), counts=counts)
+        assert ms.counts.dtype == np.int64 and ms.counts.tolist() == list(counts)
 
     def test_calibration_kept_as_a_float(self):
         signal, idler = random_arms(3, 1, np.random.default_rng(0))
@@ -529,28 +545,33 @@ class TestCountSettings:
             assert str(exc.value) == f"{name} must be at least 1, got {value}"
 
 
-# every seed setting, and the seed it keeps
+# every seed setting, the prefix of its error, and the seed it keeps
 SEED_SITES = [
-    pytest.param(lambda s: SweepSpec(d=3, fractions=[0.5], seed=s).seed, id="sweep-seed"),
-    pytest.param(lambda s: simulate_measurements(3, 4, seed=s).seed, id="simulate-seed"),
+    pytest.param(lambda s: SweepSpec(d=3, fractions=[0.5], seed=s).seed, "", id="sweep-seed"),
+    pytest.param(lambda s: simulate_measurements(3, 4, seed=s).seed, "", id="simulate-seed"),
+    pytest.param(lambda s: MeasurementSet(d=1, signal=[[1]], idler=[[1]], probs=[1.0],
+                                          seed=s).seed, "", id="measurement-set-seed"),
+    pytest.param(lambda s: measurement_set_from_dict(
+        {"d": 1, "projectors": [{"signal": [[1.0, 0.0]], "idler": [[1.0, 0.0]]}],
+         "probs": [1.0], "seed": s}).seed, "measurement set: ", id="file-seed"),
 ]
 
 
 class TestSeedSettings:
-    @pytest.mark.parametrize("site", SEED_SITES)
+    @pytest.mark.parametrize("site, prefix", SEED_SITES)
     @pytest.mark.parametrize("value", [2.5, True, np.float64(3.0), -1],
                              ids=["2.5", "True", "float64", "-1"])
-    def test_a_seed_is_an_integer_of_at_least_zero(self, site, value):
+    def test_a_seed_is_an_integer_of_at_least_zero(self, site, prefix, value):
         # a float or a bool is refused, never truncated
         with pytest.raises(ValueError) as exc:
             site(value)
         if value == -1:
-            assert str(exc.value) == "seed must be at least 0, got -1"
+            assert str(exc.value) == f"{prefix}seed must be at least 0, got -1"
         else:
-            assert str(exc.value) == f"seed must be an integer, got {value!r}"
+            assert str(exc.value) == f"{prefix}seed must be an integer, got {value!r}"
 
-    @pytest.mark.parametrize("site", SEED_SITES)
+    @pytest.mark.parametrize("site, prefix", SEED_SITES)
     @pytest.mark.parametrize("value", [0, 3, np.int64(3)], ids=["0", "3", "int64"])
-    def test_accepted(self, site, value):
+    def test_accepted(self, site, prefix, value):
         got = site(value)
         assert type(got) is int and got == value
